@@ -84,10 +84,7 @@ MultiScheduleResult reco_mul_pipeline(const std::vector<Coflow>& coflows, Time d
     obs::ScopedSpan s("sched.order_coflows", "sched");
     return order_coflows(coflows, ordering);
   }();
-  const SliceSchedule packet = [&] {
-    obs::ScopedSpan s("sched.packet_schedule", "sched");
-    return packet_schedule(coflows, order);
-  }();
+  const SliceSchedule packet = packet_schedule(coflows, order);
   const RecoMulSchedule transformed = reco_mul_transform(packet, delta, c);
   // Count on the *emitted* real-time schedule, not the pseudo one: the
   // result's reconfiguration figure must agree with its `schedule` field

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "obs/obs.hpp"
 
 namespace reco {
 
@@ -16,24 +19,13 @@ void place_coflow_flows(PacketScratch& scratch, CoflowId id, SliceSchedule& out)
   std::sort(scratch.flows.begin(), scratch.flows.end(),
             [](const PacketFlow& a, const PacketFlow& b) { return a.size > b.size; });
   for (const PacketFlow& f : scratch.flows) {
-    // Earliest slot free on *both* ports: alternate fixed-point between
-    // the two timelines (each step only moves the candidate forward, and
-    // it converges as soon as both agree).
-    Time t = 0.0;
-    while (true) {
-      const Time t_in = scratch.ingress[f.src].earliest_fit(t, f.size);
-      const Time t_both = scratch.egress[f.dst].earliest_fit(t_in, f.size);
-      if (t_both <= t_in + kTimeEps &&
-          scratch.ingress[f.src].earliest_fit(t_both, f.size) <= t_both + kTimeEps) {
-        t = t_both;
-        break;
-      }
-      t = t_both;
-    }
+    PortTimeline& in = scratch.ingress[f.src];
+    PortTimeline& eg = scratch.egress[f.dst];
+    const Time t = earliest_common_fit(in, eg, f.size);
     const Time end = t + f.size;
     out.push_back({t, end, f.src, f.dst, id});
-    scratch.ingress[f.src].insert(t, end);
-    scratch.egress[f.dst].insert(t, end);
+    in.insert(t, end);
+    eg.insert(t, end);
   }
 }
 
@@ -42,6 +34,24 @@ void reset_timelines(PacketScratch& scratch, int n) {
   scratch.egress.resize(n);
   for (PortTimeline& t : scratch.ingress) t.clear();
   for (PortTimeline& t : scratch.egress) t.clear();
+}
+
+/// The timelines are sized from the first demand's port count `n`, so every
+/// `order` entry must index one of the `count` demands and every demand it
+/// names must have `n` ports; anything else would index past a buffer.
+template <class PortCount>
+void check_order(const std::vector<int>& order, std::size_t count, int n, PortCount port_count) {
+  for (const int idx : order) {
+    if (idx < 0 || static_cast<std::size_t>(idx) >= count) {
+      throw std::invalid_argument("packet_schedule_into: order entry " + std::to_string(idx) +
+                                  " is out of range for " + std::to_string(count) + " coflows");
+    }
+    if (const int ports = port_count(idx); ports != n) {
+      throw std::invalid_argument("packet_schedule_into: coflow " + std::to_string(idx) +
+                                  " has " + std::to_string(ports) + " ports, the first has " +
+                                  std::to_string(n));
+    }
+  }
 }
 
 }  // namespace
@@ -55,9 +65,11 @@ SliceSchedule packet_schedule(const std::vector<Coflow>& coflows, const std::vec
 
 void packet_schedule_into(const std::vector<Coflow>& coflows, const std::vector<int>& order,
                           PacketScratch& scratch, SliceSchedule& out) {
+  obs::ScopedSpan span("sched.packet_schedule", "sched");
   out.clear();
-  if (coflows.empty() || order.empty()) return;
-  const int n = coflows.front().demand.n();
+  if (order.empty()) return;
+  const int n = coflows.empty() ? 0 : coflows.front().demand.n();
+  check_order(order, coflows.size(), n, [&](int idx) { return coflows[idx].demand.n(); });
   reset_timelines(scratch, n);
 
   for (int idx : order) {
@@ -72,17 +84,20 @@ void packet_schedule_into(const std::vector<Coflow>& coflows, const std::vector<
     }
     place_coflow_flows(scratch, c.id, out);
   }
+  span.arg("flows", static_cast<double>(out.size()));
 }
 
 void packet_schedule_into(const std::vector<const SupportIndex*>& residuals,
                           const std::vector<CoflowId>& ids, const std::vector<int>& order,
                           PacketScratch& scratch, SliceSchedule& out) {
+  obs::ScopedSpan span("sched.packet_schedule", "sched");
   out.clear();
-  if (residuals.empty() || order.empty()) return;
+  if (order.empty()) return;
   if (residuals.size() != ids.size()) {
     throw std::invalid_argument("packet_schedule_into: residuals/ids size mismatch");
   }
-  const int n = residuals.front()->n();
+  const int n = residuals.empty() ? 0 : residuals.front()->n();
+  check_order(order, residuals.size(), n, [&](int idx) { return residuals[idx]->n(); });
   reset_timelines(scratch, n);
 
   for (int idx : order) {
@@ -98,6 +113,7 @@ void packet_schedule_into(const std::vector<const SupportIndex*>& residuals,
     }
     place_coflow_flows(scratch, ids[idx], out);
   }
+  span.arg("flows", static_cast<double>(out.size()));
 }
 
 }  // namespace reco

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -23,33 +24,75 @@
 
 namespace reco {
 
-/// Busy intervals of one port, kept sorted and non-overlapping.  Supports
-/// "earliest gap of length d starting at or after t" queries and interval
-/// insertion — the core of insertion-based (backfilling) list scheduling.
+/// Busy intervals of one port, coalesced: an inserted interval is merged
+/// with every stored one it touches or overlaps, so stored intervals have
+/// strictly increasing starts and ends and positive gaps between them.
+/// (Placed intervals may overlap by less than kTimeEps, because the fit
+/// test admits a gap of d - kTimeEps.)  Supports "earliest gap of length d
+/// starting at or after t" queries and interval insertion — the core of
+/// insertion-based (backfilling) list scheduling.
+///
+/// Coalescing is exact for d > kTimeEps: such a flow never fits inside a
+/// touching or overlapping chain, so the merged interval answers every
+/// query as its members would.  A d <= kTimeEps also fits the zero-length
+/// gap at an exact touch, which merging removes; earliest_common_fit asks
+/// such a d only at t = 0, where every interval starts at or after t and
+/// the answer is t either way.
 class PortTimeline {
  public:
-  /// Earliest s >= t such that [s, s+d) is free on this port.
+  /// Earliest s >= t such that [s, s+d) is free on this port.  An interval
+  /// ending at or before t cannot move t, so the scan starts at the first
+  /// interval ending after it.
   Time earliest_fit(Time t, Time d) const {
-    for (const auto& [busy_start, busy_end] : busy_) {
-      if (busy_start - t >= d - kTimeEps) break;  // fits before this interval
-      t = std::max(t, busy_end);
+    auto it = std::upper_bound(
+        busy_.begin(), busy_.end(), t,
+        [](Time v, const std::pair<Time, Time>& iv) { return v < iv.second; });
+    for (; it != busy_.end(); ++it) {
+      if (it->first - t >= d - kTimeEps) break;  // fits before this interval
+      t = it->second;
     }
     return t;
   }
 
   void insert(Time start, Time end) {
-    const auto pos = std::lower_bound(
+    // [first, last) are the stored intervals that touch or overlap
+    // [start, end]: ends ascend, so they begin at the first end >= start;
+    // starts ascend, so they stop before the first start > end.
+    const auto first = std::lower_bound(
         busy_.begin(), busy_.end(), start,
-        [](const std::pair<Time, Time>& iv, Time s) { return iv.first < s; });
-    busy_.insert(pos, {start, end});
+        [](const std::pair<Time, Time>& iv, Time s) { return iv.second < s; });
+    auto last = first;
+    while (last != busy_.end() && last->first <= end) ++last;
+    if (first == last) {
+      busy_.insert(first, {start, end});
+      return;
+    }
+    first->first = std::min(first->first, start);
+    first->second = std::max(end, std::prev(last)->second);
+    busy_.erase(std::next(first), last);
   }
 
   void clear() { busy_.clear(); }
   std::size_t capacity() const { return busy_.capacity(); }
+  /// Number of stored (coalesced) intervals.
+  std::size_t size() const { return busy_.size(); }
 
  private:
   std::vector<std::pair<Time, Time>> busy_;
 };
+
+/// Earliest s >= 0 at which [s, s+d) is free on both `a` and `b`: alternate
+/// a fixed point between the two timelines (each step only moves the
+/// candidate forward, and it converges as soon as both agree).
+inline Time earliest_common_fit(const PortTimeline& a, const PortTimeline& b, Time d) {
+  Time t = 0.0;
+  while (true) {
+    const Time t_a = a.earliest_fit(t, d);
+    const Time t_both = b.earliest_fit(t_a, d);
+    if (t_both <= t_a + kTimeEps && a.earliest_fit(t_both, d) <= t_both + kTimeEps) return t_both;
+    t = t_both;
+  }
+}
 
 /// One flow awaiting placement (the per-coflow extraction buffer's element).
 struct PacketFlow {

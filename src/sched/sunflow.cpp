@@ -3,71 +3,32 @@
 #include <algorithm>
 #include <vector>
 
+#include "sched/packet_scheduler.hpp"
+
 namespace reco {
-
-namespace {
-
-/// Busy intervals of one port (sorted, non-overlapping) for backfilling.
-class PortTimeline {
- public:
-  Time earliest_fit(Time t, Time d) const {
-    for (const auto& [busy_start, busy_end] : busy_) {
-      if (busy_start - t >= d - kTimeEps) break;
-      t = std::max(t, busy_end);
-    }
-    return t;
-  }
-
-  void insert(Time start, Time end) {
-    const auto pos = std::lower_bound(
-        busy_.begin(), busy_.end(), start,
-        [](const std::pair<Time, Time>& iv, Time s) { return iv.first < s; });
-    busy_.insert(pos, {start, end});
-  }
-
- private:
-  std::vector<std::pair<Time, Time>> busy_;
-};
-
-}  // namespace
 
 SunflowResult sunflow(const Matrix& demand, Time delta, SunflowOrder order) {
   SunflowResult result;
   const int n = demand.n();
 
-  struct Flow {
-    int src;
-    int dst;
-    Time size;
-  };
-  std::vector<Flow> flows;
+  std::vector<PacketFlow> flows;
   flows.reserve(demand.nnz());
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (!approx_zero(demand.at(i, j))) flows.push_back({i, j, demand.at(i, j)});
     }
   }
-  std::sort(flows.begin(), flows.end(), [order](const Flow& a, const Flow& b) {
+  std::sort(flows.begin(), flows.end(), [order](const PacketFlow& a, const PacketFlow& b) {
     return order == SunflowOrder::kLongestFirst ? a.size > b.size : a.size < b.size;
   });
 
   std::vector<PortTimeline> ingress(n);
   std::vector<PortTimeline> egress(n);
-  for (const Flow& f : flows) {
+  for (const PacketFlow& f : flows) {
     // The circuit occupies both ports for (setup delta + transmission);
     // only the affected ports halt, everything else keeps running.
     const Time occupancy = delta + f.size;
-    Time t = 0.0;
-    while (true) {
-      const Time t_in = ingress[f.src].earliest_fit(t, occupancy);
-      const Time t_both = egress[f.dst].earliest_fit(t_in, occupancy);
-      if (t_both <= t_in + kTimeEps &&
-          ingress[f.src].earliest_fit(t_both, occupancy) <= t_both + kTimeEps) {
-        t = t_both;
-        break;
-      }
-      t = t_both;
-    }
+    const Time t = earliest_common_fit(ingress[f.src], egress[f.dst], occupancy);
     const Time end = t + occupancy;
     ingress[f.src].insert(t, end);
     egress[f.dst].insert(t, end);

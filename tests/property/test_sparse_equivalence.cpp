@@ -9,18 +9,27 @@
 // all three BvN policies, and across runtime thread counts.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bvn/bvn.hpp"
 #include "bvn/dense_reference.hpp"
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
+#include "core/snapshot.hpp"
 #include "core/support_index.hpp"
+#include "property/packet_oracle.hpp"
 #include "runtime/parallel.hpp"
+#include "sched/multi_baselines.hpp"
+#include "sched/ordering.hpp"
+#include "sched/reco_mul.hpp"
 #include "sched/reco_sin.hpp"
 #include "sched/solstice.hpp"
 #include "testing_util.hpp"
+#include "trace/generator.hpp"
 #include "trace/rng.hpp"
 
 namespace reco {
@@ -152,6 +161,52 @@ TEST(SparseEquivalence, RecoSinPipelineMatchesDenseReferencePipeline) {
                 " policy=" + policy_name(policy));
       }
     }
+  }
+}
+
+/// FNV-1a over every slice's exact bits: start, end, ports, coflow.
+std::uint64_t slice_digest(const SliceSchedule& schedule) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const FlowSlice& s : schedule) {
+    const std::uint64_t fields[] = {std::bit_cast<std::uint64_t>(s.start),
+                                    std::bit_cast<std::uint64_t>(s.end),
+                                    static_cast<std::uint64_t>(s.src),
+                                    static_cast<std::uint64_t>(s.dst),
+                                    static_cast<std::uint64_t>(s.coflow)};
+    h = fnv1a64(fields, sizeof(fields), h);
+  }
+  return h;
+}
+
+TEST(SparseEquivalence, RecoMulPipelineDigestMatchesLinearScanOracle) {
+  // End-to-end Alg. 2: BSSI order -> packet schedule -> stretch, snap and
+  // inflate, against the same stages over the linear-scan port timeline in
+  // property/packet_oracle.hpp.  One digest row per workload, covering the
+  // random-workload family and the generator's Table I density mix.
+  const Time delta = 1e-4;
+  const double c = 4.0;
+  std::vector<std::pair<std::string, std::vector<Coflow>>> rows;
+  Rng rng(29);
+  for (const int n : {4, 8, 16}) {
+    for (const int k : {5, 15, 40}) {
+      rows.emplace_back("random n=" + std::to_string(n) + " coflows=" + std::to_string(k),
+                        testing::random_workload(rng, k, n, delta, c));
+    }
+  }
+  for (const std::uint64_t seed : {7, 8}) {
+    GeneratorOptions g;
+    g.num_ports = 16;
+    g.num_coflows = 60;
+    g.seed = seed;
+    rows.emplace_back("generator seed=" + std::to_string(seed), generate_workload(g));
+  }
+  for (const auto& [name, coflows] : rows) {
+    const SliceSchedule packet =
+        oracle::packet_schedule(coflows, order_coflows(coflows, OrderingPolicy::kBssi));
+    const SliceSchedule want = reco_mul_transform(packet, delta, c).real;
+    const SliceSchedule got = reco_mul_pipeline(coflows, delta, c).schedule;
+    ASSERT_FALSE(got.empty()) << name;
+    EXPECT_EQ(slice_digest(got), slice_digest(want)) << name;
   }
 }
 

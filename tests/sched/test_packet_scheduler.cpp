@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 
+#include "core/support_index.hpp"
 #include "sched/ordering.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
@@ -74,6 +77,111 @@ TEST(PacketScheduler, NonPreemptiveOneSlicePerFlow) {
   std::map<std::tuple<int, int, int>, int> slices_per_flow;
   for (const FlowSlice& f : s) slices_per_flow[{f.coflow, f.src, f.dst}] += 1;
   for (const auto& [key, count] : slices_per_flow) EXPECT_EQ(count, 1);
+}
+
+TEST(PacketScheduler, SizeEpsFlowStartsAtZero) {
+  // The boundary of the fit tolerance: a flow of exactly kTimeEps passes
+  // approx_zero, and a gap of d - kTimeEps = 0 admits it at t = 0 even
+  // though its ingress port is busy from 0.
+  Matrix d(2);
+  d.at(0, 0) = 3.0;
+  d.at(0, 1) = kTimeEps;
+  const SliceSchedule s = packet_schedule({make_coflow(0, d)}, {0});
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[1].start, 0.0);
+  EXPECT_EQ(s[1].end, kTimeEps);
+}
+
+/// The message of the std::invalid_argument `fn` throws, or "" if none.
+template <class Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PacketScheduler, RejectsOrderEntryOutOfRange) {
+  Matrix d(2);
+  d.at(0, 1) = 1.0;
+  const std::vector<Coflow> coflows{make_coflow(0, d), make_coflow(1, d)};
+  EXPECT_NE(invalid_argument_message([&] { packet_schedule(coflows, {0, 2}); })
+                .find("order entry 2 is out of range"),
+            std::string::npos);
+  EXPECT_NE(invalid_argument_message([&] { packet_schedule(coflows, {-1}); }).find("order entry -1"),
+            std::string::npos);
+  EXPECT_NE(invalid_argument_message([&] { packet_schedule({}, {0}); }).find("order entry 0"),
+            std::string::npos);
+
+  const SupportIndex r(d);
+  PacketScratch scratch;
+  SliceSchedule out;
+  EXPECT_NE(invalid_argument_message([&] { packet_schedule_into({&r}, {0}, {1}, scratch, out); })
+                .find("order entry 1 is out of range"),
+            std::string::npos);
+}
+
+TEST(PacketScheduler, RejectsMixedPortCounts) {
+  Matrix small(2);
+  small.at(0, 1) = 1.0;
+  Matrix large(3);
+  large.at(2, 2) = 1.0;
+  const std::vector<Coflow> coflows{make_coflow(0, small), make_coflow(1, large)};
+  EXPECT_NE(invalid_argument_message([&] { packet_schedule(coflows, {0, 1}); })
+                .find("coflow 1 has 3 ports, the first has 2"),
+            std::string::npos);
+
+  const SupportIndex a(small);
+  const SupportIndex b(large);
+  PacketScratch scratch;
+  SliceSchedule out;
+  EXPECT_NE(
+      invalid_argument_message([&] { packet_schedule_into({&a, &b}, {0, 1}, {1, 0}, scratch, out); })
+          .find("coflow 1 has 3 ports"),
+      std::string::npos);
+}
+
+TEST(PortTimeline, CoalescesTouchingAndOverlappingIntervals) {
+  PortTimeline t;
+  t.insert(0.0, 1.0);
+  t.insert(1.0, 2.0);                   // exact touch
+  t.insert(2.0 - 0.5 * kTimeEps, 3.0);  // overlap shorter than kTimeEps
+  EXPECT_EQ(t.size(), 1u);
+  t.insert(4.0, 5.0);
+  EXPECT_EQ(t.size(), 2u);
+  t.insert(3.0, 4.0);  // closes the gap between the two
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.earliest_fit(0.0, 1.0), 5.0);
+  EXPECT_EQ(t.earliest_fit(6.0, 1.0), 6.0);
+}
+
+TEST(PortTimeline, KeepsGapsShorterThanEps) {
+  // A positive gap is never merged away, whichever side is inserted first:
+  // a flow whose size is within kTimeEps of it still fits there.
+  for (const bool left_first : {true, false}) {
+    PortTimeline t;
+    if (left_first) t.insert(0.0, 1.0);
+    t.insert(1.0 + 0.5 * kTimeEps, 2.0);
+    if (!left_first) t.insert(0.0, 1.0);
+    EXPECT_EQ(t.size(), 2u) << "left_first=" << left_first;
+    EXPECT_EQ(t.earliest_fit(0.5, 1.2 * kTimeEps), 1.0) << "left_first=" << left_first;
+    EXPECT_EQ(t.earliest_fit(0.5, 2.0 * kTimeEps), 2.0) << "left_first=" << left_first;
+  }
+}
+
+TEST(PortTimeline, SizeEpsSkipsTouchPoints) {
+  // A d <= kTimeEps fits even a zero-length gap.  Merging removes the
+  // zero-length gap where two intervals touch, so from inside the chain the
+  // answer is its end; the unmerged intervals would have given the touch
+  // point 1.  From t = 0, the only point the schedulers query such a d,
+  // both give 0.
+  PortTimeline t;
+  t.insert(0.0, 1.0);
+  t.insert(1.0, 2.0);
+  EXPECT_EQ(t.earliest_fit(0.5, kTimeEps), 2.0);
+  EXPECT_EQ(t.earliest_fit(0.0, kTimeEps), 0.0);
 }
 
 TEST(PacketSchedulerProperty, FeasibleAndExact) {
