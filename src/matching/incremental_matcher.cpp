@@ -1,5 +1,8 @@
 #include "matching/incremental_matcher.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "obs/obs.hpp"
 
 namespace reco {
@@ -8,20 +11,27 @@ IncrementalMatcher::IncrementalMatcher(const SupportIndex& index, double thresho
     : index_(&index),
       threshold_(threshold),
       n_(index.n()),
+      words_((index.n() + 63) / 64),
       match_left_(index.n(), -1),
-      match_right_(index.n(), -1),
-      visited_(index.n(), 0) {
+      match_right_(index.n(), -1) {
   scratch_.stack_u.assign(static_cast<std::size_t>(n_) + 1, 0);
   scratch_.stack_e.assign(static_cast<std::size_t>(n_) + 1, 0);
+  scratch_.visited_bits.assign(words_, 0);
+  set_threshold(threshold);
 }
 
 void IncrementalMatcher::set_threshold(double threshold) {
-  const bool raised = threshold > threshold_;
   threshold_ = threshold;
-  if (!raised) return;
+  std::vector<std::uint64_t>& adj = scratch_.adj_bits;
+  adj.assign(static_cast<std::size_t>(n_) * words_, 0);
   for (int i = 0; i < n_; ++i) {
+    std::uint64_t* row = adj.data() + static_cast<std::size_t>(i) * words_;
+    for (const int j : index_->row_support(i)) {
+      if (edge_present(i, j)) row[j >> 6] |= std::uint64_t{1} << (j & 63);
+    }
+    // Only a raised threshold can leave a matched pair without its edge.
     const int j = match_left_[i];
-    if (j != -1 && !edge_present(i, j)) {
+    if (j != -1 && !((row[j >> 6] >> (j & 63)) & 1)) {
       match_left_[i] = -1;
       match_right_[j] = -1;
       --size_;
@@ -29,82 +39,61 @@ void IncrementalMatcher::set_threshold(double threshold) {
   }
 }
 
-bool IncrementalMatcher::try_augment(int row) {
-  // Support lists are sorted ascending, so the candidate order is the same
-  // as a dense j = 0..n-1 probe restricted to present edges — the matching
-  // found is identical to the dense matcher's, just without touching zeros.
-  //
-  // Iterative Kuhn DFS: each frame is (row, cursor into its support list).
-  // A row enters the stack at most once per augmentation (it arrives as
-  // the match of a freshly visited column), so the shared scratch stacks
-  // of size n_ + 1 always suffice.
-  const bool check_value = !support_only();
-  std::vector<int>& su = scratch_.stack_u;
-  std::vector<int>& se = scratch_.stack_e;
+int IncrementalMatcher::try_augment(int row) {
+  // Iterative Kuhn DFS: each frame is (row, column it is parked on).  A
+  // frame's next candidate is the first set bit of adj[u] & ~visited at or
+  // after its cursor — the same column a dense ascending probe restricted
+  // to present, unvisited edges would reach.  The parked column is itself
+  // visited, so resuming from it after a dead end moves past it.  A row
+  // enters the stack at most once per augmentation (it arrives as the match
+  // of a freshly visited column), so stacks of size n_ + 1 always suffice.
+  std::uint64_t* visited = scratch_.visited_bits.data();
+  std::fill_n(visited, words_, 0);
+  int* su = scratch_.stack_u.data();
+  int* se = scratch_.stack_e.data();
   su[0] = row;
   se[0] = 0;
   int sp = 1;
   while (sp > 0) {
-    const int u = su[sp - 1];
-    const auto& support = index_->row_support(u);
-    const int degree = static_cast<int>(support.size());
-    int e = se[sp - 1];
-    int found_j = -1;
-    bool descended = false;
-    for (; e < degree; ++e) {
-      const int j = support[e];
-      if (visited_[j] == stamp_) continue;
-      if (check_value && !edge_present(u, j)) continue;
-      visited_[j] = stamp_;
-      const int other = match_right_[j];
-      if (other == -1) {
-        found_j = j;
-        break;
-      }
-      se[sp - 1] = e;  // remember the edge we descend through
-      su[sp] = other;
-      se[sp] = 0;
-      ++sp;
-      descended = true;
-      break;
+    const std::uint64_t* adj =
+        scratch_.adj_bits.data() + static_cast<std::size_t>(su[sp - 1]) * words_;
+    int w = se[sp - 1] >> 6;
+    std::uint64_t bits = adj[w] & ~visited[w] & (~std::uint64_t{0} << (se[sp - 1] & 63));
+    while (bits == 0 && ++w < words_) bits = adj[w] & ~visited[w];
+    if (bits == 0) {
+      --sp;  // dead end
+      continue;
     }
-    if (descended) continue;
-    if (found_j != -1) {
+    const int j = (w << 6) | std::countr_zero(bits);
+    visited[w] |= std::uint64_t{1} << (j & 63);
+    se[sp - 1] = j;
+    const int other = match_right_[j];
+    if (other == -1) {
       // Success: rewire each frame to the column it is parked on.
-      int j = found_j;
-      int k = sp - 1;
-      while (true) {
-        match_left_[su[k]] = j;
-        match_right_[j] = su[k];
-        ++path_edges_cur_;
-        if (k == 0) break;
-        --k;
-        j = index_->row_support(su[k])[se[k]];
+      for (int k = 0; k < sp; ++k) {
+        match_left_[su[k]] = se[k];
+        match_right_[se[k]] = su[k];
       }
-      return true;
+      return sp;
     }
-    // Dead end: resume the parent just past the edge it descended through.
-    --sp;
-    if (sp > 0) ++se[sp - 1];
+    su[sp] = other;
+    se[sp] = 0;
+    ++sp;
   }
-  return false;
+  return 0;
 }
 
 int IncrementalMatcher::rematch() {
   const bool obs_on = obs::enabled();
   for (int i = 0; i < n_; ++i) {
     if (match_left_[i] != -1) continue;
-    ++stamp_;
-    path_edges_cur_ = 0;
-    if (try_augment(i)) {
-      ++size_;
-      ++stats_.augmentations;
-      stats_.path_edges += path_edges_cur_;
-      if (obs_on) {
-        static obs::Histogram& path_len =
-            obs::metrics().histogram("matching.aug_path_edges", obs::pow2_buckets(256.0));
-        path_len.observe(static_cast<double>(path_edges_cur_));
-      }
+    const int path_edges = try_augment(i);
+    if (path_edges == 0) continue;
+    ++size_;
+    if (obs_on) {
+      static obs::Histogram& path_len =
+          obs::metrics().histogram("matching.aug_path_edges", obs::pow2_buckets(256.0));
+      path_len.observe(static_cast<double>(path_edges));
     }
   }
   return size_;

@@ -5,10 +5,11 @@
 // between rounds only the few entries that hit zero leave the support.
 // Recomputing a matching from scratch each round would cost O(E sqrt(V))
 // per round; this class instead repairs the previous matching with one
-// Kuhn augmentation per broken edge.  Augmentation walks the SupportIndex
-// adjacency lists, so each probe costs O(row degree) instead of O(N) —
-// on the paper's sparse coflows (Table I: 86% sparse) that is what makes
-// peeling cost proportional to nnz rather than N^2.
+// Kuhn augmentation per broken edge.  The edges present at the current
+// threshold live in a row-major adjacency bitset, so each DFS step is a
+// word-parallel scan of `adj[u] & ~visited` — O(N/64) words at every
+// threshold, with no per-entry value probe — while set_threshold rebuilds
+// the bitset from the SupportIndex in O(nnz + N^2/64).
 #pragma once
 
 #include <cstdint>
@@ -20,16 +21,19 @@
 namespace reco {
 
 /// Maintains a maximum matching on the graph
-///   { (i, j) : index.at(i, j) >= threshold }
+///   { (i, j) in support : index.at(i, j) >= threshold - kTimeEps }
 /// where the index is owned by the caller and mutated between calls.
-/// The caller reports support changes via `on_entry_changed` / threshold
+/// The caller reports value changes via `on_entry_changed` / threshold
 /// changes via `set_threshold`, then calls `rematch()` to restore
 /// maximality.
 ///
 /// Assumes a nonnegative matrix (demand semantics).  Then the index's
 /// support invariant (every stored nonzero is >= kTimeEps) means that at
-/// thresholds <= 2*kTimeEps the edge set is exactly the support, and the
-/// per-edge value probe is skipped entirely in the augmentation loop.
+/// thresholds <= 2*kTimeEps the edge set is exactly the support.
+///
+/// Augmentation is Kuhn's DFS with columns tried in ascending order,
+/// skipping visited columns and absent edges — the visit order of a dense
+/// j = 0..n-1 probe, so the matchings found are the dense matcher's.
 class IncrementalMatcher {
  public:
   /// Binds to `index` (must outlive the matcher) with an initial threshold.
@@ -37,16 +41,30 @@ class IncrementalMatcher {
 
   double threshold() const { return threshold_; }
 
-  /// Lowering the threshold only adds edges: the current matching stays
-  /// valid and rematch() can only grow it.  Raising it drops edges; any
-  /// matched pair now below threshold is unmatched first.
+  /// Rebuilds the edge bitset at `threshold`.  Lowering the threshold only
+  /// adds edges: the current matching stays valid and rematch() can only
+  /// grow it.  Raising it drops edges; any matched pair now below threshold
+  /// is unmatched first.
   void set_threshold(double threshold);
 
-  /// Notify that entry (i, j) changed; if the matched edge (i, j) fell
-  /// below the threshold it is unmatched (support shrank at (i,j)).
+  /// Notify that entry (i, j) changed value: its edge bit is recomputed,
+  /// and if (i, j) was matched and is no longer an edge it is unmatched.
+  ///
+  /// Contract: report every value change of an index entry, except one that
+  /// leaves the entry nonzero while the threshold is <= 2*kTimeEps (it
+  /// cannot flip the edge).  Only this call and set_threshold re-probe
+  /// values, so an unreported change leaves a stale edge (or a missing
+  /// one) that rematch() will act on.
   /// Inline: called for every matched entry of every peeling round.
   void on_entry_changed(int i, int j) {
-    if (match_left_[i] == j && !edge_present(i, j)) {
+    std::uint64_t& word = scratch_.adj_bits[static_cast<std::size_t>(i) * words_ + (j >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (j & 63);
+    if (edge_present(i, j)) {
+      word |= bit;
+      return;
+    }
+    word &= ~bit;
+    if (match_left_[i] == j) {
       match_left_[i] = -1;
       match_right_[j] = -1;
       --size_;
@@ -66,40 +84,28 @@ class IncrementalMatcher {
   /// Snapshot as (row -> col) pairs.
   std::vector<std::pair<int, int>> pairs() const;
 
-  /// Cumulative repair-work accounting since construction: number of
-  /// successful augmentations and total edges on their augmenting paths
-  /// (the quantity BvN-peel telemetry reports as "repair cost per round").
-  /// Plain counters bumped only on the success unwind — too cheap to gate.
-  struct AugmentStats {
-    std::uint64_t augmentations = 0;
-    std::uint64_t path_edges = 0;
-  };
-  const AugmentStats& augment_stats() const { return stats_; }
-
  private:
   bool edge_present(int i, int j) const {
-    return index_->at(i, j) >= threshold_ - kTimeEps;
+    const double v = index_->at(i, j);
+    return v != 0.0 && v >= threshold_ - kTimeEps;
   }
-  /// True when the threshold is low enough that every support entry is an
-  /// edge (see the class comment): the augmentation loop can then skip the
-  /// dense value probe for each support neighbour.
-  bool support_only() const { return threshold_ <= 2 * kTimeEps; }
-  bool try_augment(int row);
+  /// Kuhn augmentation from free `row`; returns the number of edges on the
+  /// augmenting path it applied, or 0 when none exists.
+  int try_augment(int row);
 
   const SupportIndex* index_;
   double threshold_;
   int n_;
+  int words_;  // 64-bit words per bitset row: ceil(n / 64)
   std::vector<int> match_left_;
   std::vector<int> match_right_;
-  std::vector<int> visited_;  // per-augmentation stamps (column-indexed)
-  // Shared scratch type with the bottleneck engine; augmentation uses its
+  // Shared scratch type with the bottleneck engine.  Augmentation uses its
   // explicit DFS frame stacks (stack_u / stack_e), so repair paths of any
-  // depth run in constant C++ stack space.
+  // depth run in constant C++ stack space; adj_bits holds the edge bitset
+  // (n rows x words_) and visited_bits the columns visited by the current
+  // augmentation (words_).
   MatchingScratch scratch_;
-  int stamp_ = 0;
   int size_ = 0;
-  AugmentStats stats_;
-  std::uint64_t path_edges_cur_ = 0;  // edges on the in-flight augmenting path
 };
 
 }  // namespace reco

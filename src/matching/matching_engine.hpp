@@ -114,7 +114,8 @@ struct MatchingScratch {
   std::vector<int> stack_u;      ///< iterative-DFS frame: vertex
   std::vector<int> stack_e;      ///< iterative-DFS frame: edge cursor
 
-  // ---- bitset BFS layer expansion ------------------------------------
+  // ---- bitset BFS layer expansion (IncrementalMatcher's DFS reuses
+  // adj_bits for its edge set and visited_bits per augmentation) -------
   HkMode hk_mode = HkMode::kAuto;       ///< force kCsr/kBitset (tests, benches)
   std::vector<std::uint64_t> adj_bits;  ///< n_left rows x ceil(n_right/64) words
   std::vector<std::uint64_t> visited_bits;   ///< columns reached this BFS
