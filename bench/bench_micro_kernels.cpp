@@ -22,7 +22,6 @@
 
 #include "bench_util.hpp"
 #include "bvn/bvn.hpp"
-#include "bvn/dense_reference.hpp"
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
@@ -31,6 +30,7 @@
 #include "matching/matching_engine.hpp"
 #include "obs/obs.hpp"
 #include "ocs/all_stop_executor.hpp"
+#include "oracles/dense_reference.hpp"
 #include "sched/reco_sin.hpp"
 #include "sched/solstice.hpp"
 #include "trace/generator.hpp"

@@ -1,19 +1,18 @@
-// N-sweep benchmarks for the decomposition stack at N >= 1024 ports
-// (ISSUE 7): the scale twin of bench_micro_kernels.  Where the micro
-// suite sweeps density at N <= 128, this one holds nnz roughly constant
-// (~8k edges) while N grows 256 -> 4096, which is the regime ROADMAP
-// item 4 flags: per-round costs that scale with N rather than with the
-// support dominate, and the bitset Hopcroft-Karp + lazy-key parallel peel
-// paths engage.
+// N-sweep benchmarks for the decomposition stack at N >= 1024 ports: the
+// scale twin of bench_micro_kernels.  Where the micro suite sweeps
+// density at N <= 128, this one holds nnz roughly constant (~8k edges)
+// while N grows 256 -> 4096: the regime where per-round costs that scale
+// with N rather than with the support dominate, and the bitset
+// Hopcroft-Karp BFS engages.
 //
 // Row groups:
 //   * BM_ThresholdMatchingSparse / BM_BottleneckMatchingSparse — the
 //     matching kernels at scale (the /1024/125 row is dense enough that
 //     kAuto selects the bitset BFS; the constant-nnz rows stay on CSR).
-//   * BM_PeelParallel/{N}/{permille}/{threads} vs BM_PeelSequential —
-//     full-schedule BvN decomposition, lazy-key parallel peel against the
-//     retained kFirstMatching peel on identical stuffed inputs.  The
-//     ns ratio at equal shape is the headline `peel_speedup_1024`.
+//   * BM_PeelSequential — full-schedule kFirstMatching BvN decomposition
+//     of a stuffed input (tracking row, not gated).
+//   * BM_SimdRowKernels / BM_SimdPartition — the dispatched SIMD tier vs
+//     the forced scalar tier on the peel/matching inner loops.
 //   * BM_RecoSinPlan / BM_SolsticePlan — whole-planner cost vs fabric
 //     width (folded in from the retired bench_scalability binary).
 //   * BM_OnlineDaemonStream — streamed arrivals through the event-driven
@@ -21,9 +20,10 @@
 //     -DRECO_BENCH_SOAK=ON (see bench/CMakeLists.txt).
 //
 // `--baseline_json=FILE` writes BENCH_scale.json; CI's perf-guard-scale
-// step gates BM_PeelParallel/1024/* and BM_BottleneckMatchingSparse/1024/*
-// against the committed copy.  Timing comes from the shared harness in
-// bench_util.hpp (0.05 s min time x 3 repetitions, median recorded).
+// step gates BM_BottleneckMatchingSparse/1024/*, the SIMD rows and
+// BM_RecoSinPlan/128/* against the committed copy.  Timing comes from the
+// shared harness in bench_util.hpp (0.05 s min time x 3 repetitions,
+// median recorded).
 #define RECO_BENCH_WITH_GBENCH
 #include <string>
 #include <utility>
@@ -31,7 +31,6 @@
 
 #include "bench_util.hpp"
 #include "bvn/bvn.hpp"
-#include "bvn/parallel_peel.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/simd.hpp"
 #include "core/support_index.hpp"
@@ -102,57 +101,12 @@ void BM_BottleneckMatchingSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_BottleneckMatchingSparse)->Apply(ScaleSweep);
 
-// ---- full BvN peel: parallel vs retained sequential ----------------------
+// ---- full BvN peel --------------------------------------------------------
 //
-// Args are {N, permille, threads} / {N, permille}.  Both peels decompose
-// the same stuffed input into a complete CircuitSchedule; at these shapes
-// the schedule has thousands of rounds, so the sequential peel's O(N) scan
-// + O(N) index subtractions per round dominate while the lazy-key peel
-// pays O(freed * log N) per round plus the (parallelizable) output writes.
-
-void BM_PeelParallel(benchmark::State& state) {
-  const Matrix stuffed = stuff(swept_input(state, 4));
-  runtime::set_thread_count(static_cast<int>(state.range(2)));
-  int rounds = 0;
-  for (auto _ : state) {
-    rounds = bvn_decompose(SupportIndex(stuffed), BvnPolicy::kParallelPeel).num_assignments();
-    benchmark::DoNotOptimize(rounds);
-  }
-  runtime::set_thread_count(0);
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["threads"] = static_cast<double>(state.range(2));
-  report_shape(state, stuffed);
-}
-BENCHMARK(BM_PeelParallel)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 8})
-    ->Args({1024, 8, 1})
-    ->Args({1024, 8, 8});
-
-// Speculative lookahead, depth pinned explicitly (BM_PeelParallel runs the
-// auto-resolved production depth).  Args are {N, permille, threads, depth}.
-// Comparing the /8/{threads}/0 and /8/{threads}/{k} rows attributes the
-// lookahead win separately from the SIMD kernel win, which both peels share.
-void BM_PeelSpeculative(benchmark::State& state) {
-  const Matrix stuffed = stuff(swept_input(state, 4));
-  runtime::set_thread_count(static_cast<int>(state.range(2)));
-  const int depth = static_cast<int>(state.range(3));
-  int rounds = 0;
-  for (auto _ : state) {
-    rounds = peel_parallel(SupportIndex(stuffed), depth).num_assignments();
-    benchmark::DoNotOptimize(rounds);
-  }
-  runtime::set_thread_count(0);
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["threads"] = static_cast<double>(state.range(2));
-  state.counters["depth"] = static_cast<double>(depth);
-  report_shape(state, stuffed);
-}
-BENCHMARK(BM_PeelSpeculative)
-    ->Args({1024, 8, 8, 0})
-    ->Args({1024, 8, 8, 2})
-    ->Args({1024, 8, 8, 4})
-    ->Args({1024, 8, 1, 4});
+// Args are {N, permille}.  The peel decomposes a stuffed input into a
+// complete CircuitSchedule; at these shapes the schedule has thousands of
+// rounds, each an O(N) coefficient scan, N index subtractions and a
+// matching repair.
 
 void BM_PeelSequential(benchmark::State& state) {
   const Matrix stuffed = stuff(swept_input(state, 4));
@@ -293,21 +247,12 @@ BENCHMARK(BM_MillionCoflowSoak)->Iterations(1)->Repetitions(1);
 
 // ---- baseline derived metrics --------------------------------------------
 
-/// Headline: sequential-vs-lazy-key peel ratio at equal shape and one
-/// thread (pure algorithmic win, no parallelism credit).  Zero-valued
-/// inputs yield non-finite ratios, which the harness drops.
+/// Kernel-layer win in isolation: dispatched tier vs forced scalar.
+/// Zero-valued inputs yield non-finite ratios, which the harness drops.
 std::vector<std::pair<std::string, double>> derived_metrics(
     const std::vector<bench::gbench::Row>& rows) {
   using bench::gbench::row_ns;
   return {
-      {"peel_speedup_512",
-       row_ns(rows, "BM_PeelSequential/512/16") / row_ns(rows, "BM_PeelParallel/512/16/1")},
-      {"peel_speedup_1024",
-       row_ns(rows, "BM_PeelSequential/1024/8") / row_ns(rows, "BM_PeelParallel/1024/8/1")},
-      // Lookahead win in isolation: same threads, depth 4 vs depth 0.
-      {"spec_speedup_1024", row_ns(rows, "BM_PeelSpeculative/1024/8/8/0") /
-                                row_ns(rows, "BM_PeelSpeculative/1024/8/8/4")},
-      // Kernel-layer win in isolation: dispatched tier vs forced scalar.
       {"simd_row_speedup_1024",
        row_ns(rows, "BM_SimdRowKernels/1024/0") / row_ns(rows, "BM_SimdRowKernels/1024/1")},
       {"simd_partition_speedup_1024",
@@ -318,8 +263,6 @@ std::vector<std::pair<std::string, double>> derived_metrics(
 }  // namespace
 
 int main(int argc, char** argv) {
-  // "threads" and "depth" feed the perf guard's oversubscription skip;
   // "cores" is appended by the harness itself.
-  return reco::bench::gbench::run_main(argc, argv, {"nnz", "N", "threads", "depth"},
-                                       derived_metrics);
+  return reco::bench::gbench::run_main(argc, argv, {"nnz", "N"}, derived_metrics);
 }

@@ -32,7 +32,7 @@
 // the process alive that many seconds after the run so scrapers can land,
 // --prom-out / --snapshot-out write the same pages to files, and
 // --flight-out arms the fault flight recorder, whose ring of recent events
-// is dumped as JSONL on recovery replans, peel aborts, or abnormal exit.
+// is dumped as JSONL on recovery replans or abnormal exit.
 // Telemetry is write-only: schedules and digests are byte-identical with
 // every flag on or off.
 //

@@ -5,10 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bvn/parallel_peel.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/incremental_matcher.hpp"
-#include "matching/matching_engine.hpp"
 #include "obs/obs.hpp"
 
 namespace reco {
@@ -114,41 +112,6 @@ CircuitSchedule peel(SupportIndex m, double initial_threshold, bool halve_on_fai
   return schedule;
 }
 
-CircuitSchedule peel_exact_bottleneck(SupportIndex m, MatchingScratch& scratch) {
-  CircuitSchedule schedule;
-  obs::ScopedSpan span("bvn.peel_exact_bottleneck", "bvn");
-  // One scratch for the whole peel: each round re-enters the ladder search
-  // warm-seeded with the previous round's matching (only the subtracted
-  // entries can fall out), and steady-state rounds allocate nothing.  A
-  // caller-owned scratch extends the warm start across decompose calls.
-  const int n = m.n();
-  while (m.nnz() > 0) {
-    const bool obs_on = obs::enabled();
-    const int nnz_before = m.nnz();
-    obs::Tracer::Clock::time_point round_start;
-    if (obs_on) round_start = obs::Tracer::Clock::now();
-    if (!bottleneck_solve(m, scratch)) {
-      // Same round-off escape hatch as peel(): see the comment there.
-      const CircuitSchedule tail = cover_decompose(std::move(m));
-      for (const auto& a : tail.assignments) schedule.assignments.push_back(a);
-      break;
-    }
-    CircuitAssignment a;
-    a.duration = scratch.bottleneck;
-    a.circuits.reserve(n);
-    for (int i = 0; i < n; ++i) {
-      const int j = scratch.final_left[i];
-      a.circuits.push_back({i, j});
-      m.set(i, j, clamp_zero(m.at(i, j) - scratch.bottleneck));
-    }
-    schedule.assignments.push_back(std::move(a));
-    if (obs_on) {
-      PeelMetrics::get().record_round(nnz_before, schedule.assignments.back(), round_start);
-    }
-  }
-  return schedule;
-}
-
 /// Doubly-stochastic check from the index's incrementally maintained sums:
 /// O(N) instead of an O(N^2) rescan.  Incremental drift is ~machine-eps
 /// per mutation, orders of magnitude below the eps*N tolerance used here.
@@ -189,7 +152,7 @@ CircuitSchedule cover_decompose(Matrix m) {
   return cover_decompose(SupportIndex(std::move(m)));
 }
 
-CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy, MatchingScratch& scratch) {
+CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy) {
   obs::ScopedSpan span("bvn.decompose", "bvn");
   span.arg("n", static_cast<double>(m.n()));
   span.arg("nnz", static_cast<double>(m.nnz()));
@@ -211,17 +174,8 @@ CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy, MatchingScratch&
           std::max(std::exp2(std::ceil(std::log2(m.max_entry()))), kSupportThreshold);
       return peel(std::move(m), start, /*halve_on_failure=*/true);
     }
-    case BvnPolicy::kExactBottleneck:
-      return peel_exact_bottleneck(std::move(m), scratch);
-    case BvnPolicy::kParallelPeel:
-      return peel_parallel(std::move(m));
   }
   throw std::logic_error("bvn_decompose: unknown policy");
-}
-
-CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy) {
-  MatchingScratch scratch;
-  return bvn_decompose(std::move(m), policy, scratch);
 }
 
 CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy) {

@@ -1,41 +1,31 @@
 // Birkhoff-von-Neumann decomposition of a doubly stochastic matrix into
 // permutation matrices with coefficients — equivalently, into a circuit
 // scheduling (each permutation is a circuit establishment, its coefficient
-// the planned duration).  Three extraction policies:
+// the planned duration).  Both extraction policies run on one peel engine
+// (an IncrementalMatcher repaired round by round, with cover_decompose
+// finishing any float-drift residue):
 //
 //  * kFirstMatching   — classic Birkhoff peeling: any perfect matching on
 //                       the nonzero support, coefficient = its min entry.
 //                       This is the Theorem-1 strawman and LP-II-GB's
 //                       intra-coflow method.
 //  * kMaxMinAmortized — descending power-of-two threshold with incremental
-//                       matching repair; extracts matchings whose min entry
-//                       is within 2x of the true bottleneck optimum at
-//                       amortized near-linear cost.  This is the "max-min
-//                       matching similar to [7]" of Alg. 1, and the policy
-//                       Reco-Sin uses by default.
-//  * kExactBottleneck — true max-min matching each round (binary search +
-//                       Hopcroft-Karp); exact but a log-factor slower.
-//                       Used by tests and ablations.
-//  * kParallelPeel    — kFirstMatching semantics at N >= 1024 scale:
-//                       lazy-key round discovery (heap-driven, O(nnz log N)
-//                       instead of O(N) per round) plus thread-pool
-//                       materialization of the schedule in fixed round
-//                       chunks.  Deterministic at every thread count; see
-//                       bvn/parallel_peel.hpp.
+//                       matching repair; every extracted matching's min
+//                       entry is within 2x of that round's true bottleneck
+//                       (max-min) optimum, at amortized near-linear cost.
+//                       This is the "max-min matching similar to [7]" of
+//                       Alg. 1, and the policy Reco-Sin uses by default.
 #pragma once
 
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
 #include "core/support_index.hpp"
-#include "matching/matching_engine.hpp"
 
 namespace reco {
 
 enum class BvnPolicy {
   kFirstMatching,
   kMaxMinAmortized,
-  kExactBottleneck,
-  kParallelPeel,
 };
 
 /// Decompose `m` (must be doubly stochastic; throws otherwise) into a
@@ -50,13 +40,6 @@ CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy);
 /// support: O(nnz * sqrt(N)) for the initial matching plus O(degree) per
 /// repaired edge per round, versus O(rounds * N^2) for a dense rescan.
 CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy);
-
-/// Caller-owned-scratch variant: kExactBottleneck threads `scratch` through
-/// every peel round, so a long-lived scratch warm-starts across *calls* too
-/// (the online replan core decomposes once per epoch and reuses one arena).
-/// The other policies carry their own incremental matcher state and ignore
-/// the scratch.
-CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy, MatchingScratch& scratch);
 
 /// Cover an arbitrary non-negative matrix with matchings: each round takes
 /// a maximum matching on the nonzero support and holds it for the largest

@@ -155,8 +155,7 @@ ReplicationResult CampaignRunner::run_one(std::size_t index) const {
   Time deadline = 0.0;
   if (policy == RecoveryPolicy::kWaitForRepair) deadline = kWaitForever;
   if (policy == RecoveryPolicy::kHybrid) deadline = config_.hybrid_deadline;
-  sim::RecoveringController controller(reco_sin(demand, config_.delta),
-                                       config_.delta, BvnPolicy::kMaxMinAmortized, deadline);
+  sim::RecoveringController controller(reco_sin(demand, config_.delta), config_.delta, deadline);
   const sim::SimulationReport sim =
       sim::simulate_single_coflow(controller, demand, config_.delta, injector);
 

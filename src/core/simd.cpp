@@ -109,18 +109,11 @@ int scalar_partition_keep_below(double* v, int count, double upper, double certi
   return w;
 }
 
-void scalar_iota_interleave(const int* second, int count, int* out) {
-  for (int k = 0; k < count; ++k) {
-    out[2 * k] = k;
-    out[2 * k + 1] = second[k];
-  }
-}
-
 constexpr Kernels kScalarKernels = {
     scalar_gather,         scalar_max_value,        scalar_max_gather,
     scalar_min_value,      scalar_max_value_leq,    scalar_argmax,
     scalar_round_up_quantum, scalar_sub_clamp,      scalar_partition_greater,
-    scalar_partition_keep_below, scalar_iota_interleave,
+    scalar_partition_keep_below,
 };
 
 #if RECO_SIMD_X86
@@ -226,27 +219,11 @@ void sse2_sub_clamp(double minuend, const double* v, int count, double* out) {
   for (; k < count; ++k) out[k] = clamp_zero(minuend - v[k]);
 }
 
-void sse2_iota_interleave(const int* second, int count, int* out) {
-  __m128i idx = _mm_setr_epi32(0, 1, 2, 3);
-  const __m128i step = _mm_set1_epi32(4);
-  int k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m128i sec = _mm_loadu_si128(reinterpret_cast<const __m128i*>(second + k));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 2 * k), _mm_unpacklo_epi32(idx, sec));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 2 * k + 4), _mm_unpackhi_epi32(idx, sec));
-    idx = _mm_add_epi32(idx, step);
-  }
-  for (; k < count; ++k) {
-    out[2 * k] = k;
-    out[2 * k + 1] = second[k];
-  }
-}
-
 constexpr Kernels kSse2Kernels = {
     scalar_gather,         sse2_max_value,          scalar_max_gather,
     sse2_min_value,        sse2_max_value_leq,      sse2_argmax,
     scalar_round_up_quantum, sse2_sub_clamp,        scalar_partition_greater,
-    scalar_partition_keep_below, sse2_iota_interleave,
+    scalar_partition_keep_below,
 };
 
 // ---------------------------------------------------------------------------
@@ -477,32 +454,11 @@ int avx2_partition_keep_below(double* v, int count, double upper, double certify
   return w;
 }
 
-__attribute__((target("avx2")))
-void avx2_iota_interleave(const int* second, int count, int* out) {
-  __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i step = _mm256_set1_epi32(8);
-  int k = 0;
-  for (; k + 8 <= count; k += 8) {
-    const __m256i sec = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(second + k));
-    const __m256i lo = _mm256_unpacklo_epi32(idx, sec);  // i0 s0 i1 s1 | i4 s4 i5 s5
-    const __m256i hi = _mm256_unpackhi_epi32(idx, sec);  // i2 s2 i3 s3 | i6 s6 i7 s7
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 2 * k),
-                        _mm256_permute2x128_si256(lo, hi, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 2 * k + 8),
-                        _mm256_permute2x128_si256(lo, hi, 0x31));
-    idx = _mm256_add_epi32(idx, step);
-  }
-  for (; k < count; ++k) {
-    out[2 * k] = k;
-    out[2 * k + 1] = second[k];
-  }
-}
-
 constexpr Kernels kAvx2Kernels = {
     avx2_gather,           avx2_max_value,          avx2_max_gather,
     avx2_min_value,        avx2_max_value_leq,      avx2_argmax,
     avx2_round_up_quantum, avx2_sub_clamp,          avx2_partition_greater,
-    avx2_partition_keep_below, avx2_iota_interleave,
+    avx2_partition_keep_below,
 };
 
 #endif  // RECO_SIMD_X86

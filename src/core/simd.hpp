@@ -3,8 +3,8 @@
 // Every kernel here is a drop-in replacement for a short scalar loop that
 // profiling showed on the peel/matching critical path: the row_values()
 // mirror re-gather, max-entry scans, quickselect value-pool partitioning,
-// regularization rounding, stuffing slack scans, and the phase-2 circuit
-// writes.  The contract that makes them safe to substitute freely:
+// regularization rounding, and stuffing slack scans.  The contract that
+// makes them safe to substitute freely:
 //
 //   *Bit-identity.*  Each kernel produces output bit-identical to its
 //   scalar reference loop at every dispatch level.  That restricts what
@@ -78,9 +78,6 @@ struct Kernels {
   /// *certified.  The feasible-value discard of the bottleneck descent.
   int (*partition_keep_below)(double* v, int count, double upper, double certify,
                               std::int64_t* certified);
-  /// out[2k] = k, out[2k+1] = second[k] — the phase-2 circuit-pair write
-  /// (Circuit is two contiguous int32 ports).
-  void (*iota_interleave)(const int* second, int count, int* out);
 };
 
 /// Table for the active level (resolved once; hot-path entry point).

@@ -1,12 +1,13 @@
 // Amortized bottleneck-matching engine.
 //
-// Every hot path of the reproduction reduces to repeated exact max-min
-// (bottleneck) matchings over a slowly-mutating demand matrix: each
-// kExactBottleneck BvN peel round subtracts one permutation and asks
-// again, and the adaptive simulator controller re-plans against a residual
-// that changed along one matching.  The seed implementation restarted a
-// full Hopcroft-Karp from an empty matching for every threshold probe of
-// every call; this engine amortizes that work at three layers:
+// Exact max-min (bottleneck) matchings are asked for repeatedly over a
+// slowly-mutating demand matrix: the adaptive simulator controller
+// (AdaptiveRecoController) re-plans against a residual that changed along
+// one matching, and the exact-reference peels in the tests and
+// micro-benchmarks subtract each bottleneck matching and ask again.  The
+// seed implementation restarted a full Hopcroft-Karp from an empty
+// matching for every threshold probe of every call; this engine amortizes
+// that work at three layers:
 //
 //  1. *Matching reuse across the threshold ladder.*  Probing a lower
 //     threshold only adds edges, so the engine keeps one persistent

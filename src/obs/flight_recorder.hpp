@@ -1,6 +1,6 @@
 // Fault flight recorder: a bounded ring of recent structured events —
 // admissions, plans, commits, cuts, recovery replans, port failures and
-// repairs, peel aborts — that is dumped as JSONL when something goes
+// repairs — that is dumped as JSONL when something goes
 // wrong, so the postmortem sees the N events *leading up to* the anomaly
 // rather than only its aftermath.
 //
@@ -12,9 +12,8 @@
 // Arming: `arm(path)` names a JSONL file; `trigger(reason)` then writes
 // the entire ring (newest dump wins — the file always holds the most
 // recent incident, bounded by the ring capacity).  Trigger sites in the
-// tree: RecoveringController on a mid-schedule replan, parallel_peel on a
-// peel abort, and reco_serve on abnormal exit.  Unarmed triggers are
-// counted but write nothing.
+// tree: RecoveringController on a mid-schedule replan and reco_serve on
+// abnormal exit.  Unarmed triggers are counted but write nothing.
 #pragma once
 
 #include <atomic>

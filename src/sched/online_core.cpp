@@ -255,8 +255,7 @@ Time OnlineCore::step_fifo(Time now) {
   const auto t0 = LatencyClock::now();
   const Matrix& demand = slot.residual.matrix();
   const Time before_total = demand.total();
-  const CircuitSchedule cs =
-      reco_sin(demand, options_.delta, BvnPolicy::kMaxMinAmortized, &matching_scratch_);
+  const CircuitSchedule cs = reco_sin(demand, options_.delta);
   step_slices_.clear();
   const ExecutionResult exec =
       execute_all_stop(cs, demand, options_.delta, start, slot.id, &step_slices_);

@@ -9,8 +9,7 @@
 
 namespace reco {
 
-CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy,
-                         MatchingScratch* scratch) {
+CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy) {
   // One O(N^2) ingest of the dense input; from here on every stage —
   // regularize, stuff, BvN peel — works the support index, so the
   // pipeline's cost tracks nnz(D) rather than N^2 per peeling round.
@@ -20,14 +19,11 @@ CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy,
   span.arg("n", static_cast<double>(indexed.n()));
   span.arg("nnz", static_cast<double>(indexed.nnz()));
   if (obs::enabled()) obs::metrics().counter("sched.reco_sin.calls").inc();
-  SupportIndex stuffed = stuff_granular(regularize(indexed, delta), delta);
-  if (scratch != nullptr) return bvn_decompose(std::move(stuffed), policy, *scratch);
-  return bvn_decompose(std::move(stuffed), policy);
+  return bvn_decompose(stuff_granular(regularize(indexed, delta), delta), policy);
 }
 
 CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<char>& failed_in,
-                                   const std::vector<char>& failed_out, Time delta,
-                                   BvnPolicy policy) {
+                                   const std::vector<char>& failed_out, Time delta) {
   obs::ScopedSpan span("sched.reco_sin_surviving", "sched");
   const auto down = [](const std::vector<char>& mask, int p) {
     return p >= 0 && p < static_cast<int>(mask.size()) && mask[p];
@@ -41,7 +37,7 @@ CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<cha
   if (obs::enabled()) {
     span.arg("masked_demand", residual.total() - masked.total());
   }
-  CircuitSchedule plan = reco_sin(masked, delta, policy);
+  CircuitSchedule plan = reco_sin(masked, delta);
   // Stuffing may pad failed rows/columns up to the stochastic row sum;
   // those circuits carry no demand and cannot physically latch — drop
   // them, and drop assignments left empty.

@@ -19,12 +19,11 @@
 
 namespace reco {
 
-/// Build the Reco-Sin circuit scheduling for one coflow.  A non-null
-/// `scratch` is threaded into the BvN peel (kExactBottleneck warm-starts
-/// across calls); the other policies ignore it.
+/// Build the Reco-Sin circuit scheduling for one coflow.  `policy` picks
+/// the BvN extraction; kFirstMatching exists for the regularization
+/// ablation, which swaps Alg. 1's max-min matchings for plain peeling.
 CircuitSchedule reco_sin(const Matrix& demand, Time delta,
-                         BvnPolicy policy = BvnPolicy::kMaxMinAmortized,
-                         MatchingScratch* scratch = nullptr);
+                         BvnPolicy policy = BvnPolicy::kMaxMinAmortized);
 
 /// Recovery planning: re-plan `residual` on the surviving ports only.
 /// Demand on a failed ingress row / egress column is masked out (it is
@@ -33,9 +32,8 @@ CircuitSchedule reco_sin(const Matrix& demand, Time delta,
 /// failed ports — padding, never demand — are pruned from the result, so
 /// no assignment in the returned schedule asks the fabric to light a dark
 /// port.  Empty masks (or masks shorter than the fabric) treat the
-/// unnamed ports as up.
+/// unnamed ports as up.  Always plans with kMaxMinAmortized.
 CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<char>& failed_in,
-                                   const std::vector<char>& failed_out, Time delta,
-                                   BvnPolicy policy = BvnPolicy::kMaxMinAmortized);
+                                   const std::vector<char>& failed_out, Time delta);
 
 }  // namespace reco

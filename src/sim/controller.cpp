@@ -85,14 +85,13 @@ std::optional<CircuitAssignment> AdaptiveRecoController::next_assignment(
 }
 
 RecoveringController::RecoveringController(std::unique_ptr<CircuitController> inner, Time delta,
-                                           BvnPolicy policy, Time replan_deadline)
-    : inner_(std::move(inner)), delta_(delta), policy_(policy),
-      replan_deadline_(replan_deadline) {}
+                                           Time replan_deadline)
+    : inner_(std::move(inner)), delta_(delta), replan_deadline_(replan_deadline) {}
 
-RecoveringController::RecoveringController(CircuitSchedule initial, Time delta, BvnPolicy policy,
+RecoveringController::RecoveringController(CircuitSchedule initial, Time delta,
                                            Time replan_deadline)
     : RecoveringController(std::make_unique<ReplayController>(std::move(initial)), delta,
-                           policy, replan_deadline) {}
+                           replan_deadline) {}
 
 void RecoveringController::mark_port(PortId port, PortSide side, bool failed) {
   const auto size = static_cast<std::size_t>(port) + 1;
@@ -179,7 +178,7 @@ std::optional<CircuitAssignment> RecoveringController::next_assignment(Time now,
   for (int round = 0; round < 2; ++round) {
     if (replan_needed_ || !recovery_.has_value()) {
       if (!deliverable()) return std::nullopt;  // rest is stranded until repair
-      recovery_.emplace(reco_sin_surviving(residual, failed_in_, failed_out_, delta_, policy_));
+      recovery_.emplace(reco_sin_surviving(residual, failed_in_, failed_out_, delta_));
       replan_needed_ = false;
       ++replans_;
       if (obs::enabled()) {

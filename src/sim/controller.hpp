@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "bvn/bvn.hpp"
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
 #include "core/types.hpp"
@@ -108,13 +107,10 @@ class AdaptiveRecoController final : public CircuitController {
 class RecoveringController final : public CircuitController {
  public:
   RecoveringController(std::unique_ptr<CircuitController> inner, Time delta,
-                       BvnPolicy policy = BvnPolicy::kMaxMinAmortized,
                        Time replan_deadline = 0.0);
   /// Convenience: recover over a precomputed schedule (wraps a
   /// ReplayController).
-  RecoveringController(CircuitSchedule initial, Time delta,
-                       BvnPolicy policy = BvnPolicy::kMaxMinAmortized,
-                       Time replan_deadline = 0.0);
+  RecoveringController(CircuitSchedule initial, Time delta, Time replan_deadline = 0.0);
 
   std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;
   void on_port_failed(Time now, PortId port, PortSide side) override;
@@ -131,7 +127,6 @@ class RecoveringController final : public CircuitController {
 
   std::unique_ptr<CircuitController> inner_;
   Time delta_;
-  BvnPolicy policy_;
   Time replan_deadline_;
   std::vector<char> failed_in_;
   std::vector<char> failed_out_;

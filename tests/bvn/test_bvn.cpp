@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
+#include "core/support_index.hpp"
+#include "matching/matching_engine.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -14,15 +18,11 @@ class BvnPolicyTest : public ::testing::TestWithParam<BvnPolicy> {};
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, BvnPolicyTest,
                          ::testing::Values(BvnPolicy::kFirstMatching,
-                                           BvnPolicy::kMaxMinAmortized,
-                                           BvnPolicy::kExactBottleneck,
-                                           BvnPolicy::kParallelPeel),
+                                           BvnPolicy::kMaxMinAmortized),
                          [](const auto& info) {
                            switch (info.param) {
                              case BvnPolicy::kFirstMatching: return "FirstMatching";
                              case BvnPolicy::kMaxMinAmortized: return "MaxMinAmortized";
-                             case BvnPolicy::kExactBottleneck: return "ExactBottleneck";
-                             case BvnPolicy::kParallelPeel: return "ParallelPeel";
                            }
                            return "Unknown";
                          });
@@ -97,28 +97,53 @@ TEST(Bvn, GranularInputYieldsGranularCoefficients) {
 
 TEST(Bvn, MaxMinExtractsLargeCoefficientsFirst) {
   // A matrix designed so the bottleneck-first order differs from naive
-  // peeling: the big diagonal should come out before the small cycle.
+  // peeling: the big diagonal should come out before the small cycle.  The
+  // threshold ladder starts at 16, finds no perfect matching there, and
+  // peels the 10.0 diagonal at threshold 8.
   Matrix m(3);
   m.at(0, 0) = m.at(1, 1) = m.at(2, 2) = 10.0;
   m.at(0, 1) = m.at(1, 2) = m.at(2, 0) = 1.0;
-  const CircuitSchedule s = bvn_decompose(m, BvnPolicy::kExactBottleneck);
+  const CircuitSchedule s = bvn_decompose(m, BvnPolicy::kMaxMinAmortized);
   ASSERT_GE(s.num_assignments(), 2);
   EXPECT_DOUBLE_EQ(s.assignments[0].duration, 10.0);
 }
 
 TEST(Bvn, MaxMinAmortizedCoefficientWithinTwiceOfExact) {
-  // The amortized policy's power-of-two thresholds guarantee its first
-  // coefficient is at least half the exact bottleneck.
+  // The amortized policy's power-of-two thresholds guarantee that every
+  // round's coefficient is at least half of that round's exact bottleneck.
+  // Replay each schedule on a copy of its input and ask bottleneck_solve
+  // for the optimum before every round, up to the first round with no
+  // perfect matching, where the float-drift cover tail takes over.
   Rng rng(55);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Matrix m = testing::random_doubly_stochastic(rng, 6, 5, 0.5, 4.0);
-    const CircuitSchedule exact = bvn_decompose(m, BvnPolicy::kExactBottleneck);
-    const CircuitSchedule amortized = bvn_decompose(m, BvnPolicy::kMaxMinAmortized);
-    ASSERT_FALSE(exact.assignments.empty());
-    ASSERT_FALSE(amortized.assignments.empty());
-    EXPECT_GE(amortized.assignments[0].duration, exact.assignments[0].duration / 2.0 - 1e-9)
-        << "trial " << trial;
+  std::vector<Matrix> inputs;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 3 + static_cast<int>(rng.uniform_int(14));
+    const int perms = 2 + static_cast<int>(rng.uniform_int(6));
+    inputs.push_back(testing::random_doubly_stochastic(rng, n, perms, 0.5, 4.0));
   }
+  const double delta = 0.25;
+  for (int trial = 0; trial < 100; ++trial) {
+    const int n = 3 + static_cast<int>(rng.uniform_int(10));
+    const Matrix demand = testing::random_demand(rng, n, 0.5, 0.1, 3.0);
+    inputs.push_back(stuff_granular(regularize(demand, delta), delta));
+  }
+  MatchingScratch scratch;
+  int checked = 0;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const CircuitSchedule s = bvn_decompose(inputs[k], BvnPolicy::kMaxMinAmortized);
+    SupportIndex residual(inputs[k]);
+    for (std::size_t r = 0; r < s.assignments.size(); ++r) {
+      if (!bottleneck_solve(residual, scratch)) break;
+      const CircuitAssignment& a = s.assignments[r];
+      ASSERT_GE(a.duration, scratch.bottleneck / 2.0 - 1e-9) << "input " << k << " round " << r;
+      for (const Circuit& c : a.circuits) {
+        residual.set(c.in, c.out, clamp_zero(residual.at(c.in, c.out) - a.duration));
+      }
+      ++checked;
+    }
+  }
+  // 3039 rounds at this seed: the floor catches a replay that stops early.
+  EXPECT_GE(checked, 3000);
 }
 
 TEST(Bvn, MaxMinAmortizedHandlesToleranceScaleMatrix) {

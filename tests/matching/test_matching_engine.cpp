@@ -7,11 +7,11 @@
 
 #include <cstdint>
 
-#include "bvn/dense_reference.hpp"
 #include "core/matrix.hpp"
 #include "core/support_index.hpp"
 #include "matching/bottleneck.hpp"
 #include "obs/obs.hpp"
+#include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 

@@ -5,19 +5,18 @@
 // pure accelerations: probes only answer feasibility (whose answer is
 // algorithm-independent) and the returned matching comes from one
 // cold-start Hopcroft-Karp in the seed's exact visit order.  These tests
-// pin that contract — values, pairs, and whole peel schedules — across
-// the bench density grid, both overloads, and warm-vs-cold peel rounds.
+// pin that contract — values and pairs — across the bench density grid,
+// both overloads, and warm-vs-cold rounds of a hand-driven peel.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
 
-#include "bvn/bvn.hpp"
-#include "bvn/dense_reference.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
 #include "matching/bottleneck.hpp"
 #include "matching/matching_engine.hpp"
+#include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -64,28 +63,6 @@ TEST(MatchingEngineEquivalence, BitIdenticalToSeedOn200RandomMatrices) {
     }
   }
   EXPECT_EQ(trials, 200);
-}
-
-TEST(MatchingEngineEquivalence, FullPeelSchedulesMatchSeedReference) {
-  // Whole kExactBottleneck decompositions: the warm-started engine peel
-  // must emit the exact assignment sequence of the seed reference peel
-  // (dense_reference::peel uses the local seed oracle round by round).
-  Rng rng(29);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int n = 4 + static_cast<int>(rng.uniform_int(17));
-    const Matrix m = testing::random_doubly_stochastic(
-        rng, n, 2 + static_cast<int>(rng.uniform_int(6)), 0.5, 4.0);
-    const CircuitSchedule warm = bvn_decompose(SupportIndex(m), BvnPolicy::kExactBottleneck);
-    const CircuitSchedule seed = dense_reference::bvn_decompose(m, BvnPolicy::kExactBottleneck);
-    const std::string context = "trial=" + std::to_string(trial) + " n=" + std::to_string(n);
-    ASSERT_EQ(warm.num_assignments(), seed.num_assignments()) << context;
-    for (int u = 0; u < warm.num_assignments(); ++u) {
-      EXPECT_DOUBLE_EQ(warm.assignments[u].duration, seed.assignments[u].duration)
-          << context << " assignment " << u;
-      EXPECT_EQ(warm.assignments[u].circuits, seed.assignments[u].circuits)
-          << context << " assignment " << u;
-    }
-  }
 }
 
 TEST(MatchingEngineEquivalence, WarmStartMatchesColdStartAcrossPeelRounds) {

@@ -1,45 +1,24 @@
-// Scale-path equivalence sweep (ISSUE 7): the two optimizations that kick
-// in above N = 512 must be *exactly* interchangeable with the code paths
-// they replace.
-//
-//  1. Bitset vs flat-CSR Hopcroft-Karp: BFS layer depths are canonical
-//     (independent of intra-layer visit order) and the DFS phase always
-//     walks the CSR ascending, so the two expansion strategies must yield
-//     bit-identical matchings — pinned here across 200 random matrices
-//     spanning N in {128, 512, 1024} and densities from ultra-sparse to
-//     near-dense, for plain threshold matching, a value-cut matching, and
-//     the full bottleneck ladder (warm-seeded, like a peel).
-//
-//  2. Parallel BvN peel: the materialization phase chunks rounds by a
-//     fixed constant, so the emitted schedule must be byte-identical at
-//     every thread count — pinned across threads in {1, 2, 8} — and its
-//     service matrix must reconstruct the input within tolerance.
-//
-// This file is part of the TSan CI job (RECO_THREADS=8), so the
-// thread-count sweep also doubles as a race detector for the peel's
-// snapshot/replay handoff.
-#include <algorithm>
-#include <cmath>
+// Scale-path equivalence sweep: the bitset Hopcroft-Karp BFS, which kAuto
+// selects on dense thresholds at N >= 192, must be *exactly*
+// interchangeable with the flat-CSR BFS it replaces.  BFS layer depths are canonical (independent of
+// intra-layer visit order) and the DFS phase always walks the CSR
+// ascending, so the two expansion strategies must yield bit-identical
+// matchings — pinned here across 200 random matrices spanning N in
+// {128, 512, 1024} and densities from ultra-sparse to near-dense, for
+// plain threshold matching, a value-cut matching, and the full bottleneck
+// ladder (warm-seeded, like a peel).
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "bvn/bvn.hpp"
-#include "bvn/parallel_peel.hpp"
-#include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
 #include "matching/matching_engine.hpp"
-#include "runtime/thread_pool.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
 namespace reco {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Part 1: bitset vs CSR Hopcroft-Karp
-// ---------------------------------------------------------------------------
 
 struct ScratchPair {
   MatchingScratch csr;
@@ -127,115 +106,6 @@ TEST(ScaleEquivalence, AutoModePicksBitsetOnlyAboveTheGate) {
   const Matrix sparse = testing::random_demand(rng, 512, 0.01, 0.5, 10.0);
   bottleneck_solve(SupportIndex(sparse), s);
   EXPECT_EQ(s.stats.bitset_phases, phases_before);
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: parallel peel determinism + reconstruction
-// ---------------------------------------------------------------------------
-
-void expect_equal_schedules(const CircuitSchedule& a, const CircuitSchedule& b,
-                            const std::string& ctx) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << ctx;
-  for (std::size_t r = 0; r < a.assignments.size(); ++r) {
-    const CircuitAssignment& x = a.assignments[r];
-    const CircuitAssignment& y = b.assignments[r];
-    ASSERT_EQ(x.duration, y.duration) << ctx << " round " << r;
-    ASSERT_EQ(x.circuits.size(), y.circuits.size()) << ctx << " round " << r;
-    for (std::size_t c = 0; c < x.circuits.size(); ++c) {
-      ASSERT_EQ(x.circuits[c], y.circuits[c]) << ctx << " round " << r << " circuit " << c;
-    }
-  }
-}
-
-CircuitSchedule peel_with_threads(const Matrix& m, int threads) {
-  runtime::set_thread_count(threads);
-  CircuitSchedule s = bvn_decompose(SupportIndex(m), BvnPolicy::kParallelPeel);
-  runtime::set_thread_count(0);
-  return s;
-}
-
-void expect_reconstructs(const Matrix& m, const CircuitSchedule& s, const std::string& ctx) {
-  const int n = m.n();
-  ASSERT_TRUE(s.is_valid(n)) << ctx;
-  const Matrix service = s.service_matrix(n);
-  // Tolerance covers accumulated per-round roundoff plus the cover tail
-  // (which may over-serve tolerance-scale crumbs).  Max-error scan in
-  // plain code: N^2 ASSERT_NEAR calls at N = 1024 dominate the test.
-  double max_err = 0.0;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      max_err = std::max(max_err, std::abs(service.at(i, j) - m.at(i, j)));
-    }
-  }
-  ASSERT_LE(max_err, 1e-6) << ctx;
-}
-
-TEST(ScaleEquivalence, ParallelPeelIsThreadCountInvariant) {
-  Rng rng(4096);
-  struct Cell {
-    int n;
-    int num_perms;
-    int trials;
-  };
-  // Round count (and so schedule size) scales with nnz ~ n * num_perms;
-  // the large cells are kept lean — what they add over n = 128 is
-  // multi-word bitset frontiers and hundreds of materialization chunks,
-  // not more rounds of the same arithmetic.
-  const Cell grid[] = {{128, 12, 6}, {512, 12, 2}, {1024, 8, 1}};
-  for (const Cell& cell : grid) {
-    for (int t = 0; t < cell.trials; ++t) {
-      const Matrix m =
-          testing::random_doubly_stochastic(rng, cell.n, cell.num_perms, 0.5, 3.0);
-      const std::string ctx =
-          "n=" + std::to_string(cell.n) + " trial=" + std::to_string(t);
-      const CircuitSchedule base = peel_with_threads(m, 1);
-      expect_reconstructs(m, base, ctx);
-      for (const int threads : {2, 8}) {
-        const CircuitSchedule other = peel_with_threads(m, threads);
-        expect_equal_schedules(base, other, ctx + " threads=" + std::to_string(threads));
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-TEST(ScaleEquivalence, ParallelPeelHandlesStuffedPipelineMatrices) {
-  // The production caller peels stuffed demand (regularize -> stuff ->
-  // decompose); stuffed matrices are denser and have long runs of
-  // equal-valued crumbs, which stresses the zero-set extraction.
-  Rng rng(9);
-  for (const int n : {96, 256}) {
-    const Matrix demand = testing::random_demand(rng, n, 0.2, 0.5, 10.0);
-    const SupportIndex stuffed = stuff(SupportIndex(demand));
-    Matrix m(n);
-    for (int i = 0; i < n; ++i) {
-      const auto cols = stuffed.row_support(i);
-      const auto vals = stuffed.row_values(i);
-      for (int k = 0; k < cols.size(); ++k) m.at(i, cols[k]) = vals[k];
-    }
-    const std::string ctx = "stuffed n=" + std::to_string(n);
-    const CircuitSchedule base = peel_with_threads(m, 1);
-    expect_reconstructs(m, base, ctx);
-    const CircuitSchedule par = peel_with_threads(m, 8);
-    expect_equal_schedules(base, par, ctx);
-  }
-}
-
-TEST(ScaleEquivalence, ParallelPeelCoversWhenNoPerfectMatchingExists) {
-  // peel_parallel itself (unlike bvn_decompose) does not require Birkhoff
-  // structure: an initial imperfect matching aborts straight into the
-  // cover fallback, which must still serve every entry.
-  Matrix m(4);
-  m.at(0, 0) = 1.0;
-  m.at(1, 0) = 0.5;  // column 0 doubly loaded, row 3 empty: no perfect matching
-  m.at(2, 2) = 2.0;
-  const CircuitSchedule s = peel_parallel(SupportIndex(m));
-  const Matrix service = s.service_matrix(4);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_GE(service.at(i, j) + kTimeEps, m.at(i, j)) << i << "," << j;
-    }
-  }
 }
 
 }  // namespace

@@ -70,16 +70,6 @@ TEST_P(RecoSinTheorem2, ExecutedCctWithinTwiceLowerBound) {
   }
 }
 
-TEST(RecoSin, ExactBottleneckPolicyAlsoWithinBound) {
-  Rng rng(104);
-  const Time delta = 0.2;
-  const Matrix d = testing::random_demand(rng, 5, 0.8, 0.5, 6.0);
-  const CircuitSchedule s = reco_sin(d, delta, BvnPolicy::kExactBottleneck);
-  const ExecutionResult r = execute_all_stop(s, d, delta);
-  EXPECT_TRUE(r.satisfied);
-  EXPECT_LE(r.cct, 2.0 * single_coflow_lower_bound(d, delta) + 1e-7);
-}
-
 TEST(RecoSin, FewAssignmentsOnNearUniformMatrix) {
   // A dense matrix whose entries all regularize to the same value needs
   // exactly N establishments — the best case regularization creates.

@@ -68,8 +68,7 @@ SimulationReport run_with_deadline(const Matrix& d, const FaultConfig& faults, T
                                    int* replans_out = nullptr) {
   const Time delta = 0.05;
   FaultInjector injector(faults);
-  RecoveringController controller(reco_sin(d, delta), delta, BvnPolicy::kMaxMinAmortized,
-                                  deadline);
+  RecoveringController controller(reco_sin(d, delta), delta, deadline);
   const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
   if (replans_out != nullptr) *replans_out = controller.replans();
   return r;
@@ -156,8 +155,7 @@ TEST(Controllers, HybridReplansEarlyWhenTheOldPlanIsFullyBlocked) {
   faults.port_faults.push_back({0.0, 0, PortSide::kIngress, -1.0});
   const Time delta = 0.05;
   FaultInjector injector(faults);
-  RecoveringController controller(plan, delta, BvnPolicy::kMaxMinAmortized,
-                                  /*replan_deadline=*/10.0);
+  RecoveringController controller(plan, delta, /*replan_deadline=*/10.0);
   const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
   EXPECT_GE(controller.replans(), 1);
   EXPECT_FALSE(r.satisfied);
