@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,16 @@ struct BenchOptions {
   std::string trace_out;    ///< when set, telemetry is on and a trace JSON is flushed at exit
   std::string metrics_out;  ///< when set, telemetry is on and a metrics CSV is flushed at exit
 };
+
+/// Apply a `--threads=` value; a malformed one is a usage error (exit 2).
+inline void set_threads_flag(const std::string& value) {
+  try {
+    runtime::set_thread_count(runtime::parse_thread_count(value));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "--threads: %s\n", e.what());
+    std::exit(2);
+  }
+}
 
 inline BenchOptions parse_args(int argc, char** argv) {
   BenchOptions o;
@@ -68,7 +79,7 @@ inline BenchOptions parse_args(int argc, char** argv) {
     } else if (const char* v = val("--metrics-out=")) {
       o.metrics_out = v;
     } else if (const char* v = val("--threads=")) {
-      runtime::set_thread_count(std::atoi(v));
+      set_threads_flag(v);
     } else if (arg == "--full") {
       o.full = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -316,7 +327,7 @@ inline int run_main(int argc, char** argv, std::vector<std::string> counter_keys
       continue;
     }
     if (arg.rfind(kThreads, 0) == 0) {
-      runtime::set_thread_count(std::atoi(arg.c_str() + sizeof(kThreads) - 1));
+      set_threads_flag(arg.substr(sizeof(kThreads) - 1));
       continue;
     }
     if (arg.rfind("--benchmark_min_time", 0) == 0) has_min_time = true;

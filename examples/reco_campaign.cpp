@@ -125,7 +125,12 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   if (args.has("help")) return usage();
   if (args.has("threads")) {
-    runtime::set_thread_count(static_cast<int>(args.get_double("threads", 0)));
+    try {
+      runtime::set_thread_count(runtime::parse_thread_count(args.get("threads", "")));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "--threads: %s\n", e.what());
+      return 2;
+    }
   }
   obs::init_from_env();
   const std::string metrics_out = args.get("metrics-out", "");

@@ -34,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -278,7 +279,12 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   if (args.command.empty() || args.trace_path.empty()) return usage();
   if (args.has("threads")) {
-    reco::runtime::set_thread_count(static_cast<int>(args.get_double("threads", 0)));
+    try {
+      reco::runtime::set_thread_count(reco::runtime::parse_thread_count(args.get("threads", "")));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "--threads: %s\n", e.what());
+      return 2;
+    }
   }
   reco::obs::init_from_env();
   const std::string trace_out = args.get("trace-out", "");

@@ -54,6 +54,23 @@ struct BatchState {
   }
 };
 
+/// True while this thread is a lane of a running batch: the caller or a
+/// pool helper inside the batch's drain loop.
+inline thread_local bool tls_in_batch = false;
+
+/// Marks the current thread as a batch lane for the guard's lifetime and
+/// restores the previous mark on scope exit, exceptional or not.
+class BatchLaneGuard {
+ public:
+  BatchLaneGuard() : outer_(tls_in_batch) { tls_in_batch = true; }
+  ~BatchLaneGuard() { tls_in_batch = outer_; }
+  BatchLaneGuard(const BatchLaneGuard&) = delete;
+  BatchLaneGuard& operator=(const BatchLaneGuard&) = delete;
+
+ private:
+  const bool outer_;
+};
+
 }  // namespace detail
 
 template <typename Fn>
@@ -61,15 +78,18 @@ void parallel_for(int n, Fn&& fn) {
   if (n <= 0) return;
   ThreadPool& pool = global_pool();
   // Sequential fast path: single-threaded runtime, trivial batch, or a
-  // nested call from inside a pool worker (running inline keeps workers
-  // from ever blocking on each other).
-  if (pool.num_workers() == 0 || n == 1 || ThreadPool::on_worker_thread()) {
+  // nested call from any lane of a running batch, the caller's included.
+  // Running inline keeps every lane busy with its own indices: a lane
+  // never waits on a helper queued behind another batch's helpers, and
+  // never runs another batch's job on its stack.
+  if (pool.num_workers() == 0 || n == 1 || detail::tls_in_batch) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
 
   detail::BatchState batch(n);
   auto drain = [&fn, &batch] {
+    const detail::BatchLaneGuard lane;
     for (;;) {
       const int i = batch.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch.n) return;

@@ -1,8 +1,11 @@
 #include "runtime/thread_pool.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -10,8 +13,6 @@
 namespace reco::runtime {
 
 namespace {
-
-thread_local bool tls_on_worker = false;
 
 /// Telemetry shim around a submitted job: queue wait (enqueue -> first
 /// instruction), busy time, and a "pool.task" span on the worker's wall
@@ -37,14 +38,16 @@ std::function<void()> wrap_job_for_telemetry(std::function<void()> job) {
   };
 }
 
-/// Parallelism picked from the environment: RECO_THREADS if set to a
-/// positive integer, otherwise the hardware.
+/// Parallelism picked from the environment: RECO_THREADS if set (which
+/// must then parse), otherwise the hardware.
 int env_thread_count() {
-  if (const char* env = std::getenv("RECO_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
+  const char* env = std::getenv("RECO_THREADS");
+  if (!env) return hardware_cores();
+  try {
+    return parse_thread_count(env);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("RECO_THREADS: ") + e.what());
   }
-  return hardware_cores();
 }
 
 struct GlobalPoolState {
@@ -90,10 +93,7 @@ void ThreadPool::submit(std::function<void()> job) {
   cv_.notify_one();
 }
 
-bool ThreadPool::on_worker_thread() { return tls_on_worker; }
-
 void ThreadPool::worker_loop() {
-  tls_on_worker = true;
   for (;;) {
     std::function<void()> job;
     {
@@ -105,6 +105,17 @@ void ThreadPool::worker_loop() {
     }
     job();
   }
+}
+
+int parse_thread_count(std::string_view text) {
+  int value = 0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last || value < 1) {
+    throw std::invalid_argument("thread count \"" + std::string(text) +
+                                "\" is not a positive integer");
+  }
+  return value;
 }
 
 int hardware_cores() {

@@ -9,8 +9,11 @@
 //     order.  RECO_THREADS=1 takes the plain sequential code path.
 //  2. *No deadlocks by construction*: the submitting thread always
 //     participates in draining its own batch, and a batch launched from
-//     inside a pool worker runs inline — nested parallelism never waits
-//     on a queue slot.
+//     any lane of a running batch — the caller or a pool helper — runs
+//     inline on that lane.  Every job the global pool runs is a batch
+//     helper, and a helper never waits on another batch, so every queued
+//     helper is eventually picked up: nested parallelism never waits on
+//     a queue slot.
 //  3. *No work stealing, no lock-free cleverness*: one mutex + condvar
 //     queue.  The units of work here (a 150x150 BvN decomposition, a full
 //     pipeline run per sweep point) are milliseconds to seconds; queue
@@ -21,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,9 +48,6 @@ class ThreadPool {
   /// job may itself submit further jobs without risk of deadlock.
   void submit(std::function<void()> job);
 
-  /// True iff the calling thread is one of this pool's workers.
-  static bool on_worker_thread();
-
  private:
   void worker_loop();
 
@@ -57,10 +58,17 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Parse a thread count from a `--threads=` flag or `RECO_THREADS`: the
+/// whole text must be a positive decimal `int`.  Anything else ("", "abc",
+/// "4x", "0", "-1", "2.5", out of range) throws std::invalid_argument
+/// quoting the text.
+int parse_thread_count(std::string_view text);
+
 /// Total parallelism the runtime will use: the `set_thread_count` override
 /// if one is active, else the `RECO_THREADS` environment variable, else
 /// `std::thread::hardware_concurrency()`.  Always >= 1; 1 means every
-/// parallel_for / parallel_map runs the plain sequential loop.
+/// parallel_for / parallel_map runs the plain sequential loop.  Throws
+/// std::invalid_argument if `RECO_THREADS` is set but malformed.
 int thread_count();
 
 /// Physical parallelism of the machine: `hardware_concurrency()`, clamped

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +24,60 @@ struct ScopedThreads {
   explicit ScopedThreads(int n) { set_thread_count(n); }
   ~ScopedThreads() { set_thread_count(0); }
 };
+
+/// RAII: set an environment variable for one test, restore it after.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      setenv(name_, saved_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Outcome of nested_rendezvous(): how many outer indices gave up
+/// waiting, which thread ran each outer index, and which threads ran
+/// each outer index's nested indices.
+struct Rendezvous {
+  int timeouts = 0;
+  std::thread::id lane[2];
+  std::vector<std::thread::id> nested[2];
+};
+
+/// parallel_for(2) whose indices each run a nested parallel_for(4) and
+/// then wait (at most 2 s) until the other index has finished its nested
+/// batch.  At 2 threads this needs both lanes to progress at once: a lane
+/// whose nested batch waits on a helper queued behind the other lane's
+/// outer helper stalls until the other lane's wait times out.
+Rendezvous nested_rendezvous() {
+  Rendezvous run;
+  std::mutex mu;
+  std::condition_variable cv;
+  int nested_done = 0;
+  parallel_for(2, [&](int i) {
+    run.lane[i] = std::this_thread::get_id();
+    run.nested[i].resize(4);
+    parallel_for(4, [&](int j) { run.nested[i][j] = std::this_thread::get_id(); });
+    std::unique_lock<std::mutex> lock(mu);
+    ++nested_done;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(2), [&] { return nested_done == 2; })) {
+      ++run.timeouts;
+    }
+  });
+  return run;
+}
 
 TEST(ThreadPool, SubmittedJobsRun) {
   ThreadPool pool(3);
@@ -79,6 +139,39 @@ TEST(ParallelFor, NestedCallsDoNotDeadlock) {
   EXPECT_EQ(total.load(), 64);
 }
 
+TEST(ParallelFor, NestedBatchesLetEveryLaneProgress) {
+  ScopedThreads threads(2);
+  EXPECT_EQ(nested_rendezvous().timeouts, 0);
+}
+
+TEST(ParallelFor, NestedIndicesRunOnTheirLanesOwnThread) {
+  ScopedThreads threads(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  const Rendezvous run = nested_rendezvous();
+  ASSERT_EQ(run.timeouts, 0);
+  // The rendezvous puts the two outer indices on different lanes: the
+  // caller's and a pool helper's.
+  EXPECT_NE(run.lane[0], run.lane[1]);
+  EXPECT_TRUE(run.lane[0] == caller || run.lane[1] == caller);
+  for (int i = 0; i < 2; ++i) {
+    for (const std::thread::id& id : run.nested[i]) EXPECT_EQ(id, run.lane[i]) << "outer " << i;
+  }
+}
+
+TEST(ParallelFor, LanesFanOutAgainAfterAThrow) {
+  ScopedThreads threads(2);
+  EXPECT_THROW(parallel_for(2,
+                            [](int) {
+                              parallel_for(4, [](int j) {
+                                if (j == 1) throw std::runtime_error("nested");
+                              });
+                            }),
+               std::runtime_error);
+  // A lane mark left set would run the rendezvous' outer batch inline on
+  // the caller, so its first index would wait out the full 2 s.
+  EXPECT_EQ(nested_rendezvous().timeouts, 0);
+}
+
 TEST(ParallelMap, PreservesInputOrder) {
   ScopedThreads threads(8);
   std::vector<int> items(500);
@@ -91,6 +184,31 @@ TEST(ParallelMap, PreservesInputOrder) {
 TEST(ParallelMap, EmptyInputYieldsEmptyOutput) {
   const std::vector<int> none;
   EXPECT_TRUE(parallel_map(none, [](const int& x) { return x; }).empty());
+}
+
+TEST(Runtime, ParseThreadCountAcceptsPositiveIntsOnly) {
+  EXPECT_EQ(parse_thread_count("8"), 8);
+  for (const char* bad : {"", "abc", "4x", "0", "-1", "2.5", "99999999999"}) {
+    try {
+      (void)parse_thread_count(bad);
+      ADD_FAILURE() << "accepted \"" << bad << '"';
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + std::string(bad) + '"'), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Runtime, MalformedRecoThreadsThrows) {
+  set_thread_count(0);  // no override: RECO_THREADS decides
+  {
+    const ScopedEnv env("RECO_THREADS", "abc");
+    EXPECT_THROW((void)thread_count(), std::invalid_argument);
+    set_thread_count(3);  // an explicit override never reads the environment
+    EXPECT_EQ(thread_count(), 3);
+    set_thread_count(0);
+  }
+  EXPECT_GE(thread_count(), 1);
 }
 
 TEST(Runtime, ThreadCountOverrideAndRestore) {
