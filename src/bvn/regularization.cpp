@@ -10,6 +10,13 @@
 namespace reco {
 
 namespace {
+void check_quantum(Time quantum) {
+  // Written so NaN fails it: every comparison with NaN is false.
+  if (!(quantum > 0.0) || !std::isfinite(quantum)) {
+    throw std::invalid_argument("regularize: quantum must be positive and finite");
+  }
+}
+
 double round_up_to_quantum(double x, double quantum) {
   // Entries already sitting on a multiple of the quantum (up to simulation
   // tolerance) must not be bumped a full quantum higher.
@@ -19,7 +26,7 @@ double round_up_to_quantum(double x, double quantum) {
 }  // namespace
 
 Matrix regularize(const Matrix& demand, Time quantum) {
-  if (quantum <= 0.0) throw std::invalid_argument("regularize: quantum must be positive");
+  check_quantum(quantum);
   Matrix out(demand.n());
   for (int i = 0; i < demand.n(); ++i) {
     for (int j = 0; j < demand.n(); ++j) {
@@ -31,7 +38,7 @@ Matrix regularize(const Matrix& demand, Time quantum) {
 }
 
 SupportIndex regularize(const SupportIndex& demand, Time quantum) {
-  if (quantum <= 0.0) throw std::invalid_argument("regularize: quantum must be positive");
+  check_quantum(quantum);
   obs::ScopedSpan span("bvn.regularize", "bvn");
   SupportIndex out = SupportIndex::zeros(demand.n());
   Time padding = 0.0;  // published once below; Theorem 2 bounds it by delta*nnz

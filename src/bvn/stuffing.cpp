@@ -151,7 +151,9 @@ Matrix stuff(const Matrix& demand, Time target) {
 }
 
 SupportIndex stuff_granular(SupportIndex demand, Time quantum) {
-  if (quantum <= 0.0) throw std::invalid_argument("stuff_granular: quantum must be positive");
+  if (!(quantum > 0.0) || !std::isfinite(quantum)) {  // NaN fails every comparison
+    throw std::invalid_argument("stuff_granular: quantum must be positive and finite");
+  }
   Time rho = 0.0;
   for (int i = 0; i < demand.n(); ++i) rho = std::max(rho, demand.row_sum_exact(i));
   for (int j = 0; j < demand.n(); ++j) rho = std::max(rho, demand.col_sum_exact(j));

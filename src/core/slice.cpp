@@ -81,22 +81,16 @@ Time total_weighted_cct(const std::vector<Time>& cct, const std::vector<Coflow>&
 
 std::vector<Time> start_batches(const SliceSchedule& schedule) {
   std::vector<Time> batches;
-  start_batches_into(schedule, batches);
-  return batches;
-}
-
-void start_batches_into(const SliceSchedule& schedule, std::vector<Time>& out) {
-  out.clear();
-  out.reserve(schedule.size());
-  for (const FlowSlice& s : schedule) out.push_back(s.start);
-  std::sort(out.begin(), out.end());
-  // Same chain dedup as the returning variant: compare each start against
-  // the last *kept* batch time.
+  batches.reserve(schedule.size());
+  for (const FlowSlice& s : schedule) batches.push_back(s.start);
+  std::sort(batches.begin(), batches.end());
+  // Chain dedup: compare each start against the last *kept* batch time.
   std::size_t kept = 0;
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    if (kept == 0 || !approx_eq(out[kept - 1], out[k])) out[kept++] = out[k];
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    if (kept == 0 || !approx_eq(batches[kept - 1], batches[k])) batches[kept++] = batches[k];
   }
-  out.resize(kept);
+  batches.resize(kept);
+  return batches;
 }
 
 Time makespan(const SliceSchedule& schedule) {

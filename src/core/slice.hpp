@@ -44,12 +44,9 @@ Time total_weighted_cct(const std::vector<Time>& cct, const std::vector<Coflow>&
 
 /// Distinct slice start times, sorted ascending.  In the all-stop OCS every
 /// distinct start batch costs exactly one reconfiguration (Alg. 2's eta).
+/// A start within kTimeEps of the last kept batch joins that batch (a chain
+/// dedup), so starts t, t + 0.9 eps, t + 1.5 eps make two batches.
 std::vector<Time> start_batches(const SliceSchedule& schedule);
-
-/// In-place twin for hot loops: fills `out` (cleared first) with the same
-/// batches, reusing its capacity.  The online replan core calls this once
-/// per epoch, so the buffer reaches high-water size and stays there.
-void start_batches_into(const SliceSchedule& schedule, std::vector<Time>& out);
 
 /// Makespan: latest end time over all slices (0 for an empty schedule).
 Time makespan(const SliceSchedule& schedule);

@@ -2,60 +2,78 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace reco {
 
 namespace {
-/// Number of batch times strictly below t (with tolerance).
+/// Number of batch times strictly below t (with tolerance): the partition
+/// point of `batch < t - eps` over the ascending batches.  Branch-free: each
+/// halving step selects with a conditional move, since the comparisons are
+/// too irregular to predict.
 std::size_t count_below(const std::vector<Time>& batches, Time t) {
-  // upper_bound with tolerance: batches within eps of t count as == t.
-  std::size_t lo = 0;
-  std::size_t hi = batches.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (batches[mid] < t - kTimeEps) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  if (batches.empty()) return 0;
+  const Time bound = t - kTimeEps;
+  const Time* first = batches.data();
+  std::size_t len = batches.size();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    first = first[half] < bound ? first + half : first;
+    len -= half;
   }
-  return lo;
-}
-
-/// Number of batch times <= t (with tolerance).
-std::size_t count_at_or_below(const std::vector<Time>& batches, Time t) {
-  std::size_t lo = 0;
-  std::size_t hi = batches.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (batches[mid] <= t + kTimeEps) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return static_cast<std::size_t>(first - batches.data()) + (*first < bound ? 1 : 0);
 }
 }  // namespace
 
 SliceSchedule inflate_pseudo_time(const SliceSchedule& pseudo, Time delta) {
+  std::vector<std::size_t> order(pseudo.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return pseudo[a].start < pseudo[b].start; });
   std::vector<Time> batches;
   SliceSchedule real;
-  inflate_pseudo_time_into(pseudo, delta, batches, real);
+  inflate_in_start_order(pseudo, order, delta, batches, real);
   return real;
 }
 
-void inflate_pseudo_time_into(const SliceSchedule& pseudo, Time delta,
-                              std::vector<Time>& batch_scratch, SliceSchedule& real_out) {
-  start_batches_into(pseudo, batch_scratch);
-  real_out.clear();
-  real_out.reserve(pseudo.size());
-  for (const FlowSlice& s : pseudo) {
-    const Time start_shift = delta * static_cast<Time>(count_at_or_below(batch_scratch, s.start));
-    const Time end_shift = delta * static_cast<Time>(count_below(batch_scratch, s.end));
-    real_out.push_back({s.start + start_shift, s.end + end_shift, s.src, s.dst, s.coflow});
+int inflate_in_start_order(const SliceSchedule& pseudo, const std::vector<std::size_t>& order,
+                           Time delta, std::vector<Time>& batches, SliceSchedule& real_out) {
+  if (order.size() != pseudo.size()) {
+    throw std::invalid_argument("inflate_in_start_order: order must list every slice once");
   }
+  // Start batches: start_batches' chain dedup against the last kept batch,
+  // run along the order instead of over a sorted copy of the starts.
+  batches.clear();
+  for (const std::size_t f : order) {
+    if (f >= pseudo.size()) {
+      throw std::invalid_argument("inflate_in_start_order: order entry out of range");
+    }
+    const Time t = pseudo[f].start;
+    if (batches.empty() || !approx_eq(batches.back(), t)) batches.push_back(t);
+  }
+  // Batches <= start + eps: starts ascend along the order, so this count is
+  // a forward cursor.  Batches < end - eps: ends do not ascend, so that one
+  // is a binary search over the same list.
+  real_out.resize(pseudo.size());
+  std::size_t at_or_below = 0;
+  int real_batches = 0;
+  Time last_real_batch = 0.0;
+  for (const std::size_t f : order) {
+    const FlowSlice& s = pseudo[f];
+    while (at_or_below < batches.size() && batches[at_or_below] <= s.start + kTimeEps) {
+      ++at_or_below;
+    }
+    const Time start = s.start + delta * static_cast<Time>(at_or_below);
+    const Time end = s.end + delta * static_cast<Time>(count_below(batches, s.end));
+    real_out[f] = {start, end, s.src, s.dst, s.coflow};
+    if (real_batches == 0 || !approx_eq(last_real_batch, start)) {
+      ++real_batches;
+      last_real_batch = start;
+    }
+  }
+  return real_batches;
 }
 
 int count_reconfigurations(const SliceSchedule& schedule) {

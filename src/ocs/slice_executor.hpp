@@ -5,6 +5,7 @@
 // batch that fires while it transmits.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/slice.hpp"
@@ -22,12 +23,16 @@ namespace reco {
 /// mid-flight batches times delta (the all-stop halts).
 SliceSchedule inflate_pseudo_time(const SliceSchedule& pseudo, Time delta);
 
-/// In-place twin: writes the inflated schedule into `real_out` (cleared
-/// first) and uses `batch_scratch` for the start-batch buffer, reusing both
-/// buffers' capacity.  The online replan core inflates once per epoch with
-/// long-lived scratch, so steady state allocates nothing here.
-void inflate_pseudo_time_into(const SliceSchedule& pseudo, Time delta,
-                              std::vector<Time>& batch_scratch, SliceSchedule& real_out);
+/// The same inflation, given the schedule's start order: `order` lists
+/// every slice of `pseudo` once, by ascending start (a wrong size or an
+/// out-of-range entry throws std::invalid_argument).  Writes slice f of the
+/// result to `real_out[f]` (resized to match) and builds the start batches
+/// in `batches`; both buffers keep their capacity, so a caller with
+/// long-lived buffers allocates nothing here.  Inflated starts never
+/// decrease along `order`, so the result's batch count comes out of the
+/// same pass: the return value equals count_reconfigurations(real_out).
+int inflate_in_start_order(const SliceSchedule& pseudo, const std::vector<std::size_t>& order,
+                           Time delta, std::vector<Time>& batches, SliceSchedule& real_out);
 
 /// Reconfigurations an all-stop OCS needs to run this schedule: one per
 /// distinct start batch (Alg. 2's eta over the full horizon).

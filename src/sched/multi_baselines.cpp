@@ -1,6 +1,7 @@
 #include "sched/multi_baselines.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "ocs/all_stop_executor.hpp"
@@ -85,16 +86,17 @@ MultiScheduleResult reco_mul_pipeline(const std::vector<Coflow>& coflows, Time d
     return order_coflows(coflows, ordering);
   }();
   const SliceSchedule packet = packet_schedule(coflows, order);
-  const RecoMulSchedule transformed = reco_mul_transform(packet, delta, c);
+  RecoMulSchedule transformed = reco_mul_transform(packet, delta, c);
   // Count on the *emitted* real-time schedule, not the pseudo one: the
   // result's reconfiguration figure must agree with its `schedule` field
   // (inflation preserves batch count, but eps-close pseudo starts can
-  // dedup differently — the real axis is what the fabric pays for).
-  const int reconfigs = count_reconfigurations(transformed.real);
+  // dedup differently — the real axis is what the fabric pays for).  The
+  // transform counted it along its start order.
+  const int reconfigs = transformed.reconfigurations;
   if (obs::enabled()) {
     obs::metrics().counter("reco_mul.reconfigurations").inc(static_cast<double>(reconfigs));
   }
-  return finalize(transformed.real, coflows, reconfigs);
+  return finalize(std::move(transformed.real), coflows, reconfigs);
 }
 
 MultiScheduleResult unregularized_pipeline(const std::vector<Coflow>& coflows, Time delta,

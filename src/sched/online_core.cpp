@@ -169,7 +169,6 @@ Time OnlineCore::commit(Time cut_local) {
   obs::ScopedSpan span("online.commit", "online");
 
   Time epoch_end = 0.0;
-  kept_starts_.clear();
   std::uint64_t kept = 0;
   for (std::size_t f = 0; f < plan_.real.size(); ++f) {
     const FlowSlice& s = plan_.real[f];
@@ -187,20 +186,23 @@ Time OnlineCore::commit(Time cut_local) {
     stats_.delivered_total += before - slot.residual.at(s.src, s.dst);
     slot.last_end = std::max(slot.last_end, base_ + s.end);
     epoch_end = std::max(epoch_end, s.end);
-    kept_starts_.push_back(s.start + base_);
     ++kept;
   }
 
   // Reconfigurations implied by the slices actually emitted: distinct start
   // batches among the kept *real* slices.  (The historical path counted
   // pseudo-axis batches — against a real-axis cut in drain-replan mode —
-  // which drifts from what the emitted SliceSchedule implies.)  Epoch bases
-  // advance by at least one delta between commits, so per-commit batch
-  // counts sum to exactly count_reconfigurations(schedule()).
-  std::sort(kept_starts_.begin(), kept_starts_.end());
+  // which drifts from what the emitted SliceSchedule implies.)  Real starts
+  // ascend along the plan's order, so the kept slices are its first `kept`
+  // entries, already sorted.  Epoch bases advance by at least one delta
+  // between commits, so per-commit batch counts sum to exactly
+  // count_reconfigurations(schedule()).
   int reconfs = 0;
-  for (std::size_t k = 0; k < kept_starts_.size(); ++k) {
-    if (k == 0 || !approx_eq(kept_starts_[k - 1], kept_starts_[k])) ++reconfs;
+  Time prev_start = 0.0;
+  for (std::size_t k = 0; k < kept; ++k) {
+    const Time start = plan_.real[plan_.order[k]].start + base_;
+    if (k == 0 || !approx_eq(prev_start, start)) ++reconfs;
+    prev_start = start;
   }
   stats_.reconfigurations += reconfs;
   ++stats_.commits;
@@ -303,7 +305,7 @@ std::size_t OnlineCore::capacity_footprint() const {
                       batch_slots_.capacity() + batch_residuals_.capacity() +
                       batch_weights_.capacity() + batch_ids_.capacity() + order_.capacity() +
                       packet_.capacity() + plan_.pseudo.capacity() + plan_.real.capacity() +
-                      kept_starts_.capacity() + finished_flags_.capacity() +
+                      plan_.order.capacity() + finished_flags_.capacity() +
                       step_slices_.capacity() + schedule_.capacity() + cct_.capacity();
   total += ordering_scratch_.capacity_footprint();
   total += packet_scratch_.capacity_footprint();

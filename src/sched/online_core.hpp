@@ -217,7 +217,6 @@ class OnlineCore {
   OrderingScratch ordering_scratch_;
   PacketScratch packet_scratch_;
   RecoMulScratch mul_scratch_;
-  std::vector<Time> kept_starts_;     ///< batch counting among kept slices
   std::vector<char> finished_flags_;  ///< single-pass live-list compaction
   SliceSchedule step_slices_;         ///< FIFO per-step executor output
 

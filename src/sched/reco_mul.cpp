@@ -21,18 +21,19 @@ void reco_mul_transform_into(const SliceSchedule& packet, Time delta, double c,
                              RecoMulScratch& scratch, RecoMulSchedule& out) {
   obs::ScopedSpan span("sched.reco_mul_transform", "sched");
   span.arg("slices", static_cast<double>(packet.size()));
-  if (c < 1.0) {
-    throw std::invalid_argument("reco_mul_transform: requires c >= 1 (floor(sqrt(c)) >= 1)");
+  // Written so NaN fails them: every comparison with NaN is false.
+  if (!(c >= 1.0) || !std::isfinite(c)) {
+    throw std::invalid_argument(
+        "reco_mul_transform: c must be finite and >= 1 (floor(sqrt(c)) >= 1)");
   }
-  if (delta <= 0.0) {
-    throw std::invalid_argument("reco_mul_transform: delta must be positive");
+  if (!(delta > 0.0) || !std::isfinite(delta)) {
+    throw std::invalid_argument("reco_mul_transform: delta must be positive and finite");
   }
   const double root_floor = std::floor(std::sqrt(c));
   const double stretch = (root_floor + 1.0) / root_floor;  // Alg. 2 Line 6
   const Time quantum = std::sqrt(c) * delta;               // Alg. 2 Line 7
 
   out.pseudo.clear();
-  out.real.clear();
   out.pseudo.reserve(packet.size());
   for (const FlowSlice& s : packet) {
     const double stretched = s.start * stretch;
@@ -50,7 +51,7 @@ void reco_mul_transform_into(const SliceSchedule& packet, Time delta, double c,
   // costs extra start batches — exactly the graceful degradation the paper
   // observes at millisecond-scale delta.
   {
-    std::vector<std::size_t>& by_start = scratch.by_start;
+    std::vector<std::size_t>& by_start = out.order;
     by_start.resize(out.pseudo.size());
     for (std::size_t f = 0; f < by_start.size(); ++f) by_start[f] = f;
     std::sort(by_start.begin(), by_start.end(), [&](std::size_t a, std::size_t b) {
@@ -73,15 +74,26 @@ void reco_mul_transform_into(const SliceSchedule& packet, Time delta, double c,
       scratch.free_in[s.src] = s.end;
       scratch.free_out[s.dst] = s.end;
     }
+    // Legalization only delays starts, so the order still ascends unless a
+    // push carried a slice past a later one.  Only then sort again.  No
+    // later stage depends on how equal starts are ordered, so an in-place
+    // sort serves; std::stable_sort would allocate on every reorder.
+    const auto ascending = [&](std::size_t a, std::size_t b) {
+      return out.pseudo[a].start < out.pseudo[b].start;
+    };
+    const bool reordered = !std::is_sorted(by_start.begin(), by_start.end(), ascending);
+    if (reordered) std::sort(by_start.begin(), by_start.end(), ascending);
     if (obs::enabled()) {
       obs::metrics().counter("reco_mul.calls").inc();
       obs::metrics().counter("reco_mul.slices").inc(static_cast<double>(packet.size()));
       obs::metrics().counter("reco_mul.legalization_pushes").inc(static_cast<double>(pushed));
+      if (reordered) obs::metrics().counter("reco_mul.reorders").inc();
       span.arg("legalization_pushes", static_cast<double>(pushed));
     }
   }
 
-  inflate_pseudo_time_into(out.pseudo, delta, scratch.batch_scratch, out.real);
+  out.reconfigurations =
+      inflate_in_start_order(out.pseudo, out.order, delta, scratch.batches, out.real);
 }
 
 }  // namespace reco

@@ -24,6 +24,12 @@ namespace reco {
 struct RecoMulSchedule {
   SliceSchedule pseudo;  ///< S-hat_o: regularized starts, pseudo-time axis
   SliceSchedule real;    ///< S_o: real time, reconfiguration delays injected
+  /// Every slice index once, by ascending start.  The order is the same on
+  /// both axes: inflation never reorders starts.  A prefix of it is
+  /// therefore every slice that starts by a given real time.
+  std::vector<std::size_t> order;
+  /// Start batches of `real`: count_reconfigurations(real).
+  int reconfigurations = 0;
 };
 
 /// Reusable buffers for the transform's legalization + inflation passes.
@@ -32,32 +38,34 @@ struct RecoMulSchedule {
 /// a long-lived scratch makes repeated transforms allocation-free once every
 /// buffer has hit its high-water capacity.
 struct RecoMulScratch {
-  std::vector<std::size_t> by_start;
   std::vector<Time> free_in;
   std::vector<Time> free_out;
-  std::vector<Time> batch_scratch;  ///< start batches for pseudo-time inflation
+  std::vector<Time> batches;  ///< start batches for pseudo-time inflation
 
   /// Total heap capacity currently held, in elements — the online core's
   /// alloc-event accounting samples this to prove steady state is flat.
   std::size_t capacity_footprint() const {
-    return by_start.capacity() + free_in.capacity() + free_out.capacity() +
-           batch_scratch.capacity();
+    return free_in.capacity() + free_out.capacity() + batches.capacity();
   }
 };
 
-/// Apply Algorithm 2 to a packet-switch schedule.  Requires c >= 1 (the
-/// optical transmission threshold assumption of Sec. II); throws otherwise.
+/// Apply Algorithm 2 to a packet-switch schedule.  Requires a finite
+/// c >= 1 (the optical transmission threshold assumption of Sec. II) and a
+/// finite delta > 0; throws std::invalid_argument otherwise.
 ///
 /// A legalization pass (a provable no-op while d >= c*delta holds, Lemma 2)
 /// pushes any snap-induced port conflicts later, so the returned schedules
 /// are feasible even when callers sweep delta over a fixed trace and the
 /// threshold assumption frays (the Fig. 9(a) regime).
+///
+/// The slices are sorted once, by pseudo start, for legalization; start
+/// batching, inflation and the reconfiguration count all walk that order.
+/// A second sort runs only when legalization pushes a slice past a later
+/// one (docs/ALGORITHMS.md, "One start order per plan").
 RecoMulSchedule reco_mul_transform(const SliceSchedule& packet, Time delta, double c);
 
-/// In-place twin: same transform, writing into `out` (both schedules cleared
-/// first) and reusing `scratch`.  Produces bit-identical schedules to the
-/// returning variant — the flat port arrays replace map lookups whose
-/// defaults were the same 0.0.
+/// In-place twin: same transform, writing into `out` (every field
+/// overwritten) and reusing `scratch` and `out`'s capacity.
 void reco_mul_transform_into(const SliceSchedule& packet, Time delta, double c,
                              RecoMulScratch& scratch, RecoMulSchedule& out);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/support_index.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -35,6 +38,14 @@ TEST(Regularization, PaperFig2Example) {
 TEST(Regularization, RejectsNonPositiveQuantum) {
   EXPECT_THROW(regularize(Matrix(2), 0.0), std::invalid_argument);
   EXPECT_THROW(regularize(Matrix(2), -1.0), std::invalid_argument);
+  // NaN fails every comparison, so a `quantum <= 0` guard lets it through.
+  Matrix m(2);
+  m.at(0, 1) = 1.0;
+  for (const double q : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(regularize(m, q), std::invalid_argument) << "quantum=" << q;
+    EXPECT_THROW(regularize(SupportIndex(m), q), std::invalid_argument) << "quantum=" << q;
+  }
 }
 
 TEST(Regularization, MicrosecondScaleQuantum) {

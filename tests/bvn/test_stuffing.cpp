@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "bvn/regularization.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
@@ -60,6 +62,10 @@ TEST(Stuffing, GranularOnRegularizedStaysGranular) {
 
 TEST(Stuffing, RejectsNonPositiveQuantum) {
   EXPECT_THROW(stuff_granular(Matrix(2), 0.0), std::invalid_argument);
+  EXPECT_THROW(stuff_granular(Matrix(2), std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(stuff_granular(Matrix(2), std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(Stuffing, RepairsResidualSlackFromToleranceCrumbs) {

@@ -79,6 +79,27 @@ TEST(SliceExecutor, InflationStretchesDurationByMidFlightBatchesOnly) {
   EXPECT_DOUBLE_EQ(real[2].duration(), 1.0);
 }
 
+TEST(SliceExecutor, InflateInStartOrderCountsRealBatches) {
+  // Batches at 0 and 2 on the pseudo axis; flow 0 is halted once.
+  const SliceSchedule pseudo{{2, 3, 1, 1, 1}, {0, 3, 0, 0, 0}, {0, 1, 2, 2, 2}};
+  const std::vector<std::size_t> order{1, 2, 0};
+  std::vector<Time> batches;
+  SliceSchedule real;
+  EXPECT_EQ(inflate_in_start_order(pseudo, order, 0.5, batches, real), 2);
+  EXPECT_EQ(real, inflate_pseudo_time(pseudo, 0.5));
+  EXPECT_EQ(count_reconfigurations(real), 2);
+  EXPECT_DOUBLE_EQ(real[1].end, 4.0);  // 3 + own batch + the one at 2
+}
+
+TEST(SliceExecutor, InflateInStartOrderRejectsABadOrder) {
+  const SliceSchedule pseudo{{0, 1, 0, 0, 0}, {1, 2, 1, 1, 1}};
+  std::vector<Time> batches;
+  SliceSchedule real;
+  EXPECT_THROW(inflate_in_start_order(pseudo, {0}, 0.5, batches, real), std::invalid_argument);
+  EXPECT_THROW(inflate_in_start_order(pseudo, {0, 2}, 0.5, batches, real),
+               std::invalid_argument);
+}
+
 TEST(SliceExecutor, AnalyzeScheduleAggregates) {
   const SliceSchedule s{{0, 2, 0, 0, 0}, {0, 5, 1, 1, 1}, {6, 7, 0, 0, 1}};
   const MultiExecutionStats stats = analyze_schedule(s, 2);

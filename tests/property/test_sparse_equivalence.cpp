@@ -22,6 +22,7 @@
 #include "core/support_index.hpp"
 #include "oracles/dense_reference.hpp"
 #include "property/packet_oracle.hpp"
+#include "property/reco_mul_oracle.hpp"
 #include "runtime/parallel.hpp"
 #include "sched/multi_baselines.hpp"
 #include "sched/ordering.hpp"
@@ -209,7 +210,8 @@ std::uint64_t slice_digest(const SliceSchedule& schedule) {
 TEST(SparseEquivalence, RecoMulPipelineDigestMatchesLinearScanOracle) {
   // End-to-end Alg. 2: BSSI order -> packet schedule -> stretch, snap and
   // inflate, against the same stages over the linear-scan port timeline in
-  // property/packet_oracle.hpp.  One digest row per workload, covering the
+  // property/packet_oracle.hpp and the sort-per-stage transform in
+  // property/reco_mul_oracle.hpp.  One digest row per workload, covering the
   // random-workload family and the generator's Table I density mix.
   const Time delta = 1e-4;
   const double c = 4.0;
@@ -231,10 +233,11 @@ TEST(SparseEquivalence, RecoMulPipelineDigestMatchesLinearScanOracle) {
   for (const auto& [name, coflows] : rows) {
     const SliceSchedule packet =
         oracle::packet_schedule(coflows, order_coflows(coflows, OrderingPolicy::kBssi));
-    const SliceSchedule want = reco_mul_transform(packet, delta, c).real;
-    const SliceSchedule got = reco_mul_pipeline(coflows, delta, c).schedule;
-    ASSERT_FALSE(got.empty()) << name;
-    EXPECT_EQ(slice_digest(got), slice_digest(want)) << name;
+    const oracle::RecoMulResult want = oracle::reco_mul_transform(packet, delta, c);
+    const MultiScheduleResult got = reco_mul_pipeline(coflows, delta, c);
+    ASSERT_FALSE(got.schedule.empty()) << name;
+    EXPECT_EQ(slice_digest(got.schedule), slice_digest(want.real)) << name;
+    EXPECT_EQ(got.reconfigurations, want.reconfigurations) << name;
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "ocs/slice_executor.hpp"
 #include "sched/ordering.hpp"
@@ -14,9 +16,22 @@ namespace reco {
 namespace {
 
 TEST(RecoMul, RejectsBadParameters) {
-  EXPECT_THROW(reco_mul_transform({}, 1.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(reco_mul_transform({}, 0.0, 4.0), std::invalid_argument);
-  EXPECT_THROW(reco_mul_transform({}, -1.0, 4.0), std::invalid_argument);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const SliceSchedule packet{{0.0, 1.0, 0, 0, 0}};
+  for (const double c : {0.5, kNan, kInf, -kInf}) {
+    EXPECT_THROW(reco_mul_transform(packet, 1.0, c), std::invalid_argument) << "c=" << c;
+  }
+  for (const Time delta : {0.0, -1.0, kNan, kInf, -kInf}) {
+    EXPECT_THROW(reco_mul_transform(packet, delta, 4.0), std::invalid_argument)
+        << "delta=" << delta;
+  }
+  EXPECT_THROW(reco_mul_transform({}, kNan, 4.0), std::invalid_argument);
+  try {
+    reco_mul_transform(packet, kNan, 4.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos) << e.what();
+  }
 }
 
 TEST(RecoMul, EmptyScheduleStaysEmpty) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/lower_bound.hpp"
 #include "ocs/all_stop_executor.hpp"
 #include "testing_util.hpp"
@@ -12,6 +14,16 @@ namespace {
 
 TEST(RecoSin, EmptyDemand) {
   EXPECT_EQ(reco_sin(Matrix(4), 1.0).num_assignments(), 0);
+}
+
+TEST(RecoSin, RejectsNonFiniteDelta) {
+  // Before the guards were NaN-proof, a NaN delta planned an empty schedule.
+  Matrix m(2);
+  m.at(0, 1) = 1.0;
+  for (const Time delta : {std::numeric_limits<Time>::quiet_NaN(),
+                           std::numeric_limits<Time>::infinity()}) {
+    EXPECT_THROW(reco_sin(m, delta), std::invalid_argument) << "delta=" << delta;
+  }
 }
 
 TEST(RecoSin, SingleFlow) {
