@@ -15,16 +15,20 @@
 //     the forced scalar tier on the peel/matching inner loops.
 //   * BM_RecoSinPlan / BM_SolsticePlan — whole-planner cost vs fabric
 //     width (folded in from the retired bench_scalability binary).
+//   * BM_PacketSchedule — Reco-Mul's packet list scheduling (S_p) of one
+//     300-coflow batch at Table I's density mix.
 //   * BM_OnlineDaemonStream — streamed arrivals through the event-driven
 //     daemon; the million-coflow soak variant compiles in only with
 //     -DRECO_BENCH_SOAK=ON (see bench/CMakeLists.txt).
 //
 // `--baseline_json=FILE` writes BENCH_scale.json; CI's perf-guard-scale
-// step gates BM_BottleneckMatchingSparse/1024/*, the SIMD rows and
-// BM_RecoSinPlan/128/* against the committed copy.  Timing comes from the
-// shared harness in bench_util.hpp (0.05 s min time x 3 repetitions,
-// median recorded).
+// step gates BM_BottleneckMatchingSparse/1024/*, the SIMD rows,
+// BM_RecoSinPlan/128/* and BM_PacketSchedule/* against the committed
+// copy.  Timing comes from the shared harness in bench_util.hpp (0.05 s
+// min time x 3 repetitions, median recorded).
 #define RECO_BENCH_WITH_GBENCH
+#include <array>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +40,8 @@
 #include "core/support_index.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/matching_engine.hpp"
+#include "sched/ordering.hpp"
+#include "sched/packet_scheduler.hpp"
 #include "sched/reco_sin.hpp"
 #include "sched/solstice.hpp"
 #include "sim/online_daemon.hpp"
@@ -202,6 +208,52 @@ void BM_SolsticePlan(benchmark::State& state) {
   report_shape(state, demand);
 }
 BENCHMARK(BM_SolsticePlan)->Args({128, 600})->Args({256, 600})->Args({512, 100});
+
+// ---- Reco-Mul's packet list scheduling ------------------------------------
+//
+// Arg is N.  One batch of 300 coflows holding Table I's density mix exactly
+// (259 sparse, 15 normal, 26 dense), cut from the generator stream at seed 7
+// the way the mul-batch end-to-end workload cuts its batches.  The BSSI
+// order is built once; the loop times packet_schedule_into on a warm
+// scratch, i.e. every flow's placement on the port timelines.
+
+std::vector<Coflow> table1_batch(int ports, std::uint64_t seed) {
+  GeneratorOptions gen;
+  gen.num_ports = ports;
+  gen.seed = seed;
+  gen.num_coflows = 30000;  // a stream long enough to fill every quota
+  ArrivalStream stream(gen);
+  std::array<int, 3> left{259, 15, 26};
+  std::vector<Coflow> batch;
+  while (left[0] + left[1] + left[2] > 0) {
+    const Coflow* c = stream.peek();
+    if (c == nullptr) throw std::runtime_error("table1_batch: generator stream too short");
+    int& quota = left[static_cast<std::size_t>(c->density_class())];
+    if (quota > 0) {
+      --quota;
+      batch.push_back(*c);
+      batch.back().id = static_cast<CoflowId>(batch.size() - 1);
+    }
+    stream.pop();
+  }
+  return batch;
+}
+
+void BM_PacketSchedule(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::vector<Coflow> batch = table1_batch(n, 7);
+  const std::vector<int> order = order_coflows(batch, OrderingPolicy::kBssi);
+  PacketScratch scratch;
+  SliceSchedule out;
+  for (auto _ : state) {
+    packet_schedule_into(batch, order, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["N"] = static_cast<double>(n);
+  state.counters["nnz"] = static_cast<double>(out.size());
+}
+BENCHMARK(BM_PacketSchedule)->Arg(64);
 
 // ---- streamed arrivals through the online daemon -------------------------
 

@@ -1,6 +1,8 @@
 #include "sched/packet_scheduler.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -8,6 +10,15 @@
 #include "obs/obs.hpp"
 
 namespace reco {
+
+void PortTimeline::throw_below_floor(Time d, Time min_len) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "PortTimeline::earliest_fit: query length %.17g is below the floor %.17g "
+                "the timeline was reset with",
+                d, min_len);
+  throw std::logic_error(buf);
+}
 
 namespace {
 
@@ -19,21 +30,26 @@ void place_coflow_flows(PacketScratch& scratch, CoflowId id, SliceSchedule& out)
   std::sort(scratch.flows.begin(), scratch.flows.end(),
             [](const PacketFlow& a, const PacketFlow& b) { return a.size > b.size; });
   for (const PacketFlow& f : scratch.flows) {
-    PortTimeline& in = scratch.ingress[f.src];
-    PortTimeline& eg = scratch.egress[f.dst];
-    const Time t = earliest_common_fit(in, eg, f.size);
-    const Time end = t + f.size;
-    out.push_back({t, end, f.src, f.dst, id});
-    in.insert(t, end);
-    eg.insert(t, end);
+    const Time t = place_common(scratch.ingress[f.src], scratch.egress[f.dst], f.size);
+    out.push_back({t, t + f.size, f.src, f.dst, id});
   }
 }
 
-void reset_timelines(PacketScratch& scratch, int n) {
+/// Size the timelines for `n` ports and empty them, with the call's
+/// shortest flow as their floor.
+void reset_timelines(PacketScratch& scratch, int n, Time min_len) {
   scratch.ingress.resize(n);
   scratch.egress.resize(n);
-  for (PortTimeline& t : scratch.ingress) t.clear();
-  for (PortTimeline& t : scratch.egress) t.clear();
+  for (PortTimeline& t : scratch.ingress) t.reset(min_len);
+  for (PortTimeline& t : scratch.egress) t.reset(min_len);
+}
+
+/// Stored intervals over all port timelines: the `intervals` span arg.
+double stored_intervals(const PacketScratch& scratch) {
+  std::size_t total = 0;
+  for (const PortTimeline& t : scratch.ingress) total += t.size();
+  for (const PortTimeline& t : scratch.egress) total += t.size();
+  return static_cast<double>(total);
 }
 
 /// The timelines are sized from the first demand's port count `n`, so every
@@ -70,7 +86,17 @@ void packet_schedule_into(const std::vector<Coflow>& coflows, const std::vector<
   if (order.empty()) return;
   const int n = coflows.empty() ? 0 : coflows.front().demand.n();
   check_order(order, coflows.size(), n, [&](int idx) { return coflows[idx].demand.n(); });
-  reset_timelines(scratch, n);
+  Time min_len = std::numeric_limits<Time>::infinity();
+  for (int idx : order) {
+    const Matrix& m = coflows[idx].demand;
+    for (int i = 0; i < n; ++i) {
+      const double* row = m.row_data(i);
+      for (int j = 0; j < n; ++j) {
+        if (!approx_zero(row[j])) min_len = std::min(min_len, row[j]);
+      }
+    }
+  }
+  reset_timelines(scratch, n, min_len);
 
   for (int idx : order) {
     const Coflow& c = coflows[idx];
@@ -85,6 +111,7 @@ void packet_schedule_into(const std::vector<Coflow>& coflows, const std::vector<
     place_coflow_flows(scratch, c.id, out);
   }
   span.arg("flows", static_cast<double>(out.size()));
+  if (obs::enabled()) span.arg("intervals", stored_intervals(scratch));
 }
 
 void packet_schedule_into(const std::vector<const SupportIndex*>& residuals,
@@ -98,7 +125,13 @@ void packet_schedule_into(const std::vector<const SupportIndex*>& residuals,
   }
   const int n = residuals.empty() ? 0 : residuals.front()->n();
   check_order(order, residuals.size(), n, [&](int idx) { return residuals[idx]->n(); });
-  reset_timelines(scratch, n);
+  Time min_len = std::numeric_limits<Time>::infinity();
+  for (int idx : order) {
+    for (int i = 0; i < n; ++i) {
+      for (const double v : residuals[idx]->row_values(i)) min_len = std::min(min_len, v);
+    }
+  }
+  reset_timelines(scratch, n, min_len);
 
   for (int idx : order) {
     const SupportIndex& r = *residuals[idx];
@@ -114,6 +147,7 @@ void packet_schedule_into(const std::vector<const SupportIndex*>& residuals,
     place_coflow_flows(scratch, ids[idx], out);
   }
   span.arg("flows", static_cast<double>(out.size()));
+  if (obs::enabled()) span.arg("intervals", stored_intervals(scratch));
 }
 
 }  // namespace reco

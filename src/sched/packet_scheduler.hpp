@@ -32,65 +32,118 @@ namespace reco {
 /// starting at or after t" queries and interval insertion — the core of
 /// insertion-based (backfilling) list scheduling.
 ///
+/// The timeline has a *floor*, set by reset(min_len): the shortest length
+/// any query may ask for.  A gap g with g < min_len - kTimeEps fails the
+/// fit test of every such query, so insert fills it as if the intervals
+/// touched.  Gaps that a floor-length flow fits survive.
+///
 /// Coalescing is exact for d > kTimeEps: such a flow never fits inside a
 /// touching or overlapping chain, so the merged interval answers every
 /// query as its members would.  A d <= kTimeEps also fits the zero-length
-/// gap at an exact touch, which merging removes; earliest_common_fit asks
-/// such a d only at t = 0, where every interval starts at or after t and
-/// the answer is t either way.
+/// gap at an exact touch, which merging removes; place_common asks such a
+/// d only at t = 0, where every interval starts at or after t and the
+/// answer is t either way.
 class PortTimeline {
  public:
-  /// Earliest s >= t such that [s, s+d) is free on this port.  An interval
-  /// ending at or before t cannot move t, so the scan starts at the first
-  /// interval ending after it.
-  Time earliest_fit(Time t, Time d) const {
-    auto it = std::upper_bound(
-        busy_.begin(), busy_.end(), t,
-        [](Time v, const std::pair<Time, Time>& iv) { return v < iv.second; });
-    for (; it != busy_.end(); ++it) {
-      if (it->first - t >= d - kTimeEps) break;  // fits before this interval
-      t = it->second;
+  /// Empty the timeline and set its floor: every later query asks for
+  /// d >= min_len.  The default floor 0 fills no gap.
+  void reset(Time min_len = 0.0) {
+    busy_.clear();
+    min_len_ = min_len;
+  }
+
+  /// Earliest s >= t such that [s, s+d) is free on this port.  `k` is a
+  /// cursor: on entry an index at or before the first interval ending after
+  /// t, on return that interval, where the scan started.  An interval
+  /// ending at or before t cannot move t, so the scan skips it.  Throws
+  /// std::logic_error if d is below the floor.
+  Time earliest_fit(Time t, Time d, std::size_t& k) const {
+    if (d < min_len_) throw_below_floor(d, min_len_);
+    k = first_ending_after(t, k);
+    for (std::size_t i = k; i < busy_.size(); ++i) {
+      if (busy_[i].first - t >= d - kTimeEps) break;  // fits before interval i
+      t = busy_[i].second;
     }
     return t;
   }
 
-  void insert(Time start, Time end) {
-    // [first, last) are the stored intervals that touch or overlap
-    // [start, end]: ends ascend, so they begin at the first end >= start;
-    // starts ascend, so they stop before the first start > end.
-    const auto first = std::lower_bound(
-        busy_.begin(), busy_.end(), start,
-        [](const std::pair<Time, Time>& iv, Time s) { return iv.second < s; });
-    auto last = first;
-    while (last != busy_.end() && last->first <= end) ++last;
-    if (first == last) {
-      busy_.insert(first, {start, end});
-      return;
-    }
-    first->first = std::min(first->first, start);
-    first->second = std::max(end, std::prev(last)->second);
-    busy_.erase(std::next(first), last);
+  Time earliest_fit(Time t, Time d) const {
+    std::size_t k = 0;
+    return earliest_fit(t, d, k);
   }
 
-  void clear() { busy_.clear(); }
+  /// Insert [start, end]; `k` is at or before the first interval ending
+  /// after start.
+  void insert(Time start, Time end, std::size_t k = 0) {
+    // [first, last) are the stored intervals [start, end] merges with: the
+    // ones across a gap that is not live.  Stored gaps are all live, so on
+    // the left only the one neighbour ending at or before start can merge.
+    k = first_ending_after(start, k);
+    std::size_t first = k;
+    if (first > 0 && !live_gap(busy_[first - 1].second, start)) --first;
+    std::size_t last = k;
+    while (last < busy_.size() && !live_gap(end, busy_[last].first)) ++last;
+    const auto it = busy_.begin() + static_cast<std::ptrdiff_t>(first);
+    if (first == last) {
+      busy_.insert(it, {start, end});
+      return;
+    }
+    it->first = std::min(it->first, start);
+    it->second = std::max(end, busy_[last - 1].second);
+    busy_.erase(std::next(it), busy_.begin() + static_cast<std::ptrdiff_t>(last));
+  }
+
   std::size_t capacity() const { return busy_.capacity(); }
   /// Number of stored (coalesced) intervals.
   std::size_t size() const { return busy_.size(); }
 
  private:
+  /// Whether the gap from a busy end `e` to a busy start `s` can hold a
+  /// floor-length flow: positive, and not failing the fit test for d =
+  /// min_len (the same expression earliest_fit evaluates).
+  bool live_gap(Time e, Time s) const { return s > e && !(s - e < min_len_ - kTimeEps); }
+
+  /// First index at or after k whose interval ends after t, for k at or
+  /// before it: gallop forward from k, then binary-search the last stride.
+  /// The gallop tests `t < end` as the search does, so the two agree even
+  /// on a NaN end.
+  std::size_t first_ending_after(Time t, std::size_t k) const {
+    std::size_t probe = k;
+    for (std::size_t stride = 1; probe < busy_.size() && !(t < busy_[probe].second); stride *= 2) {
+      k = probe + 1;
+      probe += stride;
+    }
+    const auto hi = busy_.begin() + static_cast<std::ptrdiff_t>(std::min(probe, busy_.size()));
+    const auto it = std::upper_bound(
+        busy_.begin() + static_cast<std::ptrdiff_t>(k), hi, t,
+        [](Time v, const std::pair<Time, Time>& iv) { return v < iv.second; });
+    return static_cast<std::size_t>(it - busy_.begin());
+  }
+
+  [[noreturn]] static void throw_below_floor(Time d, Time min_len);
+
   std::vector<std::pair<Time, Time>> busy_;
+  Time min_len_ = 0.0;
 };
 
-/// Earliest s >= 0 at which [s, s+d) is free on both `a` and `b`: alternate
-/// a fixed point between the two timelines (each step only moves the
-/// candidate forward, and it converges as soon as both agree).
-inline Time earliest_common_fit(const PortTimeline& a, const PortTimeline& b, Time d) {
-  Time t = 0.0;
+/// Place a flow of length d at the earliest s >= 0 at which [s, s+d) is
+/// free on both `a` and `b`, insert it into both, and return s.  The fixed
+/// point alternates between the two timelines; each step only moves the
+/// candidate forward, so each timeline's cursor only moves forward too.
+inline Time place_common(PortTimeline& a, PortTimeline& b, Time d) {
+  std::size_t ka = 0;
+  std::size_t kb = 0;
+  Time t_a = a.earliest_fit(0.0, d, ka);
   while (true) {
-    const Time t_a = a.earliest_fit(t, d);
-    const Time t_both = b.earliest_fit(t_a, d);
-    if (t_both <= t_a + kTimeEps && a.earliest_fit(t_both, d) <= t_both + kTimeEps) return t_both;
-    t = t_both;
+    const Time t_both = b.earliest_fit(t_a, d, kb);
+    const bool b_agrees = t_both <= t_a + kTimeEps;
+    // Verifies t_both on `a`; if rejected, it is the next round's first query.
+    t_a = a.earliest_fit(t_both, d, ka);
+    if (b_agrees && t_a <= t_both + kTimeEps) {
+      a.insert(t_both, t_both + d, ka);
+      b.insert(t_both, t_both + d, kb);
+      return t_both;
+    }
   }
 }
 

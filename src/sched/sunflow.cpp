@@ -22,16 +22,20 @@ SunflowResult sunflow(const Matrix& demand, Time delta, SunflowOrder order) {
     return order == SunflowOrder::kLongestFirst ? a.size > b.size : a.size < b.size;
   });
 
+  // Every circuit occupies its ports for at least delta plus the smallest
+  // flow (one end of the sorted list): the timelines' floor.
+  const Time min_len =
+      flows.empty() ? 0.0 : delta + std::min(flows.front().size, flows.back().size);
   std::vector<PortTimeline> ingress(n);
   std::vector<PortTimeline> egress(n);
+  for (PortTimeline& t : ingress) t.reset(min_len);
+  for (PortTimeline& t : egress) t.reset(min_len);
   for (const PacketFlow& f : flows) {
     // The circuit occupies both ports for (setup delta + transmission);
     // only the affected ports halt, everything else keeps running.
     const Time occupancy = delta + f.size;
-    const Time t = earliest_common_fit(ingress[f.src], egress[f.dst], occupancy);
+    const Time t = place_common(ingress[f.src], egress[f.dst], occupancy);
     const Time end = t + occupancy;
-    ingress[f.src].insert(t, end);
-    egress[f.dst].insert(t, end);
     result.schedule.push_back({t + delta, end, f.src, f.dst, 0});
     result.cct = std::max(result.cct, end);
     ++result.reconfigurations;

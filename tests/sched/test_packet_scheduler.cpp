@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -182,6 +183,87 @@ TEST(PortTimeline, SizeEpsSkipsTouchPoints) {
   t.insert(1.0, 2.0);
   EXPECT_EQ(t.earliest_fit(0.5, kTimeEps), 2.0);
   EXPECT_EQ(t.earliest_fit(0.0, kTimeEps), 0.0);
+}
+
+TEST(PortTimeline, KeepsAGapEqualToFloorLessEps) {
+  // Busy [0, g] and [2g, 3g] with g = min_len - kTimeEps: the gap between
+  // them is g bit for bit, so a min_len flow fits it and it must stay.
+  const Time min_len = 1.0;
+  const Time g = min_len - kTimeEps;
+  ASSERT_EQ(2 * g - g, g);
+  PortTimeline t;
+  t.reset(min_len);
+  t.insert(0.0, g);
+  t.insert(2 * g, 3 * g);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.earliest_fit(0.0, min_len), g);
+}
+
+TEST(PortTimeline, FillsAGapJustBelowFloorLessEps) {
+  // One ulp narrower than min_len - kTimeEps, no flow of the floor's length
+  // or longer fits the gap: it is filled, whichever side is inserted first.
+  const Time min_len = 1.0;
+  const Time g = min_len - kTimeEps;
+  const Time e = std::nextafter(g, 2.0);
+  ASSERT_EQ(2 * g - e, std::nextafter(g, 0.0));
+  for (const bool left_first : {true, false}) {
+    PortTimeline t;
+    t.reset(min_len);
+    if (left_first) t.insert(0.0, e);
+    t.insert(2 * g, 3 * g);
+    if (!left_first) t.insert(0.0, e);
+    EXPECT_EQ(t.size(), 1u) << "left_first=" << left_first;
+    // A query landing inside the filled gap leaves at the merged end, as
+    // the scan over the unfilled intervals would.
+    EXPECT_EQ(t.earliest_fit(1.5 * g, min_len), 3 * g) << "left_first=" << left_first;
+    EXPECT_EQ(t.earliest_fit(0.0, 2.0), 3 * g) << "left_first=" << left_first;
+  }
+}
+
+TEST(PortTimeline, QueryBelowFloorThrows) {
+  PortTimeline t;
+  t.reset(0.5);
+  t.insert(0.0, 1.0);
+  EXPECT_EQ(t.earliest_fit(0.0, 0.5), 1.0);
+  try {
+    t.earliest_fit(0.0, 0.25);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("PortTimeline::earliest_fit"), std::string::npos) << what;
+    EXPECT_NE(what.find("0.25"), std::string::npos) << what;
+    EXPECT_NE(what.find("floor 0.5"), std::string::npos) << what;
+  }
+}
+
+TEST(PortTimeline, CursorRestartsAtTheScanStart) {
+  // Egress answers kTimeEps; ingress, asked at kTimeEps, scans past
+  // [1.5eps, 3eps) to 3eps.  The cursor it hands back is where that scan
+  // started, so asking again at kTimeEps still sees the interval.  A cursor
+  // past it would answer kTimeEps, on top of [1.5eps, 3eps).
+  PortTimeline in;
+  PortTimeline eg;
+  in.insert(1.5 * kTimeEps, 3 * kTimeEps);
+  eg.insert(0.0, kTimeEps);
+  std::size_t k = 0;
+  EXPECT_EQ(in.earliest_fit(kTimeEps, 2 * kTimeEps, k), 3 * kTimeEps);
+  EXPECT_EQ(k, 0u);  // where the scan started, not where it stopped
+  EXPECT_EQ(in.earliest_fit(kTimeEps, 2 * kTimeEps, k), 3 * kTimeEps);
+  EXPECT_EQ(place_common(in, eg, 2 * kTimeEps), 3 * kTimeEps);
+}
+
+TEST(PortTimeline, PlaceCommonInsertsIntoBothPorts) {
+  PortTimeline a;
+  PortTimeline b;
+  a.insert(0.0, 1.0);
+  b.insert(1.5, 2.0);
+  // Free on a from 1, on b before 1.5 and from 2: a 1-long flow needs 2.
+  EXPECT_EQ(place_common(a, b, 1.0), 2.0);
+  EXPECT_EQ(a.size(), 2u);  // [0, 1] and [2, 3]
+  EXPECT_EQ(b.size(), 1u);  // [1.5, 3]
+  EXPECT_EQ(a.earliest_fit(0.0, 1.0), 1.0);
+  EXPECT_EQ(b.earliest_fit(0.0, 1.0), 0.0);
+  EXPECT_EQ(b.earliest_fit(1.0, 1.0), 3.0);
 }
 
 TEST(PacketSchedulerProperty, FeasibleAndExact) {
