@@ -11,8 +11,8 @@
 //     kAuto selects the bitset BFS; the constant-nnz rows stay on CSR).
 //   * BM_PeelSequential — full-schedule kFirstMatching BvN decomposition
 //     of a stuffed input (tracking row, not gated).
-//   * BM_SimdRowKernels / BM_SimdPartition — the dispatched SIMD tier vs
-//     the forced scalar tier on the peel/matching inner loops.
+//   * BM_SimdPartition — the dispatched SIMD tier vs the forced scalar
+//     tier on the bottleneck descent's quickselect pool partition.
 //   * BM_RecoSinPlan / BM_SolsticePlan — whole-planner cost vs fabric
 //     width (folded in from the retired bench_scalability binary).
 //   * BM_PacketSchedule — Reco-Mul's packet list scheduling (S_p) of one
@@ -22,7 +22,7 @@
 //     -DRECO_BENCH_SOAK=ON (see bench/CMakeLists.txt).
 //
 // `--baseline_json=FILE` writes BENCH_scale.json; CI's perf-guard-scale
-// step gates BM_BottleneckMatchingSparse/1024/*, the SIMD rows,
+// step gates BM_BottleneckMatchingSparse/1024/*, BM_SimdPartition/1024/*,
 // BM_RecoSinPlan/128/* and BM_PacketSchedule/* against the committed
 // copy.  Timing comes from the shared harness in bench_util.hpp (0.05 s
 // min time x 3 repetitions, median recorded).
@@ -98,6 +98,9 @@ BENCHMARK(BM_ThresholdMatchingSparse)->Apply(ScaleSweep);
 void BM_BottleneckMatchingSparse(benchmark::State& state) {
   const SupportIndex idx(stuff(swept_input(state, 2)));
   MatchingScratch scratch;
+  // One untimed solve sizes the scratch and seeds the warm hint, so even a
+  // single timed iteration (a short --benchmark_min_time) is a warm solve.
+  bottleneck_solve(idx, scratch);
   for (auto _ : state) {
     bottleneck_solve(idx, scratch);
     benchmark::DoNotOptimize(scratch.bottleneck);
@@ -129,32 +132,11 @@ BENCHMARK(BM_PeelSequential)->Args({512, 16})->Args({1024, 8});
 // ---- SIMD kernel layer: dispatched tier vs scalar reference --------------
 //
 // Args are {N, tier} with tier 0 = forced scalar, 1 = active dispatch
-// (CPUID x RECO_SIMD).  The loop body is the peel/matching hot pattern the
-// kernels replace: per-row mirror re-gather + max scan over a stuffed
-// index, and the quickselect pool partition.  The /1024/1-vs-/1024/0 ratio
-// is the isolated kernel-layer win (simd_row_speedup_1024); CI guards the
-// dispatched rows against the committed baseline.
-
-void BM_SimdRowKernels(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const simd::Kernels& kn = state.range(1) != 0
-                                ? simd::kernels()
-                                : simd::kernels_for(simd::Level::kScalar);
-  const SupportIndex idx(stuff(sparse_random(n, 0.05, 6)));
-  std::vector<double> buf(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const auto cols = idx.row_support(i);
-      kn.gather(idx.matrix().row_data(i), cols.begin(), cols.size(), buf.data());
-      acc = kn.max_value(buf.data(), cols.size(), acc);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["simd_level"] = static_cast<double>(simd::active_level());
-  report_shape(state, idx.matrix());
-}
-BENCHMARK(BM_SimdRowKernels)->Args({1024, 0})->Args({1024, 1});
+// (CPUID).  The loop body is the quickselect pool partition of the
+// bottleneck descent: partition_greater, which bottleneck_solve runs after
+// every feasible probe.  The /1024/0-over-/1024/1 ratio is the isolated
+// kernel win (simd_partition_speedup_1024); CI guards both rows against
+// the committed baseline.
 
 void BM_SimdPartition(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -299,14 +281,12 @@ BENCHMARK(BM_MillionCoflowSoak)->Iterations(1)->Repetitions(1);
 
 // ---- baseline derived metrics --------------------------------------------
 
-/// Kernel-layer win in isolation: dispatched tier vs forced scalar.
+/// Kernel win in isolation: dispatched tier vs forced scalar.
 /// Zero-valued inputs yield non-finite ratios, which the harness drops.
 std::vector<std::pair<std::string, double>> derived_metrics(
     const std::vector<bench::gbench::Row>& rows) {
   using bench::gbench::row_ns;
   return {
-      {"simd_row_speedup_1024",
-       row_ns(rows, "BM_SimdRowKernels/1024/0") / row_ns(rows, "BM_SimdRowKernels/1024/1")},
       {"simd_partition_speedup_1024",
        row_ns(rows, "BM_SimdPartition/1024/0") / row_ns(rows, "BM_SimdPartition/1024/1")},
   };

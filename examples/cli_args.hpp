@@ -1,0 +1,105 @@
+// Strict `--key=value` flag parsing shared by reco_sim_cli, reco_serve and
+// reco_campaign.
+//
+// `--key=value` sets a flag, a bare `--key` sets it to "1", and every other
+// argument is positional.  The numeric getters parse the whole value with
+// std::from_chars: an empty value, trailing junk, or a number that does not
+// fit the target type throws a cli::FlagError naming the flag; nothing
+// falls back to 0 or wraps in a cast.  get_double accepts "nan" and "inf",
+// so the library's own parameter guards still see, and name, them.  Each
+// CLI prints a FlagError and exits 2.
+#pragma once
+
+#include <charconv>
+#include <limits>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <system_error>
+#include <type_traits>
+#include <vector>
+
+#include "runtime/thread_pool.hpp"
+
+namespace reco::cli {
+
+/// A malformed flag value; what() names the flag and the value.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// All of `text` as a double, or a FlagError naming `--flag`.
+inline double parse_double(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last) {
+    throw FlagError("--" + flag + ": \"" + text + "\" is not a number");
+  }
+  return value;
+}
+
+/// All of `text` as a T, or a FlagError naming `--flag` and T's range.
+template <class T>
+T parse_int(const std::string& flag, const std::string& text) {
+  static_assert(std::is_integral_v<T>);
+  T value{};
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last) {
+    throw FlagError("--" + flag + ": \"" + text + "\" is not an integer in [" +
+                    std::to_string(std::numeric_limits<T>::min()) + ", " +
+                    std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return value;
+}
+
+struct Args {
+  std::map<std::string, std::string> options;
+  std::vector<std::string> positional;
+
+  bool has(const std::string& key) const { return options.count(key) > 0; }
+  std::string get(const std::string& key, const std::string& fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback : it->second;
+  }
+  double get_double(const std::string& key, double fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback : parse_double(key, it->second);
+  }
+  template <class T>
+  T get_int(const std::string& key, T fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback : parse_int<T>(key, it->second);
+  }
+  /// Size the parallel runtime from --threads=N, if given.
+  void apply_threads() const {
+    if (!has("threads")) return;
+    try {
+      runtime::set_thread_count(runtime::parse_thread_count(get("threads", "")));
+    } catch (const std::invalid_argument& e) {
+      throw FlagError(std::string("--threads: ") + e.what());
+    }
+  }
+};
+
+inline Args parse(int argc, char** argv) {
+  Args a;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      a.positional.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    if (eq == std::string::npos) {
+      a.options[arg.substr(2)] = "1";
+    } else {
+      a.options[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    }
+  }
+  return a;
+}
+
+}  // namespace reco::cli

@@ -27,49 +27,18 @@
 // dumps "<prefix>rep<index>.jsonl".
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "cli_args.hpp"
 #include "obs/obs.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
 using namespace reco;
-
-struct Args {
-  std::map<std::string, std::string> options;
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-};
-
-Args parse(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      a.options[arg.substr(2)] = "1";
-    } else {
-      a.options[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return a;
-}
 
 std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
@@ -84,9 +53,13 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-std::vector<double> split_doubles(const std::string& s) {
+/// Comma-separated doubles of `--flag`, each item parsed strictly.
+std::vector<double> split_doubles(const cli::Args& args, const std::string& flag,
+                                  const std::string& fallback) {
   std::vector<double> out;
-  for (const std::string& item : split_list(s)) out.push_back(std::atof(item.c_str()));
+  for (const std::string& item : split_list(args.get(flag, fallback))) {
+    out.push_back(cli::parse_double(flag, item));
+  }
   return out;
 }
 
@@ -122,49 +95,41 @@ void save_checkpoint_atomic(const campaign::CampaignRunner& runner, const std::s
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  const cli::Args args = cli::parse(argc, argv);
   if (args.has("help")) return usage();
-  if (args.has("threads")) {
-    try {
-      runtime::set_thread_count(runtime::parse_thread_count(args.get("threads", "")));
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "--threads: %s\n", e.what());
-      return 2;
-    }
-  }
-  obs::init_from_env();
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) obs::set_enabled(true);
-
-  campaign::CampaignConfig config;
-  config.ports = static_cast<int>(args.get_double("ports", 24));
-  config.coflows = static_cast<int>(args.get_double("coflows", 8));
-  config.delta = args.get_double("delta", 100e-6);
-  config.c_threshold = args.get_double("c", 4.0);
-  config.seed = static_cast<std::uint64_t>(args.get_double("seed", 1));
-  config.replications = static_cast<int>(args.get_double("reps", 64));
-  config.hybrid_deadline = args.get_double("hybrid-deadline", 0.02);
-  config.setup_timeout_probability = args.get_double("setup-timeout", 0.0);
-  config.crosspoint_failure_probability = args.get_double("crosspoint", 0.0);
-  config.bootstrap.resamples = static_cast<int>(args.get_double("resamples", 1000));
-  config.bootstrap.confidence = args.get_double("confidence", 0.95);
-  config.flight_prefix = args.get("flight-prefix", "");
-
   try {
+    args.apply_threads();
+    obs::init_from_env();
+    const std::string metrics_out = args.get("metrics-out", "");
+    if (!metrics_out.empty()) obs::set_enabled(true);
+
+    campaign::CampaignConfig config;
+    config.ports = args.get_int<int>("ports", 24);
+    config.coflows = args.get_int<int>("coflows", 8);
+    config.delta = args.get_double("delta", 100e-6);
+    config.c_threshold = args.get_double("c", 4.0);
+    config.seed = args.get_int<std::uint64_t>("seed", 1);
+    config.replications = args.get_int<int>("reps", 64);
+    config.hybrid_deadline = args.get_double("hybrid-deadline", 0.02);
+    config.setup_timeout_probability = args.get_double("setup-timeout", 0.0);
+    config.crosspoint_failure_probability = args.get_double("crosspoint", 0.0);
+    config.bootstrap.resamples = args.get_int<int>("resamples", 1000);
+    config.bootstrap.confidence = args.get_double("confidence", 0.95);
+    config.flight_prefix = args.get("flight-prefix", "");
+
     for (const std::string& name : split_list(args.get("policies", "replan,wait,hybrid"))) {
       config.policies.push_back(campaign::parse_policy(name));
     }
-    const std::vector<double> mtbf = split_doubles(args.get("mtbf", "0.05"));
-    const std::vector<double> mttr = split_doubles(args.get("mttr", "0.01"));
+    const std::vector<double> mtbf = split_doubles(args, "mtbf", "0.05");
+    const std::vector<double> mttr = split_doubles(args, "mttr", "0.01");
     for (const double b : mtbf) {
       for (const double r : mttr) config.grid.push_back({b, r});
     }
 
     campaign::CampaignRunner runner(config);
     const std::string checkpoint_path = args.get("checkpoint", "");
-    const auto checkpoint_every =
-        static_cast<std::size_t>(args.get_double("checkpoint-every", 0.0));
-    const auto stop_after = static_cast<std::size_t>(args.get_double("stop-after", 0.0));
+    const auto checkpoint_every = args.get_int<std::size_t>("checkpoint-every", 0);
+    const auto stop_after = args.get_int<std::size_t>("stop-after", 0);
 
     if (args.has("resume")) {
       if (checkpoint_path.empty()) {
@@ -243,6 +208,9 @@ int main(int argc, char** argv) {
       return 3;
     }
     return 0;
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -50,20 +50,18 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 #include "obs/timeseries.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/online_daemon.hpp"
 #include "stats/csv.hpp"
 #include "trace/fb_format.hpp"
@@ -77,35 +75,6 @@ using namespace reco;
 volatile std::sig_atomic_t g_stop = 0;
 
 extern "C" void handle_stop_signal(int /*sig*/) { g_stop = 1; }
-
-struct Args {
-  std::map<std::string, std::string> options;
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-};
-
-Args parse(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      a.options[arg.substr(2)] = "1";
-    } else {
-      a.options[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return a;
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -124,74 +93,77 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  const cli::Args args = cli::parse(argc, argv);
   if (args.has("help")) return usage();
-  if (args.has("threads")) {
-    try {
-      runtime::set_thread_count(runtime::parse_thread_count(args.get("threads", "")));
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "--threads: %s\n", e.what());
-      return 2;
-    }
-  }
-  obs::init_from_env();
-  const std::string trace_out = args.get("trace-out", "");
-  const std::string metrics_out = args.get("metrics-out", "");
-  const std::string prom_out = args.get("prom-out", "");
-  const std::string snapshot_out = args.get("snapshot-out", "");
-  const std::string flight_out = args.get("flight-out", "");
-  const double sample_every = args.get_double("sample-every", 0.0);
-  const bool serve_metrics = args.has("metrics-port");
-  const double hold_s = args.get_double("hold", 0.0);
-  if (!trace_out.empty() || !metrics_out.empty() || !prom_out.empty() ||
-      !snapshot_out.empty() || !flight_out.empty() || sample_every > 0.0 || serve_metrics) {
-    obs::set_enabled(true);
-  }
-  if (!flight_out.empty()) obs::flight_recorder().arm(flight_out);
-
-  const std::string policy_name = args.get("policy", "replan");
-  OnlinePolicyKind policy = OnlinePolicyKind::kDrainReplanRecoMul;
-  if (policy_name == "epoch") {
-    policy = OnlinePolicyKind::kEpochRecoMul;
-  } else if (policy_name == "fifo") {
-    policy = OnlinePolicyKind::kFifoRecoSin;
-  } else if (policy_name != "replan") {
-    std::fprintf(stderr, "unknown --policy=%s\n", policy_name.c_str());
-    return usage();
-  }
-
-  const std::string ordering_name = args.get("ordering", "bssi");
-  OrderingPolicy ordering = OrderingPolicy::kBssi;
-  if (ordering_name == "sebf") {
-    ordering = OrderingPolicy::kSebf;
-  } else if (ordering_name == "lp") {
-    ordering = OrderingPolicy::kLp;
-  } else if (ordering_name != "bssi") {
-    std::fprintf(stderr, "unknown --ordering=%s\n", ordering_name.c_str());
-    return usage();
-  }
-
-  const std::string csv_path = args.get("csv", "");
-  sim::OnlineDaemonOptions options;
-  options.core.delta = args.get_double("delta", 100e-6);
-  options.core.c_threshold = args.get_double("c", 4.0);
-  options.core.ordering = ordering;
-  options.core.record_schedule = !args.has("no-schedule") || !csv_path.empty();
-  options.core.record_cct = true;
-  options.sample_every = sample_every;
-
-  const std::string checkpoint_out = args.get("checkpoint-out", "");
-  const std::string resume_path = args.get("resume", "");
-  options.stop_flag = &g_stop;
-  options.stop_after_events = static_cast<std::uint64_t>(args.get_double("stop-after", 0.0));
-  options.checkpoint_every = args.get_double("checkpoint-every", 0.0);
-  options.checkpoint_path = checkpoint_out;
-  // Graceful shutdown: the daemon drains to the next event boundary, the
-  // exit path below writes the final checkpoint and flight dump.
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-
   try {
+    args.apply_threads();
+    obs::init_from_env();
+    const std::string trace_out = args.get("trace-out", "");
+    const std::string metrics_out = args.get("metrics-out", "");
+    const std::string prom_out = args.get("prom-out", "");
+    const std::string snapshot_out = args.get("snapshot-out", "");
+    const std::string flight_out = args.get("flight-out", "");
+    const double sample_every = args.get_double("sample-every", 0.0);
+    const bool serve_metrics = args.has("metrics-port");
+    const int metrics_port = args.get_int<int>("metrics-port", 0);
+    const double hold_s = args.get_double("hold", 0.0);
+    if (!trace_out.empty() || !metrics_out.empty() || !prom_out.empty() ||
+        !snapshot_out.empty() || !flight_out.empty() || sample_every > 0.0 || serve_metrics) {
+      obs::set_enabled(true);
+    }
+    if (!flight_out.empty()) obs::flight_recorder().arm(flight_out);
+
+    const std::string policy_name = args.get("policy", "replan");
+    OnlinePolicyKind policy = OnlinePolicyKind::kDrainReplanRecoMul;
+    if (policy_name == "epoch") {
+      policy = OnlinePolicyKind::kEpochRecoMul;
+    } else if (policy_name == "fifo") {
+      policy = OnlinePolicyKind::kFifoRecoSin;
+    } else if (policy_name != "replan") {
+      std::fprintf(stderr, "unknown --policy=%s\n", policy_name.c_str());
+      return usage();
+    }
+
+    const std::string ordering_name = args.get("ordering", "bssi");
+    OrderingPolicy ordering = OrderingPolicy::kBssi;
+    if (ordering_name == "sebf") {
+      ordering = OrderingPolicy::kSebf;
+    } else if (ordering_name == "lp") {
+      ordering = OrderingPolicy::kLp;
+    } else if (ordering_name != "bssi") {
+      std::fprintf(stderr, "unknown --ordering=%s\n", ordering_name.c_str());
+      return usage();
+    }
+
+    const std::string csv_path = args.get("csv", "");
+    sim::OnlineDaemonOptions options;
+    options.core.delta = args.get_double("delta", 100e-6);
+    options.core.c_threshold = args.get_double("c", 4.0);
+    options.core.ordering = ordering;
+    options.core.record_schedule = !args.has("no-schedule") || !csv_path.empty();
+    options.core.record_cct = true;
+    options.sample_every = sample_every;
+
+    const std::string checkpoint_out = args.get("checkpoint-out", "");
+    const std::string resume_path = args.get("resume", "");
+    options.stop_flag = &g_stop;
+    options.stop_after_events = args.get_int<std::uint64_t>("stop-after", 0);
+    options.checkpoint_every = args.get_double("checkpoint-every", 0.0);
+    options.checkpoint_path = checkpoint_out;
+
+    GeneratorOptions gen;
+    gen.num_ports = args.get_int<int>("ports", 32);
+    gen.num_coflows = args.get_int<int>("coflows", 1000);
+    gen.seed = args.get_int<std::uint64_t>("seed", 20190707);
+    gen.mean_interarrival = args.get_double("gap", 0.01);
+    gen.delta = options.core.delta;
+    gen.c_threshold = options.core.c_threshold;
+
+    // Graceful shutdown: the daemon drains to the next event boundary, the
+    // exit path below writes the final checkpoint and flight dump.
+    std::signal(SIGINT, handle_stop_signal);
+    std::signal(SIGTERM, handle_stop_signal);
+
     // Live telemetry rigging, before any scheduling: the wall sampler
     // thread ticks the wall-timeline ring, the HTTP endpoint serves both
     // rings plus the registry.  Neither touches scheduling state.
@@ -199,17 +171,10 @@ int main(int argc, char** argv) {
     if (sample_every > 0.0) wall.emplace(obs::wall_sampler(), sample_every);
     obs::MetricsHttpServer server;
     if (serve_metrics) {
-      server.start(static_cast<int>(args.get_double("metrics-port", 0)));
+      server.start(metrics_port);
       std::printf("serving /metrics and /snapshot on http://127.0.0.1:%d\n", server.port());
       std::fflush(stdout);
     }
-    GeneratorOptions gen;
-    gen.num_ports = static_cast<int>(args.get_double("ports", 32));
-    gen.num_coflows = static_cast<int>(args.get_double("coflows", 1000));
-    gen.seed = static_cast<std::uint64_t>(args.get_double("seed", 20190707));
-    gen.mean_interarrival = args.get_double("gap", 0.01);
-    gen.delta = options.core.delta;
-    gen.c_threshold = options.core.c_threshold;
 
     sim::OnlineDaemonReport report;
     sim::OnlineDaemon daemon(policy, options);
@@ -317,6 +282,9 @@ int main(int argc, char** argv) {
     }
     const bool complete = report.stats.finished == report.stats.submitted;
     return complete ? 0 : 1;
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     if (obs::enabled()) {

@@ -30,18 +30,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/lower_bound.hpp"
 #include "obs/obs.hpp"
 #include "ocs/all_stop_executor.hpp"
-#include "runtime/thread_pool.hpp"
 #include "ocs/not_all_stop_executor.hpp"
 #include "sched/bvn_baseline.hpp"
 #include "sched/multi_baselines.hpp"
@@ -61,39 +59,6 @@ namespace {
 
 using namespace reco;
 
-struct Args {
-  std::string command;
-  std::string trace_path;
-  std::map<std::string, std::string> options;
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-};
-
-Args parse(int argc, char** argv) {
-  Args a;
-  if (argc >= 2) a.command = argv[1];
-  if (argc >= 3 && argv[2][0] != '-') a.trace_path = argv[2];
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      a.options[arg.substr(2)] = "1";
-    } else {
-      a.options[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  return a;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
@@ -110,8 +75,8 @@ int usage() {
   return 2;
 }
 
-int run_single(const Args& args, const std::vector<Coflow>& coflows) {
-  const int k = static_cast<int>(args.get_double("coflow", 0));
+int run_single(const cli::Args& args, const std::vector<Coflow>& coflows) {
+  const int k = args.get_int<int>("coflow", 0);
   if (k < 0 || k >= static_cast<int>(coflows.size())) {
     std::fprintf(stderr, "coflow index %d out of range (0..%zu)\n", k, coflows.size() - 1);
     return 1;
@@ -154,7 +119,7 @@ int run_single(const Args& args, const std::vector<Coflow>& coflows) {
     sim::FaultConfig config;
     config.timing.jitter_fraction = args.get_double("jitter", 0.0);
     config.timing.retry_probability = args.get_double("retries", 0.0);
-    config.timing.max_attempts = static_cast<int>(args.get_double("setup-attempts", 64));
+    config.timing.max_attempts = args.get_int<int>("setup-attempts", 64);
     if (args.has("fault-trace")) {
       config.port_faults = sim::load_fault_trace(args.get("fault-trace", ""));
     }
@@ -162,7 +127,7 @@ int run_single(const Args& args, const std::vector<Coflow>& coflows) {
     config.port_mttr = args.get_double("port-mttr", 0.0);
     config.setup_timeout_probability = args.get_double("setup-timeout", 0.0);
     config.crosspoint_failure_probability = args.get_double("crosspoint-fail", 0.0);
-    config.seed = static_cast<std::uint64_t>(args.get_double("fault-seed", 1));
+    config.seed = args.get_int<std::uint64_t>("fault-seed", 1);
     sim::FaultInjector injector(config);
     std::printf("fault injection: seed %llu, jitter %.0f%%, retry %.0f%%, timeout %.0f%%, "
                 "crosspoint %.0f%%, mtbf %g s, mttr %g s, %zu scripted faults "
@@ -203,7 +168,7 @@ int run_single(const Args& args, const std::vector<Coflow>& coflows) {
   return r.satisfied ? 0 : 1;
 }
 
-int run_multi(const Args& args, const std::vector<Coflow>& coflows) {
+int run_multi(const cli::Args& args, const std::vector<Coflow>& coflows) {
   const Time delta = args.get_double("delta", 100e-6);
   const double c = args.get_double("c", 4.0);
   const std::string algo = args.get("algo", "reco-mul");
@@ -257,7 +222,7 @@ int run_multi(const Args& args, const std::vector<Coflow>& coflows) {
   return 0;
 }
 
-int run_online(const Args& args, const std::vector<Coflow>& coflows) {
+int run_online(const cli::Args& args, const std::vector<Coflow>& coflows) {
   OnlineOptions o;
   o.delta = args.get_double("delta", 100e-6);
   o.c_threshold = args.get_double("c", 4.0);
@@ -276,34 +241,29 @@ int run_online(const Args& args, const std::vector<Coflow>& coflows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
-  if (args.command.empty() || args.trace_path.empty()) return usage();
-  if (args.has("threads")) {
-    try {
-      reco::runtime::set_thread_count(reco::runtime::parse_thread_count(args.get("threads", "")));
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "--threads: %s\n", e.what());
-      return 2;
-    }
-  }
-  reco::obs::init_from_env();
-  const std::string trace_out = args.get("trace-out", "");
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!trace_out.empty() || !metrics_out.empty()) reco::obs::set_enabled(true);
+  const cli::Args args = cli::parse(argc, argv);
+  if (args.positional.size() < 2) return usage();
+  const std::string& command = args.positional[0];
+  const std::string& trace_path = args.positional[1];
   try {
+    args.apply_threads();
+    reco::obs::init_from_env();
+    const std::string trace_out = args.get("trace-out", "");
+    const std::string metrics_out = args.get("metrics-out", "");
+    if (!trace_out.empty() || !metrics_out.empty()) reco::obs::set_enabled(true);
     int ports = 0;
     const std::vector<Coflow> coflows =
-        args.has("fb") ? load_fb_trace(args.trace_path, ports) : load_trace(args.trace_path, ports);
+        args.has("fb") ? load_fb_trace(trace_path, ports) : load_trace(trace_path, ports);
     if (coflows.empty()) {
       std::fprintf(stderr, "empty trace\n");
       return 1;
     }
     int rc;
-    if (args.command == "single") {
+    if (command == "single") {
       rc = run_single(args, coflows);
-    } else if (args.command == "multi") {
+    } else if (command == "multi") {
       rc = run_multi(args, coflows);
-    } else if (args.command == "online") {
+    } else if (command == "online") {
       rc = run_online(args, coflows);
     } else {
       return usage();
@@ -319,6 +279,9 @@ int main(int argc, char** argv) {
       std::printf("wrote metrics to %s\n", metrics_out.c_str());
     }
     return rc;
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

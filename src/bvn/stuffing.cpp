@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace reco {
@@ -49,16 +48,14 @@ SupportIndex stuff(SupportIndex demand, Time target) {
   std::vector<Time> col_sums(n);
   for (int i = 0; i < n; ++i) row_sums[i] = out.row_sum_exact(i);
   for (int j = 0; j < n; ++j) col_sums[j] = out.col_sum_exact(j);
-  // The sums themselves are ordered IEEE additions and stay scalar; the
-  // max reduction and the slack clamp below are exact element-wise maps,
-  // dispatched through the SIMD kernel layer.
-  const simd::Kernels& kn = simd::kernels();
-  const Time rho = kn.max_value(col_sums.data(), n, kn.max_value(row_sums.data(), n, 0.0));
+  Time rho = 0.0;
+  for (int i = 0; i < n; ++i) rho = std::max(rho, row_sums[i]);
+  for (int j = 0; j < n; ++j) rho = std::max(rho, col_sums[j]);
   const Time goal = std::max(rho, target);
   std::vector<Time> row_slack(n);
   std::vector<Time> col_slack(n);
-  kn.sub_clamp(goal, row_sums.data(), n, row_slack.data());
-  kn.sub_clamp(goal, col_sums.data(), n, col_slack.data());
+  for (int i = 0; i < n; ++i) row_slack[i] = clamp_zero(goal - row_sums[i]);
+  for (int j = 0; j < n; ++j) col_slack[j] = clamp_zero(goal - col_sums[j]);
 
   // Greedy transportation fill: the bipartite slack-supply problem always
   // has a feasible integral-structure solution because sum(row_slack) ==

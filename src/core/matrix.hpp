@@ -38,8 +38,8 @@ class Matrix {
   double& at(int i, int j) { return v_[idx(i, j)]; }
   double at(int i, int j) const { return v_[idx(i, j)]; }
 
-  /// Contiguous dense row i (n doubles) — the gather-kernel source for the
-  /// SupportIndex value-mirror refresh (see core/simd.hpp).
+  /// Contiguous dense row i (n doubles) — the source of the SupportIndex
+  /// value-mirror re-gather.
   const double* row_data(int i) const { return v_.data() + idx(i, 0); }
 
   /// Number of entries strictly above the simulation tolerance.

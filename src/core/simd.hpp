@@ -1,33 +1,25 @@
-// Runtime-dispatched SIMD kernels for the decomposition hot loops.
+// Runtime-dispatched SIMD kernels for the bottleneck descent's value pool.
 //
-// Every kernel here is a drop-in replacement for a short scalar loop that
-// profiling showed on the peel/matching critical path: the row_values()
-// mirror re-gather, max-entry scans, quickselect value-pool partitioning,
-// regularization rounding, and stuffing slack scans.  The contract that
-// makes them safe to substitute freely:
+// bottleneck_solve (matching/matching_engine.cpp) searches the pool of
+// support values by quickselect: a minimum scan, a "largest value at or
+// below the cut" scan, and two order-preserving compactions per probe.
+// Those four scans are the kernels here.  The contract that makes them
+// safe to substitute freely:
 //
 //   *Bit-identity.*  Each kernel produces output bit-identical to its
-//   scalar reference loop at every dispatch level.  That restricts what
-//   may be vectorized: IEEE additions cannot be reassociated, so ordered
-//   sums (row_sum_exact and friends) deliberately have NO kernel here —
-//   only gathers, max/min reductions (associative and exact), independent
-//   element-wise arithmetic (div/ceil/mul/clamp, identical per lane), and
-//   order-preserving compactions qualify.  The scalar/SSE2/AVX2 tiers of
-//   every kernel are pinned against each other by
-//   tests/property/test_simd_kernels.cpp.
+//   scalar reference loop at every dispatch level.  Min/max reductions are
+//   exact and order-free, and the compactions keep survivors in input
+//   order.  The scalar and AVX2 tiers of every kernel are pinned against
+//   each other by tests/property/test_simd_kernels.cpp.
 //
 //   *Preconditions.*  Inputs are finite, non-negative demand quantities
 //   (no NaN, no -0.0) — the invariant every SupportIndex value already
 //   satisfies (exact 0.0 or >= kTimeEps).  Max/min lane merges are exact
 //   under this precondition.
 //
-// Dispatch is resolved once per process from CPUID plus the RECO_SIMD
-// environment variable (off|scalar|sse2|avx2|auto; unsupported requests
-// are clamped to what the CPU can run, so forcing avx2 on an SSE2-only
-// machine degrades instead of faulting).  The chosen tier is observable
-// as the `core.simd.dispatch.<level>` counter once telemetry is enabled.
-// Call sites go through the `kernels()` table: one indirect call per
-// O(degree) loop, noise next to the loop body it replaces.
+// The tier is resolved once per process from CPUID: AVX2 where the CPU
+// reports it, scalar otherwise.  It is observable as the
+// `core.simd.dispatch.<level>` counter once telemetry is enabled.
 #pragma once
 
 #include <cstdint>
@@ -36,40 +28,24 @@
 namespace reco::simd {
 
 /// Instruction tier of a kernel table, ordered by capability.
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
-/// Tier actually dispatched to (CPUID x RECO_SIMD, resolved once).
+/// Tier actually dispatched to (CPUID, resolved once).
 Level active_level();
 
-/// "scalar" | "sse2" | "avx2".
+/// "scalar" | "avx2".
 const char* level_name(Level level);
 
 /// Tiers this build + CPU can execute, ascending (always starts kScalar).
 std::vector<Level> supported_levels();
 
-/// One resolved kernel table.  All pointers are non-null at every level
-/// (a tier without a profitable vector form reuses the scalar kernel, so
-/// callers never branch).
+/// One resolved kernel table.  All pointers are non-null at every level.
 struct Kernels {
-  /// dst[k] = src[idx[k]] — the row_values() dense-row re-gather.
-  void (*gather)(const double* src, const int* idx, int count, double* dst);
-  /// max(init, v[0..count)) — exact, order-free reduction.
-  double (*max_value)(const double* v, int count, double init);
-  /// max(init, src[idx[0..count)]) — max over a dirty row without a
-  /// materialized mirror.
-  double (*max_gather)(const double* src, const int* idx, int count, double init);
   /// min(init, v[0..count)) — the quickselect pool minimum.
   double (*min_value)(const double* v, int count, double init);
   /// max(init, {x in v[0..count) : x <= cut}) — the "largest discarded
   /// value" scan of the quickselect hint filter.
   double (*max_value_leq)(const double* v, int count, double cut, double init);
-  /// First index of the maximum (ties -> lowest index); -1 if count <= 0.
-  int (*argmax)(const double* v, int count);
-  /// out[k] = max(1.0, ceil(v[k]/quantum - kTimeEps)) * quantum — the
-  /// regularization rounding map, element-wise.
-  void (*round_up_quantum)(const double* v, int count, double quantum, double* out);
-  /// out[k] = clamp_zero(minuend - v[k]) — the stuffing slack scan.
-  void (*sub_clamp)(double minuend, const double* v, int count, double* out);
   /// Stable in-place compaction keeping v[k] > pivot; returns the kept
   /// count.  Elements beyond the returned count are unspecified.
   int (*partition_greater)(double* v, int count, double pivot);

@@ -219,15 +219,17 @@ int SupportIndex::tau() const {
 // (the simulator's satisfaction probes) never race on the mirror.
 
 double SupportIndex::max_entry() const {
-  const simd::Kernels& kn = simd::kernels();
   double m = 0.0;
   const int n = m_.n();
   for (int i = 0; i < n; ++i) {
     const Block& b = row_blk_[i];
     if (row_dirty_[i]) {
-      m = kn.max_gather(m_.row_data(i), row_cols_.data() + b.off, b.len, m);
+      const double* src = m_.row_data(i);
+      const int* cols = row_cols_.data() + b.off;
+      for (int k = 0; k < b.len; ++k) m = std::max(m, src[cols[k]]);
     } else {
-      m = kn.max_value(row_vals_.data() + b.off, b.len, m);
+      const double* vals = row_vals_.data() + b.off;
+      for (int k = 0; k < b.len; ++k) m = std::max(m, vals[k]);
     }
   }
   return m;

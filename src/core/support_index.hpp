@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/matrix.hpp"
-#include "core/simd.hpp"
 #include "core/types.hpp"
 
 namespace reco {
@@ -187,10 +186,11 @@ class SupportIndex {
     const Block& b = row_blk_[i];
     if (row_dirty_[i]) {
       // Mirror re-gather from the dense row — the hottest gather in the
-      // peel loop, dispatched through the SIMD kernel layer (bit-identical
-      // to the scalar loop at every tier).
-      simd::kernels().gather(m_.row_data(i), row_cols_.data() + b.off, b.len,
-                             row_vals_.data() + b.off);
+      // peel loop.
+      const double* src = m_.row_data(i);
+      const int* cols = row_cols_.data() + b.off;
+      double* dst = row_vals_.data() + b.off;
+      for (int k = 0; k < b.len; ++k) dst[k] = src[cols[k]];
       row_dirty_[i] = 0;
     }
     return {row_vals_.data() + b.off, b.len};

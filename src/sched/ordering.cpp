@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/simd.hpp"
 #include "runtime/parallel.hpp"
 
 namespace reco {
@@ -27,11 +26,13 @@ void bssi_from_loads(int num_coflows, int num_ports, OrderingScratch& scratch,
   }
 
   order.assign(num_coflows, -1);
-  const simd::Kernels& kn = simd::kernels();
   for (int pos = num_coflows - 1; pos >= 0; --pos) {
-    // Most bottlenecked port among unplaced coflows (first max wins, the
-    // same tie-break as the scalar strict-greater scan).
-    const int b = std::max(0, kn.argmax(scratch.port_total.data(), num_ports));
+    // Most bottlenecked port among unplaced coflows: the strict-greater
+    // scan keeps the first maximum, so ties go to the lowest port.
+    int b = 0;
+    for (int p = 1; p < num_ports; ++p) {
+      if (scratch.port_total[p] > scratch.port_total[b]) b = p;
+    }
     // Coflow that "pays least" for finishing last on b: min w'_k / load_b(k).
     int j_star = -1;
     double best = 0.0;

@@ -1,10 +1,10 @@
-// SIMD kernel bit-equivalence sweep (ISSUE 9): every kernel in
-// core/simd.hpp at every supported dispatch tier must produce output
-// bit-identical to the scalar reference tier.  The sweep drives all
-// ten kernels with operands taken from real SupportIndex rows — 200
-// random matrices spanning N in {128, 512, 1024} and densities from
-// ultra-sparse to near-dense — so the vector tail handling, the gather
-// index patterns, and the equal-valued runs of stuffed-style data are all
+// SIMD kernel bit-equivalence sweep: every kernel in core/simd.hpp at
+// every supported dispatch tier (scalar, and AVX2 where the CPU has it)
+// must produce output bit-identical to the scalar reference tier.  The
+// sweep drives all four value-pool kernels with operands taken from real
+// SupportIndex rows — 200 random matrices spanning N in {128, 512, 1024}
+// and densities from ultra-sparse to near-dense — so the vector tail
+// handling and the equal-valued runs of stuffed-style data are both
 // exercised, not just round-multiple-of-8 arrays.
 //
 // Bit-identical means bit-identical: doubles are compared through
@@ -19,7 +19,6 @@
 #include "core/matrix.hpp"
 #include "core/simd.hpp"
 #include "core/support_index.hpp"
-#include "core/types.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -37,28 +36,16 @@ void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& 
 }
 
 /// Pin every kernel of `level` against the scalar tier on one row's
-/// operands: the dense source row, its support columns, and its values.
-void check_row(const Matrix& dense, const SupportIndex& idx, int row, simd::Level level,
-               const std::string& ctx) {
+/// support values.
+void check_row(const SupportIndex& idx, int row, simd::Level level, const std::string& ctx) {
   const simd::Kernels& ref = simd::kernels_for(simd::Level::kScalar);
   const simd::Kernels& kn = simd::kernels_for(level);
-  const auto cols = idx.row_support(row);
-  const int len = cols.size();
+  const auto row_vals = idx.row_values(row);
+  const int len = row_vals.size();
   if (len == 0) return;
-  const double* src = dense.row_data(row);
+  const std::vector<double> vals(row_vals.begin(), row_vals.end());
+  std::vector<double> a, b;
 
-  std::vector<double> a(len), b(len);
-  kn.gather(src, cols.begin(), len, a.data());
-  ref.gather(src, cols.begin(), len, b.data());
-  expect_bits_equal(a, b, len, ctx + " gather");
-  const std::vector<double> vals = b;  // scalar-gathered row values
-
-  ASSERT_TRUE(bits_equal(kn.max_value(vals.data(), len, 0.0),
-                         ref.max_value(vals.data(), len, 0.0)))
-      << ctx << " max_value";
-  ASSERT_TRUE(bits_equal(kn.max_gather(src, cols.begin(), len, 0.0),
-                         ref.max_gather(src, cols.begin(), len, 0.0)))
-      << ctx << " max_gather";
   ASSERT_TRUE(bits_equal(kn.min_value(vals.data(), len, vals[0]),
                          ref.min_value(vals.data(), len, vals[0])))
       << ctx << " min_value";
@@ -69,18 +56,6 @@ void check_row(const Matrix& dense, const SupportIndex& idx, int row, simd::Leve
                            ref.max_value_leq(vals.data(), len, cut, 0.0)))
         << ctx << " max_value_leq cut=" << cut;
   }
-  ASSERT_EQ(kn.argmax(vals.data(), len), ref.argmax(vals.data(), len)) << ctx << " argmax";
-
-  for (const double quantum : {kMinServiceQuantum, 0.25}) {
-    kn.round_up_quantum(vals.data(), len, quantum, a.data());
-    ref.round_up_quantum(vals.data(), len, quantum, b.data());
-    expect_bits_equal(a, b, len, ctx + " round_up_quantum q=" + std::to_string(quantum));
-  }
-
-  const double minuend = ref.max_value(vals.data(), len, 0.0);
-  kn.sub_clamp(minuend, vals.data(), len, a.data());
-  ref.sub_clamp(minuend, vals.data(), len, b.data());
-  expect_bits_equal(a, b, len, ctx + " sub_clamp");
 
   // Partitions mutate in place: run each tier on its own copy.  The kept
   // prefix must match bit-for-bit and in order (stability); lanes beyond
@@ -139,7 +114,7 @@ TEST(SimdKernels, EveryTierMatchesScalarAcross200Matrices) {
                                   " d=" + std::to_string(cell.density) +
                                   " t=" + std::to_string(t) + " row=" + std::to_string(row) +
                                   " level=" + simd::level_name(level);
-          check_row(dense, idx, row, level, ctx);
+          check_row(idx, row, level, ctx);
           if (::testing::Test::HasFatalFailure()) return;
         }
       }
@@ -158,25 +133,20 @@ TEST(SimdKernels, EdgeLengthsAndEqualRuns) {
   for (const simd::Level level : levels) {
     const simd::Kernels& kn = simd::kernels_for(level);
     const std::string ctx = std::string("level=") + simd::level_name(level);
-    EXPECT_EQ(kn.argmax(nullptr, 0), -1) << ctx;
+    EXPECT_EQ(kn.min_value(nullptr, 0, 1.5), 1.5) << ctx;
+    EXPECT_EQ(kn.partition_greater(nullptr, 0, 1.5), 0) << ctx;
     for (const int len : {1, 2, 3, 4, 5, 7, 8, 9, 16, 33}) {
       std::vector<double> v(len, 2.5);  // all-equal run
-      std::vector<int> idx(len);
-      for (int k = 0; k < len; ++k) idx[k] = (k * 7) % len;
-      ASSERT_EQ(kn.argmax(v.data(), len), ref.argmax(v.data(), len)) << ctx << " len=" << len;
-      ASSERT_TRUE(bits_equal(kn.max_value(v.data(), len, 0.0),
-                             ref.max_value(v.data(), len, 0.0)))
-          << ctx << " len=" << len;
       ASSERT_TRUE(bits_equal(kn.min_value(v.data(), len, v[0]),
                              ref.min_value(v.data(), len, v[0])))
           << ctx << " len=" << len;
-      std::vector<double> a(len), b(len);
-      kn.gather(v.data(), idx.data(), len, a.data());
-      ref.gather(v.data(), idx.data(), len, b.data());
-      for (int k = 0; k < len; ++k) ASSERT_TRUE(bits_equal(a[k], b[k])) << ctx;
+      // Cut on the run's value: every element sits at the <= boundary.
+      ASSERT_TRUE(bits_equal(kn.max_value_leq(v.data(), len, 2.5, 0.0),
+                             ref.max_value_leq(v.data(), len, 2.5, 0.0)))
+          << ctx << " len=" << len;
       // Pivot equal to every element: partition keeps nothing (> is strict).
-      a = v;
-      b = v;
+      std::vector<double> a = v;
+      std::vector<double> b = v;
       ASSERT_EQ(kn.partition_greater(a.data(), len, 2.5),
                 ref.partition_greater(b.data(), len, 2.5))
           << ctx << " len=" << len;

@@ -65,6 +65,19 @@ TEST(Ordering, BssiRespectsWeights) {
   EXPECT_EQ(bssi_order(coflows).front(), 1);
 }
 
+TEST(Ordering, BssiBottleneckTieTakesLowestPort) {
+  // Equal single-flow coflows on disjoint port pairs: all four port totals
+  // tie at 5.  The first tied port, ingress 0, carries only coflow 1, so
+  // coflow 1 goes last.  A scan that kept the last maximum would pick
+  // egress 1, which carries only coflow 0, and reverse the order.
+  Matrix a(2);
+  a.at(1, 1) = 5.0;
+  Matrix b(2);
+  b.at(0, 0) = 5.0;
+  const std::vector<Coflow> coflows{make_coflow(0, 1.0, a), make_coflow(1, 1.0, b)};
+  EXPECT_EQ(bssi_order(coflows), (std::vector<int>{0, 1}));
+}
+
 TEST(Ordering, BssiHandlesEmptyAndZeroCoflows) {
   EXPECT_TRUE(bssi_order({}).empty());
   const std::vector<Coflow> coflows{make_coflow(0, 1.0, Matrix(2)),
