@@ -18,11 +18,15 @@
 // (see the gbench section at the bottom).
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/coflow.hpp"
@@ -55,6 +59,22 @@ inline void set_threads_flag(const std::string& value) {
   }
 }
 
+/// All of a numeric flag's value as a non-negative T.  Junk, a minus sign
+/// or an out-of-range number is a usage error (exit 2) naming the flag, not
+/// atoi's silent 0.
+template <class T>
+T parse_uint_flag(const char* flag, const char* text) {
+  T value{};
+  const char* const last = text + std::strlen(text);
+  const auto [end, ec] = std::from_chars(text, last, value);
+  if (ec != std::errc() || end != last || *text == '-') {
+    std::fprintf(stderr, "%s: \"%s\" is not an integer in [0, %s]\n", flag, text,
+                 std::to_string(std::numeric_limits<T>::max()).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 inline BenchOptions parse_args(int argc, char** argv) {
   BenchOptions o;
   for (int a = 1; a < argc; ++a) {
@@ -65,13 +85,13 @@ inline BenchOptions parse_args(int argc, char** argv) {
                  : nullptr;
     };
     if (const char* v = val("--coflows=")) {
-      o.coflows = std::atoi(v);
+      o.coflows = parse_uint_flag<int>("--coflows", v);
     } else if (const char* v = val("--ports=")) {
-      o.ports = std::atoi(v);
+      o.ports = parse_uint_flag<int>("--ports", v);
     } else if (const char* v = val("--samples=")) {
-      o.samples = std::atoi(v);
+      o.samples = parse_uint_flag<int>("--samples", v);
     } else if (const char* v = val("--seed=")) {
-      o.seed = std::strtoull(v, nullptr, 10);
+      o.seed = parse_uint_flag<std::uint64_t>("--seed", v);
     } else if (const char* v = val("--csv=")) {
       o.csv_dir = v;
     } else if (const char* v = val("--trace-out=")) {

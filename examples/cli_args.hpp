@@ -2,19 +2,24 @@
 // reco_campaign.
 //
 // `--key=value` sets a flag, a bare `--key` sets it to "1", and every other
-// argument is positional.  The numeric getters parse the whole value with
-// std::from_chars: an empty value, trailing junk, or a number that does not
-// fit the target type throws a cli::FlagError naming the flag; nothing
-// falls back to 0 or wraps in a cast.  get_double accepts "nan" and "inf",
-// so the library's own parameter guards still see, and name, them.  Each
-// CLI prints a FlagError and exits 2.
+// argument is positional.  Each CLI passes `parse` the flags it reads; any
+// other `--key` throws a cli::FlagError naming it, so a typo such as
+// `--rep=10` is an error, not a silent default.  The numeric getters parse
+// the whole value with std::from_chars: an empty value, trailing junk, or a
+// number that does not fit the target type throws a cli::FlagError naming
+// the flag; nothing falls back to 0 or wraps in a cast.  get_double accepts
+// "nan" and "inf", so the library's own parameter guards still see, and
+// name, them.  Each CLI prints a FlagError and exits 2.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 #include <vector>
@@ -84,7 +89,9 @@ struct Args {
   }
 };
 
-inline Args parse(int argc, char** argv) {
+/// Split argv into flags and positionals; a flag not in `known` (names
+/// without the leading "--") throws a FlagError naming it.
+inline Args parse(int argc, char** argv, std::initializer_list<std::string_view> known) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -93,11 +100,11 @@ inline Args parse(int argc, char** argv) {
       continue;
     }
     const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      a.options[arg.substr(2)] = "1";
-    } else {
-      a.options[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    const std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw FlagError("--" + key + ": unknown flag");
     }
+    a.options[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
   }
   return a;
 }

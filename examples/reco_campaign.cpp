@@ -95,9 +95,14 @@ void save_checkpoint_atomic(const campaign::CampaignRunner& runner, const std::s
 }  // namespace
 
 int main(int argc, char** argv) {
-  const cli::Args args = cli::parse(argc, argv);
-  if (args.has("help")) return usage();
   try {
+    const cli::Args args = cli::parse(
+        argc, argv,
+        {"policies", "mtbf", "mttr", "reps", "seed", "ports", "coflows", "delta", "c",
+         "hybrid-deadline", "setup-timeout", "crosspoint", "threads", "resamples", "confidence",
+         "json", "csv", "cells-csv", "checkpoint", "checkpoint-every", "resume", "stop-after",
+         "flight-prefix", "metrics-out", "help"});
+    if (args.has("help")) return usage();
     args.apply_threads();
     obs::init_from_env();
     const std::string metrics_out = args.get("metrics-out", "");

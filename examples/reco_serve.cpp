@@ -93,9 +93,14 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const cli::Args args = cli::parse(argc, argv);
-  if (args.has("help")) return usage();
   try {
+    const cli::Args args = cli::parse(
+        argc, argv,
+        {"coflows", "ports", "gap", "seed", "policy", "ordering", "delta", "c", "threads",
+         "trace", "fb", "no-schedule", "csv", "trace-out", "metrics-out", "sample-every",
+         "metrics-port", "hold", "prom-out", "snapshot-out", "flight-out", "checkpoint-out",
+         "checkpoint-every", "resume", "stop-after", "help"});
+    if (args.has("help")) return usage();
     args.apply_threads();
     obs::init_from_env();
     const std::string trace_out = args.get("trace-out", "");

@@ -241,11 +241,16 @@ int run_online(const cli::Args& args, const std::vector<Coflow>& coflows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const cli::Args args = cli::parse(argc, argv);
-  if (args.positional.size() < 2) return usage();
-  const std::string& command = args.positional[0];
-  const std::string& trace_path = args.positional[1];
   try {
+    const cli::Args args = cli::parse(
+        argc, argv,
+        {"coflow", "algo", "delta", "model", "gantt", "jitter", "retries", "fault-trace",
+         "port-mtbf", "port-mttr", "setup-timeout", "setup-attempts", "crosspoint-fail",
+         "fault-seed", "c", "csv", "policy", "fb", "threads", "trace-out", "metrics-out",
+         "help"});
+    if (args.has("help") || args.positional.size() < 2) return usage();
+    const std::string& command = args.positional[0];
+    const std::string& trace_path = args.positional[1];
     args.apply_threads();
     reco::obs::init_from_env();
     const std::string trace_out = args.get("trace-out", "");

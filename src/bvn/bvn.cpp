@@ -1,12 +1,12 @@
 #include "bvn/bvn.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "matching/hopcroft_karp.hpp"
-#include "matching/incremental_matcher.hpp"
 #include "obs/obs.hpp"
 
 namespace reco {
@@ -77,41 +77,6 @@ CircuitAssignment extract_and_subtract(SupportIndex& m, IncrementalMatcher& matc
   return a;
 }
 
-CircuitSchedule peel(SupportIndex m, double initial_threshold, bool halve_on_failure) {
-  CircuitSchedule schedule;
-  obs::ScopedSpan span("bvn.peel", "bvn");
-  IncrementalMatcher matcher(m, initial_threshold);
-  while (m.nnz() > 0) {
-    const bool obs_on = obs::enabled();
-    const int nnz_before = m.nnz();
-    obs::Tracer::Clock::time_point round_start;
-    if (obs_on) round_start = obs::Tracer::Clock::now();
-    matcher.rematch();
-    if (matcher.is_perfect()) {
-      schedule.assignments.push_back(extract_and_subtract(m, matcher));
-      if (obs_on) {
-        PeelMetrics::get().record_round(nnz_before, schedule.assignments.back(), round_start);
-      }
-      continue;
-    }
-    if (obs_on && halve_on_failure && matcher.threshold() > kSupportThreshold) {
-      PeelMetrics::get().halvings.inc();
-    }
-    if (!halve_on_failure || matcher.threshold() <= kSupportThreshold) {
-      // Exact Birkhoff structure guarantees a perfect matching on the
-      // support, but after thousands of floating-point subtractions the
-      // row/column sums drift apart by round-off and the guarantee breaks
-      // for the last tolerance-scale crumbs.  Cover them instead of looping.
-      const CircuitSchedule tail = cover_decompose(std::move(m));
-      for (const auto& a : tail.assignments) schedule.assignments.push_back(a);
-      break;
-    }
-    const double next = matcher.threshold() / 2.0;
-    matcher.set_threshold(next > kSupportThreshold ? next : kSupportThreshold);
-  }
-  return schedule;
-}
-
 /// Doubly-stochastic check from the index's incrementally maintained sums:
 /// O(N) instead of an O(N^2) rescan.  Incremental drift is ~machine-eps
 /// per mutation, orders of magnitude below the eps*N tolerance used here.
@@ -152,30 +117,77 @@ CircuitSchedule cover_decompose(Matrix m) {
   return cover_decompose(SupportIndex(std::move(m)));
 }
 
-CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy) {
-  obs::ScopedSpan span("bvn.decompose", "bvn");
-  span.arg("n", static_cast<double>(m.n()));
-  span.arg("nnz", static_cast<double>(m.nnz()));
-  if (!is_doubly_stochastic(m, kTimeEps * std::max(1, m.n()))) {
+PeelCursor::PeelCursor(SupportIndex m, BvnPolicy policy)
+    : m_(std::move(m)), halve_on_failure_(policy == BvnPolicy::kMaxMinAmortized) {
+  if (!is_doubly_stochastic(m_, kTimeEps * std::max(1, m_.n()))) {
     throw std::invalid_argument("bvn_decompose: matrix is not doubly stochastic");
   }
-  if (m.n() == 0 || m.nnz() == 0) return {};
   switch (policy) {
     case BvnPolicy::kFirstMatching:
-      return peel(std::move(m), kSupportThreshold, /*halve_on_failure=*/false);
-    case BvnPolicy::kMaxMinAmortized: {
+      start_threshold_ = kSupportThreshold;
+      return;
+    case BvnPolicy::kMaxMinAmortized:
       // Start at the smallest power of two >= the max entry; halve until a
       // perfect matching exists, extract, repeat.  When every surviving
       // entry sits at tolerance scale the raw exp2 start can fall below the
       // support threshold (or derive from a -inf log2 on an all-crumb
       // matrix), letting the matcher treat sub-tolerance crumbs as edges;
       // clamp so the peel never scans below what nnz() counts as support.
-      const double start =
-          std::max(std::exp2(std::ceil(std::log2(m.max_entry()))), kSupportThreshold);
-      return peel(std::move(m), start, /*halve_on_failure=*/true);
-    }
+      if (m_.nnz() > 0) {
+        start_threshold_ =
+            std::max(std::exp2(std::ceil(std::log2(m_.max_entry()))), kSupportThreshold);
+      }
+      return;
   }
   throw std::logic_error("bvn_decompose: unknown policy");
+}
+
+std::optional<CircuitAssignment> PeelCursor::next() {
+  while (m_.nnz() > 0) {
+    if (!matcher_) matcher_.emplace(m_, start_threshold_);
+    const bool obs_on = obs::enabled();
+    const int nnz_before = m_.nnz();
+    obs::Tracer::Clock::time_point round_start;
+    if (obs_on) round_start = obs::Tracer::Clock::now();
+    matcher_->rematch();
+    if (matcher_->is_perfect()) {
+      CircuitAssignment a = extract_and_subtract(m_, *matcher_);
+      if (obs_on) PeelMetrics::get().record_round(nnz_before, a, round_start);
+      return a;
+    }
+    if (obs_on && halve_on_failure_ && matcher_->threshold() > kSupportThreshold) {
+      PeelMetrics::get().halvings.inc();
+    }
+    if (!halve_on_failure_ || matcher_->threshold() <= kSupportThreshold) {
+      // Exact Birkhoff structure guarantees a perfect matching on the
+      // support, but after thousands of floating-point subtractions the
+      // row/column sums drift apart by round-off and the guarantee breaks
+      // for the last tolerance-scale crumbs.  Cover them instead of looping;
+      // the emptied matrix ends the peel.
+      matcher_.reset();
+      tail_ = cover_decompose(std::exchange(m_, SupportIndex()));
+      break;
+    }
+    const double next = matcher_->threshold() / 2.0;
+    matcher_->set_threshold(next > kSupportThreshold ? next : kSupportThreshold);
+  }
+  if (tail_next_ == tail_.assignments.size()) return std::nullopt;
+  return std::move(tail_.assignments[tail_next_++]);
+}
+
+CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy) {
+  obs::ScopedSpan span("bvn.decompose", "bvn");
+  span.arg("n", static_cast<double>(m.n()));
+  span.arg("nnz", static_cast<double>(m.nnz()));
+  const bool empty = m.nnz() == 0;
+  PeelCursor cursor(std::move(m), policy);
+  CircuitSchedule schedule;
+  if (empty) return schedule;
+  obs::ScopedSpan peel("bvn.peel", "bvn");
+  while (std::optional<CircuitAssignment> a = cursor.next()) {
+    schedule.assignments.push_back(std::move(*a));
+  }
+  return schedule;
 }
 
 CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy) {

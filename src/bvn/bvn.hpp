@@ -1,9 +1,10 @@
 // Birkhoff-von-Neumann decomposition of a doubly stochastic matrix into
 // permutation matrices with coefficients — equivalently, into a circuit
 // scheduling (each permutation is a circuit establishment, its coefficient
-// the planned duration).  Both extraction policies run on one peel engine
-// (an IncrementalMatcher repaired round by round, with cover_decompose
-// finishing any float-drift residue):
+// the planned duration).  Both extraction policies run on one peel engine,
+// PeelCursor (an IncrementalMatcher repaired round by round, with
+// cover_decompose finishing any float-drift residue), which hands out one
+// assignment per pull; bvn_decompose drains it:
 //
 //  * kFirstMatching   — classic Birkhoff peeling: any perfect matching on
 //                       the nonzero support, coefficient = its min entry.
@@ -17,15 +18,48 @@
 //                       Alg. 1, and the policy Reco-Sin uses by default.
 #pragma once
 
+#include <cstddef>
+#include <optional>
+
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
 #include "core/support_index.hpp"
+#include "matching/incremental_matcher.hpp"
 
 namespace reco {
 
 enum class BvnPolicy {
   kFirstMatching,
   kMaxMinAmortized,
+};
+
+/// The BvN peel, one assignment per next().  Assignment k depends only on
+/// the peel state after assignment k - 1, so the first k pulls are the first
+/// k assignments of bvn_decompose's schedule, bit for bit, and a caller that
+/// may stop early (a recovery plan the next fault discards) pays only for
+/// what it pulls.  The matcher points into the owned matrix, so the cursor
+/// can be neither copied nor moved: build it in place.
+class PeelCursor {
+ public:
+  /// Takes `m` (must be doubly stochastic; throws std::invalid_argument
+  /// otherwise).  The matcher is built on the first pull.
+  PeelCursor(SupportIndex m, BvnPolicy policy);
+  PeelCursor(const PeelCursor&) = delete;
+  PeelCursor& operator=(const PeelCursor&) = delete;
+
+  /// The next assignment, or nullopt once the matrix is spent.  If the
+  /// matching stops being perfect at the support threshold (float drift),
+  /// the rest of the matrix is covered by cover_decompose in one step and
+  /// its assignments are handed out in order.
+  std::optional<CircuitAssignment> next();
+
+ private:
+  SupportIndex m_;
+  double start_threshold_ = 0.0;
+  bool halve_on_failure_;
+  std::optional<IncrementalMatcher> matcher_;
+  CircuitSchedule tail_;  ///< cover_decompose's finish, once reached
+  std::size_t tail_next_ = 0;
 };
 
 /// Decompose `m` (must be doubly stochastic; throws otherwise) into a

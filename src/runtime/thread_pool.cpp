@@ -135,6 +135,10 @@ void set_thread_count(int n) {
   {
     std::lock_guard<std::mutex> lock(s.mu);
     s.override_threads = n >= 1 ? n : 0;
+    // A pool already sized for `n` stays: its workers keep running instead
+    // of being joined and respawned.  The check reads only the pool's own
+    // size, never RECO_THREADS, so a malformed variable cannot make it throw.
+    if (n >= 1 && s.pool && s.pool_threads == n) return;
     // Drop the stale pool; global_pool() rebuilds at the new size.  The
     // retired pool joins its workers outside the lock.
     retired = std::move(s.pool);

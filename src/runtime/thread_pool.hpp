@@ -81,9 +81,10 @@ int hardware_cores();
 
 /// Override the thread count (e.g. from a `--threads=N` flag or a test
 /// comparing thread counts); `n <= 0` clears the override, reverting to
-/// RECO_THREADS / hardware_concurrency.  Rebuilds the global pool, so call
-/// it only between parallel regions (startup, test setup) — never while a
-/// parallel_for is in flight.
+/// RECO_THREADS / hardware_concurrency.  Keeps a global pool already sized
+/// for `n` and its workers; otherwise retires the pool, and global_pool()
+/// builds one at the new size.  Call it only between parallel regions
+/// (startup, test setup) — never while a parallel_for is in flight.
 void set_thread_count(int n);
 
 /// The process-wide pool backing parallel_for / parallel_map, sized

@@ -8,9 +8,21 @@
 #include "matching/hungarian.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
-#include "sched/reco_sin.hpp"
 
 namespace reco::sim {
+
+namespace {
+
+/// False when every circuit of `a` is already drained: a plan replay skips
+/// such an establishment without reconfiguring.
+bool serves_residual(const CircuitAssignment& a, const Matrix& residual) {
+  for (const Circuit& c : a.circuits) {
+    if (residual.at(c.in, c.out) >= kMinServiceQuantum) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 ReplayController::ReplayController(CircuitSchedule schedule) : schedule_(std::move(schedule)) {}
 
@@ -18,10 +30,7 @@ std::optional<CircuitAssignment> ReplayController::next_assignment(Time /*now*/,
                                                                    const Matrix& residual) {
   while (next_ < schedule_.assignments.size()) {
     const CircuitAssignment& a = schedule_.assignments[next_++];
-    for (const Circuit& c : a.circuits) {
-      if (residual.at(c.in, c.out) >= kMinServiceQuantum) return a;
-    }
-    // All circuits drained already: skip without reconfiguring.
+    if (serves_residual(a, residual)) return a;
   }
   return std::nullopt;
 }
@@ -178,7 +187,7 @@ std::optional<CircuitAssignment> RecoveringController::next_assignment(Time now,
   for (int round = 0; round < 2; ++round) {
     if (replan_needed_ || !recovery_.has_value()) {
       if (!deliverable()) return std::nullopt;  // rest is stranded until repair
-      recovery_.emplace(reco_sin_surviving(residual, failed_in_, failed_out_, delta_));
+      recovery_.emplace(residual, failed_in_, failed_out_, delta_);
       replan_needed_ = false;
       ++replans_;
       if (obs::enabled()) {
@@ -191,8 +200,9 @@ std::optional<CircuitAssignment> RecoveringController::next_assignment(Time now,
         obs::flight_recorder().trigger("recovering-controller replan");
       }
     }
-    auto next = recovery_->next_assignment(now, residual);
-    if (next.has_value()) return next;
+    while (std::optional<CircuitAssignment> next = recovery_->next()) {
+      if (serves_residual(*next, residual)) return next;
+    }
     replan_needed_ = true;  // plan exhausted; residual may still hold demand
   }
   return std::nullopt;

@@ -18,6 +18,7 @@
 #include "core/matrix.hpp"
 #include "core/types.hpp"
 #include "matching/matching_engine.hpp"
+#include "sched/reco_sin.hpp"
 #include "sim/faults.hpp"
 
 namespace reco::sim {
@@ -87,9 +88,11 @@ class AdaptiveRecoController final : public CircuitController {
 
 /// Degraded-operation wrapper: delegates to an inner controller until the
 /// fabric reports a fault, then re-plans the *residual* demand on the
-/// surviving ports via Reco-Sin (`reco_sin_surviving`) and replays the
-/// recovery plan — replanning again on every further failure, repair, or
-/// degraded setup.  When every remaining flow needs a dead port it stops,
+/// surviving ports via Reco-Sin (a SurvivingCursor) and pulls the recovery
+/// plan one assignment per decision, skipping drained ones — replanning
+/// again on every further failure, repair, or degraded setup.  The next
+/// replan discards the cursor, so only the pulled assignments are ever
+/// peeled.  When every remaining flow needs a dead port it stops,
 /// so a run under permanent faults terminates with the undeliverable
 /// demand accounted as stranded instead of hanging.
 ///
@@ -133,7 +136,7 @@ class RecoveringController final : public CircuitController {
   bool degraded_ = false;       ///< once true, the recovery planner owns the run
   bool replan_needed_ = false;
   Time degraded_since_ = -1.0;  ///< hybrid grace-window anchor (< 0: unset)
-  std::optional<ReplayController> recovery_;
+  std::optional<SurvivingCursor> recovery_;  ///< built in place; not movable
   int replans_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -209,6 +210,40 @@ TEST(Runtime, MalformedRecoThreadsThrows) {
     set_thread_count(0);
   }
   EXPECT_GE(thread_count(), 1);
+}
+
+/// Set on each lane that ran an index of mark_lanes(); a pool worker keeps
+/// it for as long as the worker thread lives.
+thread_local bool tls_lane_marked = false;
+
+/// parallel_for(n) whose indices wait (at most 2 s) until all n have
+/// started, so each runs on its own lane: the caller and every one of an
+/// n-thread pool's n - 1 workers.  Returns whether each index's lane was
+/// already marked, and marks it.
+std::vector<char> mark_lanes(int n) {
+  std::vector<char> was_marked(n, 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  parallel_for(n, [&](int i) {
+    was_marked[i] = tls_lane_marked;
+    tls_lane_marked = true;
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return started == n; });
+  });
+  return was_marked;
+}
+
+TEST(Runtime, SameThreadCountKeepsPoolWorkers) {
+  ScopedThreads threads(3);
+  (void)mark_lanes(3);
+  set_thread_count(3);  // same count: the workers must survive
+  for (const char marked : mark_lanes(3)) EXPECT_TRUE(marked);
+  set_thread_count(4);  // new count: fresh workers carry no mark
+  const std::vector<char> after = mark_lanes(4);
+  EXPECT_NE(std::count(after.begin(), after.end(), 0), 0);
 }
 
 TEST(Runtime, ThreadCountOverrideAndRestore) {
