@@ -25,9 +25,7 @@
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
-#include "matching/bottleneck.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "matching/matching_engine.hpp"
 #include "obs/obs.hpp"
 #include "ocs/all_stop_executor.hpp"
 #include "oracles/dense_reference.hpp"
@@ -110,98 +108,6 @@ void BM_ThresholdMatchingSparse(benchmark::State& state) {
   report_shape(state, idx.matrix());
 }
 BENCHMARK(BM_ThresholdMatchingSparse)->Apply(DensitySweep);
-
-// ---- exact bottleneck matching -------------------------------------------
-
-void BM_BottleneckMatchingDense(benchmark::State& state) {
-  const Matrix m = stuff(swept_input(state, 2));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bottleneck_perfect_matching(m)->bottleneck);
-  }
-  report_shape(state, m);
-}
-BENCHMARK(BM_BottleneckMatchingDense)->Apply(DensitySweep);
-
-void BM_BottleneckMatchingSparse(benchmark::State& state) {
-  const SupportIndex idx(stuff(swept_input(state, 2)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bottleneck_perfect_matching(idx)->bottleneck);
-  }
-  report_shape(state, idx.matrix());
-}
-BENCHMARK(BM_BottleneckMatchingSparse)->Apply(DensitySweep);
-
-// Seed twin: the retained pre-engine implementation (cold recursive
-// Hopcroft-Karp per probe, per-call adjacency).  write_json() divides this
-// by the engine row at {128, 200} into `bottleneck_speedup_vs_seed`.
-void BM_BottleneckMatchingSeedSparse(benchmark::State& state) {
-  const SupportIndex idx(stuff(swept_input(state, 2)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dense_reference::bottleneck_perfect_matching_reference(idx)->bottleneck);
-  }
-  report_shape(state, idx.matrix());
-}
-BENCHMARK(BM_BottleneckMatchingSeedSparse)->Apply(DensitySweep);
-
-// Engine with a caller-owned scratch, the hot-path calling convention:
-// after the first iteration every solve warm-starts from the previous
-// matching and reuses every buffer (steady state allocates nothing).
-void BM_BottleneckAmortized(benchmark::State& state) {
-  const SupportIndex idx(stuff(swept_input(state, 2)));
-  MatchingScratch scratch;
-  for (auto _ : state) {
-    bottleneck_solve(idx, scratch);
-    benchmark::DoNotOptimize(scratch.bottleneck);
-  }
-  report_shape(state, idx.matrix());
-}
-BENCHMARK(BM_BottleneckAmortized)->Apply(DensitySweep);
-
-// ---- warm-started exact-bottleneck peel ----------------------------------
-//
-// The twins isolate engine layer 3: an exact-bottleneck peel with one
-// scratch carried across rounds (each round repairs the previous round's
-// matching) vs the same loop paying a cold solve per round.
-
-void BM_PeelWarmStart(benchmark::State& state) {
-  const Matrix stuffed = stuff(swept_input(state, 2));
-  for (auto _ : state) {
-    SupportIndex m(stuffed);
-    MatchingScratch scratch;  // one arena for the whole peel
-    int rounds = 0;
-    while (m.nnz() > 0 && bottleneck_solve(m, scratch)) {
-      for (int i = 0; i < m.n(); ++i) {
-        const int j = scratch.final_left[i];
-        m.set(i, j, clamp_zero(m.at(i, j) - scratch.bottleneck));
-      }
-      ++rounds;
-    }
-    benchmark::DoNotOptimize(rounds);
-  }
-  report_shape(state, stuffed);
-}
-BENCHMARK(BM_PeelWarmStart)->Args({64, 200})->Args({128, 200});
-
-void BM_PeelColdStart(benchmark::State& state) {
-  const Matrix stuffed = stuff(swept_input(state, 2));
-  for (auto _ : state) {
-    SupportIndex m(stuffed);
-    int rounds = 0;
-    while (m.nnz() > 0) {
-      MatchingScratch scratch;  // cold: fresh buffers, no warm seed
-      if (!bottleneck_solve(m, scratch)) break;
-      for (int i = 0; i < m.n(); ++i) {
-        const int j = scratch.final_left[i];
-        m.set(i, j, clamp_zero(m.at(i, j) - scratch.bottleneck));
-      }
-      ++rounds;
-    }
-    benchmark::DoNotOptimize(rounds);
-  }
-  report_shape(state, stuffed);
-}
-BENCHMARK(BM_PeelColdStart)->Args({64, 200})->Args({128, 200});
 
 // ---- BvN peel (the acceptance kernel: >= 3x at N=128, DS <= 0.2) ---------
 
@@ -352,23 +258,16 @@ BENCHMARK(BM_WorkloadGeneration)->Arg(64)->Arg(526);
 
 // ---- baseline derived metrics --------------------------------------------
 
-/// Headline metrics appended to the baseline JSON: the telemetry
+/// Headline metric appended to the baseline JSON: the telemetry
 /// enabled/disabled delta on the peel kernel (the <2% disabled-overhead
-/// acceptance budget lives in the Off twin) and the engine-vs-seed speedup
-/// on the headline sparse config (the >= 3x bar of the amortized-engine
-/// work).  Zero-valued inputs yield non-finite ratios, which the harness
-/// drops.
+/// acceptance budget lives in the Off twin).  Zero-valued inputs yield
+/// non-finite ratios, which the harness drops.
 std::vector<std::pair<std::string, double>> derived_metrics(
     const std::vector<bench::gbench::Row>& rows) {
   using bench::gbench::row_ns;
   const double peel_off = row_ns(rows, "BM_BvnPeelSparseTelemetryOff/128/200");
   const double peel_on = row_ns(rows, "BM_BvnPeelSparseTelemetryOn/128/200");
-  const double seed_ns = row_ns(rows, "BM_BottleneckMatchingSeedSparse/128/200");
-  const double engine_ns = row_ns(rows, "BM_BottleneckMatchingSparse/128/200");
-  return {
-      {"telemetry_overhead_pct", 100.0 * (peel_on - peel_off) / peel_off},
-      {"bottleneck_speedup_vs_seed", seed_ns / engine_ns},
-  };
+  return {{"telemetry_overhead_pct", 100.0 * (peel_on - peel_off) / peel_off}};
 }
 
 }  // namespace

@@ -2,17 +2,13 @@
 // scale twin of bench_micro_kernels.  Where the micro suite sweeps
 // density at N <= 128, this one holds nnz roughly constant (~8k edges)
 // while N grows 256 -> 4096: the regime where per-round costs that scale
-// with N rather than with the support dominate, and the bitset
-// Hopcroft-Karp BFS engages.
+// with N rather than with the support dominate.
 //
 // Row groups:
-//   * BM_ThresholdMatchingSparse / BM_BottleneckMatchingSparse — the
-//     matching kernels at scale (the /1024/125 row is dense enough that
-//     kAuto selects the bitset BFS; the constant-nnz rows stay on CSR).
+//   * BM_ThresholdMatchingSparse — Hopcroft-Karp at scale (the /1024/125
+//     row is the dense outlier).
 //   * BM_PeelSequential — full-schedule kFirstMatching BvN decomposition
 //     of a stuffed input (tracking row, not gated).
-//   * BM_SimdPartition — the dispatched SIMD tier vs the forced scalar
-//     tier on the bottleneck descent's quickselect pool partition.
 //   * BM_RecoSinPlan / BM_SolsticePlan — whole-planner cost vs fabric
 //     width (folded in from the retired bench_scalability binary).
 //   * BM_PacketSchedule — Reco-Mul's packet list scheduling (S_p) of one
@@ -22,24 +18,19 @@
 //     -DRECO_BENCH_SOAK=ON (see bench/CMakeLists.txt).
 //
 // `--baseline_json=FILE` writes BENCH_scale.json; CI's perf-guard-scale
-// step gates BM_BottleneckMatchingSparse/1024/*, BM_SimdPartition/1024/*,
-// BM_RecoSinPlan/128/* and BM_PacketSchedule/* against the committed
-// copy.  Timing comes from the shared harness in bench_util.hpp (0.05 s
+// step gates BM_RecoSinPlan/128/* and BM_PacketSchedule/* against the
+// committed copy.  Timing comes from the shared harness in bench_util.hpp (0.05 s
 // min time x 3 repetitions, median recorded).
 #define RECO_BENCH_WITH_GBENCH
 #include <array>
 #include <stdexcept>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "bvn/bvn.hpp"
 #include "bvn/stuffing.hpp"
-#include "core/simd.hpp"
 #include "core/support_index.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "matching/matching_engine.hpp"
 #include "sched/ordering.hpp"
 #include "sched/packet_scheduler.hpp"
 #include "sched/reco_sin.hpp"
@@ -77,8 +68,7 @@ void report_shape(benchmark::State& state, const Matrix& m) {
 
 /// Constant-nnz N-sweep: permille halves as N doubles, so every point
 /// carries ~2k demand edges and the measured growth is the per-port (not
-/// per-edge) cost.  The {1024, 125} point is the dense outlier that
-/// crosses the kAuto bitset-BFS gate.
+/// per-edge) cost.  The {1024, 125} point is the dense outlier.
 void ScaleSweep(benchmark::internal::Benchmark* b) {
   b->Args({256, 31})->Args({512, 16})->Args({1024, 8})->Args({2048, 4})->Args({4096, 2});
   b->Args({1024, 125});
@@ -94,21 +84,6 @@ void BM_ThresholdMatchingSparse(benchmark::State& state) {
   report_shape(state, idx.matrix());
 }
 BENCHMARK(BM_ThresholdMatchingSparse)->Apply(ScaleSweep);
-
-void BM_BottleneckMatchingSparse(benchmark::State& state) {
-  const SupportIndex idx(stuff(swept_input(state, 2)));
-  MatchingScratch scratch;
-  // One untimed solve sizes the scratch and seeds the warm hint, so even a
-  // single timed iteration (a short --benchmark_min_time) is a warm solve.
-  bottleneck_solve(idx, scratch);
-  for (auto _ : state) {
-    bottleneck_solve(idx, scratch);
-    benchmark::DoNotOptimize(scratch.bottleneck);
-  }
-  state.counters["bitset_phases"] = static_cast<double>(scratch.stats.bitset_phases);
-  report_shape(state, idx.matrix());
-}
-BENCHMARK(BM_BottleneckMatchingSparse)->Apply(ScaleSweep);
 
 // ---- full BvN peel --------------------------------------------------------
 //
@@ -128,41 +103,6 @@ void BM_PeelSequential(benchmark::State& state) {
   report_shape(state, stuffed);
 }
 BENCHMARK(BM_PeelSequential)->Args({512, 16})->Args({1024, 8});
-
-// ---- SIMD kernel layer: dispatched tier vs scalar reference --------------
-//
-// Args are {N, tier} with tier 0 = forced scalar, 1 = active dispatch
-// (CPUID).  The loop body is the quickselect pool partition of the
-// bottleneck descent: partition_greater, which bottleneck_solve runs after
-// every feasible probe.  The /1024/0-over-/1024/1 ratio is the isolated
-// kernel win (simd_partition_speedup_1024); CI guards both rows against
-// the committed baseline.
-
-void BM_SimdPartition(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const simd::Kernels& kn = state.range(1) != 0
-                                ? simd::kernels()
-                                : simd::kernels_for(simd::Level::kScalar);
-  // The bottleneck-descent value pool: ~8 distinct values per port, halved
-  // around the running pivot until one remains — the quickselect ladder.
-  Rng rng(17);
-  std::vector<double> pool(static_cast<std::size_t>(n) * 8);
-  for (double& v : pool) v = rng.uniform(0.5, 10.0);
-  std::vector<double> work(pool.size());
-  for (auto _ : state) {
-    work = pool;
-    int m = static_cast<int>(work.size());
-    while (m > 1) {
-      const double pivot = work[static_cast<std::size_t>(m) / 2];
-      const int kept = kn.partition_greater(work.data(), m, pivot);
-      m = kept > 0 ? kept : m / 2;  // degenerate pivot: shrink anyway
-    }
-    benchmark::DoNotOptimize(work[0]);
-  }
-  state.counters["simd_level"] = static_cast<double>(simd::active_level());
-  state.counters["N"] = static_cast<double>(n);
-}
-BENCHMARK(BM_SimdPartition)->Args({1024, 0})->Args({1024, 1});
 
 // ---- whole-planner cost vs fabric width (ex-bench_scalability) -----------
 
@@ -279,22 +219,9 @@ void BM_MillionCoflowSoak(benchmark::State& state) {
 BENCHMARK(BM_MillionCoflowSoak)->Iterations(1)->Repetitions(1);
 #endif  // RECO_BENCH_SOAK
 
-// ---- baseline derived metrics --------------------------------------------
-
-/// Kernel win in isolation: dispatched tier vs forced scalar.
-/// Zero-valued inputs yield non-finite ratios, which the harness drops.
-std::vector<std::pair<std::string, double>> derived_metrics(
-    const std::vector<bench::gbench::Row>& rows) {
-  using bench::gbench::row_ns;
-  return {
-      {"simd_partition_speedup_1024",
-       row_ns(rows, "BM_SimdPartition/1024/0") / row_ns(rows, "BM_SimdPartition/1024/1")},
-  };
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // "cores" is appended by the harness itself.
-  return reco::bench::gbench::run_main(argc, argv, {"nnz", "N"}, derived_metrics);
+  return reco::bench::gbench::run_main(argc, argv, {"nnz", "N"});
 }

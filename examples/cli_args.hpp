@@ -1,5 +1,5 @@
 // Strict `--key=value` flag parsing shared by reco_sim_cli, reco_serve and
-// reco_campaign.
+// reco_campaign, and strict number parsing for every example's arguments.
 //
 // `--key=value` sets a flag, a bare `--key` sets it to "1", and every other
 // argument is positional.  Each CLI passes `parse` the flags it reads; any
@@ -9,7 +9,9 @@
 // number that does not fit the target type throws a cli::FlagError naming
 // the flag; nothing falls back to 0 or wraps in a cast.  get_double accepts
 // "nan" and "inf", so the library's own parameter guards still see, and
-// name, them.  Each CLI prints a FlagError and exits 2.
+// name, them.  The examples that take positional numbers (datacenter_shuffle,
+// ocs_what_if, trace_tool) call parse_int / parse_double with the argument's
+// name and a range.  Each program prints a FlagError and exits 2.
 #pragma once
 
 #include <algorithm>
@@ -28,34 +30,36 @@
 
 namespace reco::cli {
 
-/// A malformed flag value; what() names the flag and the value.
+/// A malformed flag or argument value; what() names it and the value.
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };
 
-/// All of `text` as a double, or a FlagError naming `--flag`.
-inline double parse_double(const std::string& flag, const std::string& text) {
+/// All of `text` as a double, or a FlagError naming `name` (a flag's
+/// "--key" or a positional argument's name).
+inline double parse_double(const std::string& name, const std::string& text) {
   double value = 0.0;
   const char* const last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);
   if (ec != std::errc() || end != last) {
-    throw FlagError("--" + flag + ": \"" + text + "\" is not a number");
+    throw FlagError(name + ": \"" + text + "\" is not a number");
   }
   return value;
 }
 
-/// All of `text` as a T, or a FlagError naming `--flag` and T's range.
+/// All of `text` as a T in [lo, hi], or a FlagError naming `name` and the
+/// range.
 template <class T>
-T parse_int(const std::string& flag, const std::string& text) {
+T parse_int(const std::string& name, const std::string& text,
+            T lo = std::numeric_limits<T>::min(), T hi = std::numeric_limits<T>::max()) {
   static_assert(std::is_integral_v<T>);
   T value{};
   const char* const last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);
-  if (ec != std::errc() || end != last) {
-    throw FlagError("--" + flag + ": \"" + text + "\" is not an integer in [" +
-                    std::to_string(std::numeric_limits<T>::min()) + ", " +
-                    std::to_string(std::numeric_limits<T>::max()) + "]");
+  if (ec != std::errc() || end != last || value < lo || value > hi) {
+    throw FlagError(name + ": \"" + text + "\" is not an integer in [" + std::to_string(lo) +
+                    ", " + std::to_string(hi) + "]");
   }
   return value;
 }
@@ -71,12 +75,12 @@ struct Args {
   }
   double get_double(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : parse_double(key, it->second);
+    return it == options.end() ? fallback : parse_double("--" + key, it->second);
   }
   template <class T>
   T get_int(const std::string& key, T fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : parse_int<T>(key, it->second);
+    return it == options.end() ? fallback : parse_int<T>("--" + key, it->second);
   }
   /// Size the parallel runtime from --threads=N, if given.
   void apply_threads() const {

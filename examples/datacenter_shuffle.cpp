@@ -4,9 +4,10 @@
 // inter-coflow story of the paper's Sec. V-D at example scale.
 //
 //   $ ./datacenter_shuffle [num_coflows] [num_ports] [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli_args.hpp"
 #include "sched/multi_baselines.hpp"
 #include "stats/summary.hpp"
 #include "trace/generator.hpp"
@@ -16,9 +17,17 @@ int main(int argc, char** argv) {
   using namespace reco;
 
   GeneratorOptions options;
-  options.num_coflows = argc > 1 ? std::atoi(argv[1]) : 60;
-  options.num_ports = argc > 2 ? std::atoi(argv[2]) : 40;
-  options.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
+  options.num_coflows = 60;
+  options.num_ports = 40;
+  options.seed = 1;
+  try {
+    if (argc > 1) options.num_coflows = cli::parse_int<int>("coflows", argv[1], 1);
+    if (argc > 2) options.num_ports = cli::parse_int<int>("ports", argv[2], 2);
+    if (argc > 3) options.seed = cli::parse_int<std::uint64_t>("seed", argv[3]);
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   const auto coflows = generate_workload(options);
   std::printf("Generated %d coflows on a %dx%d OCS (delta = %.0f us, c = %.0f)\n\n",

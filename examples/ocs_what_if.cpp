@@ -5,9 +5,10 @@
 // an all-stop vs not-all-stop switch-model comparison.
 //
 //   $ ./ocs_what_if [ports] [density] [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli_args.hpp"
 #include "core/lower_bound.hpp"
 #include "ocs/all_stop_executor.hpp"
 #include "ocs/not_all_stop_executor.hpp"
@@ -18,9 +19,17 @@
 int main(int argc, char** argv) {
   using namespace reco;
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 16;
-  const double density = argc > 2 ? std::atof(argv[2]) : 0.6;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  int n = 16;
+  double density = 0.6;
+  std::uint64_t seed = 7;
+  try {
+    if (argc > 1) n = cli::parse_int<int>("ports", argv[1], 1);
+    if (argc > 2) density = cli::parse_double("density", argv[2]);
+    if (argc > 3) seed = cli::parse_int<std::uint64_t>("seed", argv[3]);
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   // One synthetic coflow with demands in the hundreds of milliseconds.
   Rng rng(seed);

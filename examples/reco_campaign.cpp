@@ -58,7 +58,7 @@ std::vector<double> split_doubles(const cli::Args& args, const std::string& flag
                                   const std::string& fallback) {
   std::vector<double> out;
   for (const std::string& item : split_list(args.get(flag, fallback))) {
-    out.push_back(cli::parse_double(flag, item));
+    out.push_back(cli::parse_double("--" + flag, item));
   }
   return out;
 }

@@ -4,10 +4,11 @@
 //   $ ./trace_tool gen  out.trace [coflows] [ports] [seed]
 //   $ ./trace_tool show in.trace
 //   $ ./trace_tool stats [coflows] [ports] [seed]      (no file I/O)
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "cli_args.hpp"
 #include "trace/generator.hpp"
 #include "trace/serialization.hpp"
 #include "trace/trace_stats.hpp"
@@ -23,10 +24,11 @@ void usage() {
 }
 
 reco::GeneratorOptions parse_options(int argc, char** argv, int first) {
+  using reco::cli::parse_int;
   reco::GeneratorOptions o;
-  if (argc > first + 0) o.num_coflows = std::atoi(argv[first + 0]);
-  if (argc > first + 1) o.num_ports = std::atoi(argv[first + 1]);
-  if (argc > first + 2) o.seed = std::strtoull(argv[first + 2], nullptr, 10);
+  if (argc > first + 0) o.num_coflows = parse_int<int>("coflows", argv[first + 0], 1);
+  if (argc > first + 1) o.num_ports = parse_int<int>("ports", argv[first + 1], 2);
+  if (argc > first + 2) o.seed = parse_int<std::uint64_t>("seed", argv[first + 2]);
   return o;
 }
 
@@ -61,6 +63,9 @@ int main(int argc, char** argv) {
       std::printf("%s", format_stats(compute_stats(generate_workload(o))).c_str());
       return 0;
     }
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -90,7 +90,7 @@ class Matrix {
   std::string to_string(int width = 8) const;
 
   /// Heap capacity of the dense storage, in elements — alloc-event
-  /// accounting for long-lived buffers (see MatchingScratch::Stats).
+  /// accounting for long-lived buffers (SupportIndex::capacity_footprint).
   std::size_t capacity() const { return v_.capacity(); }
 
  private:

@@ -1,41 +1,74 @@
-// Exact bottleneck (max-min) perfect matching — thin wrappers over the
-// amortized engine in matching_engine.cpp.  These no-scratch overloads
-// serve one-shot callers and tests through a thread-local arena; hot
-// loops (BvN peel rounds, the simulator controller) own a MatchingScratch
-// and call bottleneck_solve directly to keep warm-start state and zero
-// steady-state allocation under their control.
+// Exact bottleneck (max-min) perfect matching: sort the support's distinct
+// values, binary-search the largest one that still admits a perfect
+// matching, and run one Hopcroft-Karp at it.
 #include "matching/bottleneck.hpp"
 
-#include "matching/matching_engine.hpp"
+#include <algorithm>
+
+#include "matching/hopcroft_karp.hpp"
 
 namespace reco {
 
 namespace {
 
-MatchingScratch& tls_scratch() {
-  static thread_local MatchingScratch s;
-  return s;
-}
+/// `values` holds the support's entries in any order.
+template <class Src>
+std::optional<BottleneckMatching> bottleneck_search(const Src& src, std::vector<double> values) {
+  if (values.empty()) return std::nullopt;
+  std::sort(values.begin(), values.end());
+  // Dedup by exact value; the tolerance lives only in the edge test
+  // (entry >= t - kTimeEps).  Merging approx-equal neighbours would collapse
+  // a near-equal chain a~b~c whose ends differ by more than the tolerance
+  // and could select a smaller bottleneck.
+  values.erase(std::unique(values.begin(), values.end()), values.end());
 
-std::optional<BottleneckMatching> from_scratch(bool ok, int n, const MatchingScratch& s) {
-  if (!ok) return std::nullopt;
+  // A perfect matching must exist at the smallest value.  Raising the
+  // threshold only removes edges, so feasibility is monotone.
+  // Invariant: feasible at values[lo], infeasible at values[hi] (or past
+  // the end).
+  if (!has_perfect_matching_at(src, values.front())) return std::nullopt;
+  std::size_t lo = 0;
+  std::size_t hi = values.size();
+  while (lo + 1 < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (has_perfect_matching_at(src, values[mid])) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+
+  const MatchingResult r = threshold_matching(src, values[lo]);
   BottleneckMatching out;
-  out.bottleneck = s.bottleneck;
-  out.pairs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.pairs.emplace_back(i, s.final_left[i]);
+  out.bottleneck = values[lo];
+  out.pairs.reserve(r.match_left.size());
+  for (int i = 0; i < static_cast<int>(r.match_left.size()); ++i) {
+    out.pairs.emplace_back(i, r.match_left[i]);
+  }
   return out;
 }
 
 }  // namespace
 
 std::optional<BottleneckMatching> bottleneck_perfect_matching(const Matrix& m) {
-  MatchingScratch& s = tls_scratch();
-  return from_scratch(bottleneck_solve(m, s), m.n(), s);
+  std::vector<double> values;
+  for (int i = 0; i < m.n(); ++i) {
+    for (int j = 0; j < m.n(); ++j) {
+      const double x = m.at(i, j);
+      if (!approx_zero(x)) values.push_back(x);
+    }
+  }
+  return bottleneck_search(m, std::move(values));
 }
 
 std::optional<BottleneckMatching> bottleneck_perfect_matching(const SupportIndex& idx) {
-  MatchingScratch& s = tls_scratch();
-  return from_scratch(bottleneck_solve(idx, s), idx.n(), s);
+  std::vector<double> values;
+  values.reserve(static_cast<std::size_t>(idx.nnz()));
+  for (int i = 0; i < idx.n(); ++i) {
+    const auto vals = idx.row_values(i);
+    values.insert(values.end(), vals.begin(), vals.end());
+  }
+  return bottleneck_search(idx, std::move(values));
 }
 
 }  // namespace reco

@@ -22,14 +22,16 @@ struct BottleneckMatching {
 };
 
 /// Exact max-min perfect matching via binary search over the distinct
-/// nonzero values of `m` with a Hopcroft-Karp feasibility probe per step.
+/// nonzero values of `m` with a Hopcroft-Karp feasibility probe per step;
+/// the pairs come from one more Hopcroft-Karp at the winning value.
 /// Returns nullopt when no perfect matching exists on the nonzero support
 /// (never happens for doubly stochastic matrices, by Birkhoff's theorem).
 std::optional<BottleneckMatching> bottleneck_perfect_matching(const Matrix& m);
 
 /// Sparse-path variant: value collection and every feasibility probe walk
 /// the support index, so one call costs O(nnz * sqrt(N) * log(nnz)) instead
-/// of O(N^2 * sqrt(N) * log(N^2)).  Used by the exact-bottleneck peel.
+/// of O(N^2 * sqrt(N) * log(N^2)).  Returns what the dense overload returns
+/// on the index's matrix.
 std::optional<BottleneckMatching> bottleneck_perfect_matching(const SupportIndex& idx);
 
 }  // namespace reco

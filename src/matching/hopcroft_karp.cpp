@@ -1,84 +1,179 @@
-// Hopcroft-Karp entry points, backed by the flat-CSR iterative engine in
-// matching_engine.cpp.  The per-call adjacency-list / MatchingResult API
-// is kept for existing callers and tests; internally every variant runs
-// on a thread-local MatchingScratch, so repeated calls reuse buffers and
-// deep layered DFS cannot overflow the stack (the seed recursion could at
-// path-shaped N=512 graphs; see tests/matching/test_matching_engine.cpp).
+// Hopcroft-Karp on a flat adjacency (CSR).  Rows enter the BFS ascending,
+// each row's edges are probed in order (ascending for the threshold
+// builders), and the layered DFS prunes dead ends, so the matching found is
+// the textbook recursion's.  The DFS runs on an explicit frame stack: a
+// path-shaped graph's augmenting path can visit every row, deeper than a
+// recursion should go at N = 512 and beyond.
 #include "matching/hopcroft_karp.hpp"
 
-#include <algorithm>
-
-#include "matching/matching_engine.hpp"
+#include <limits>
 
 namespace reco {
 
 namespace {
 
-/// Thread-local arena for the legacy no-scratch API.  Hot paths (BvN
-/// peeling, the simulator controller) hold their own scratch instead.
-MatchingScratch& tls_scratch() {
-  static thread_local MatchingScratch s;
-  return s;
+constexpr int kInf = std::numeric_limits<int>::max();
+
+/// Row u's right neighbours are col[off[u] .. off[u + 1]).  One flat build
+/// per call: a probe allocates two vectors, not one per row.
+struct Csr {
+  std::vector<int> off{0};
+  std::vector<int> col;
+
+  int rows() const { return static_cast<int>(off.size()) - 1; }
+  void end_row() { off.push_back(static_cast<int>(col.size())); }
+};
+
+Csr csr_of(int n_left, const std::vector<std::vector<int>>& adj) {
+  Csr g;
+  for (int u = 0; u < n_left; ++u) {
+    g.col.insert(g.col.end(), adj[u].begin(), adj[u].end());
+    g.end_row();
+  }
+  return g;
 }
 
-MatchingResult run_on_scratch(MatchingScratch& s) {
+/// Entries >= threshold - kTimeEps, columns ascending.
+Csr csr_at(const Matrix& m, double threshold) {
+  Csr g;
+  for (int i = 0; i < m.n(); ++i) {
+    for (int j = 0; j < m.n(); ++j) {
+      if (m.at(i, j) >= threshold - kTimeEps) g.col.push_back(j);
+    }
+    g.end_row();
+  }
+  return g;
+}
+
+/// The same edges from the support lists in O(nnz); the index keeps each
+/// row's support ascending, so the adjacency equals the dense build's.
+Csr csr_at(const SupportIndex& idx, double threshold) {
+  Csr g;
+  for (int i = 0; i < idx.n(); ++i) {
+    const auto support = idx.row_support(i);
+    const auto vals = idx.row_values(i);
+    for (int k = 0; k < support.size(); ++k) {
+      if (vals[k] >= threshold - kTimeEps) g.col.push_back(support[k]);
+    }
+    g.end_row();
+  }
+  return g;
+}
+
+std::vector<std::vector<int>> lists_of(const Csr& g) {
+  std::vector<std::vector<int>> adj(g.rows());
+  for (int u = 0; u < g.rows(); ++u) {
+    adj[u].assign(g.col.begin() + g.off[u], g.col.begin() + g.off[u + 1]);
+  }
+  return adj;
+}
+
+/// Layered BFS from every free row.  Returns true iff some layer reaches a
+/// free column; `dist` receives each row's layer for the DFS phase.
+bool bfs_layers(const Csr& g, const MatchingResult& r, std::vector<int>& dist,
+                std::vector<int>& queue) {
+  int head = 0;
+  int tail = 0;
+  for (int u = 0; u < g.rows(); ++u) {
+    if (r.match_left[u] == -1) {
+      dist[u] = 0;
+      queue[tail++] = u;
+    } else {
+      dist[u] = kInf;
+    }
+  }
+  bool found = false;
+  while (head < tail) {
+    const int u = queue[head++];
+    for (int e = g.off[u]; e < g.off[u + 1]; ++e) {
+      const int w = r.match_right[g.col[e]];
+      if (w == -1) {
+        found = true;
+      } else if (dist[w] == kInf) {
+        dist[w] = dist[u] + 1;
+        queue[tail++] = w;
+      }
+    }
+  }
+  return found;
+}
+
+/// Layered DFS from free row `u0`: descend to a column's partner one layer
+/// down, mark a dead-end row kInf for the rest of the phase, and on reaching
+/// a free column match every frame to the column it is parked on.  Frame k
+/// is (stack_u[k], edge cursor stack_e[k]).
+bool dfs_augment(const Csr& g, int u0, MatchingResult& r, std::vector<int>& dist,
+                 std::vector<int>& stack_u, std::vector<int>& stack_e) {
+  stack_u[0] = u0;
+  stack_e[0] = g.off[u0];
+  int sp = 1;
+  while (sp > 0) {
+    const int u = stack_u[sp - 1];
+    const int end = g.off[u + 1];
+    int e = stack_e[sp - 1];
+    int w = -1;
+    for (; e < end; ++e) {
+      w = r.match_right[g.col[e]];
+      if (w == -1 || dist[w] == dist[u] + 1) break;
+    }
+    stack_e[sp - 1] = e;
+    if (e == end) {
+      dist[u] = kInf;  // dead end: prune for this phase
+      if (--sp > 0) ++stack_e[sp - 1];
+    } else if (w != -1) {
+      stack_u[sp] = w;
+      stack_e[sp] = g.off[w];
+      ++sp;
+    } else {
+      for (int k = 0; k < sp; ++k) {
+        const int v = g.col[stack_e[k]];
+        r.match_left[stack_u[k]] = v;
+        r.match_right[v] = stack_u[k];
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+MatchingResult maximum_matching(int n_right, const Csr& g) {
+  const auto n_left = static_cast<std::size_t>(g.rows());
   MatchingResult r;
-  r.match_left.assign(static_cast<std::size_t>(s.n_left), -1);
-  r.match_right.assign(static_cast<std::size_t>(s.n_right), -1);
-  r.size = hk_augment_csr(s, r.match_left, r.match_right, 0.0, /*check_value=*/false);
+  r.match_left.assign(n_left, -1);
+  r.match_right.assign(static_cast<std::size_t>(n_right), -1);
+  std::vector<int> dist(n_left);
+  std::vector<int> queue(n_left);
+  // Each frame holds a distinct row (layers strictly increase downward).
+  std::vector<int> stack_u(n_left + 1);
+  std::vector<int> stack_e(n_left + 1);
+  while (r.size < g.rows() && bfs_layers(g, r, dist, queue)) {
+    for (int u = 0; u < g.rows(); ++u) {
+      if (r.match_left[u] == -1 && dfs_augment(g, u, r, dist, stack_u, stack_e)) ++r.size;
+    }
+  }
   return r;
 }
 
 }  // namespace
 
 MatchingResult hopcroft_karp(int n_left, int n_right, const std::vector<std::vector<int>>& adj) {
-  MatchingScratch& s = tls_scratch();
-  s.n_left = n_left;
-  s.n_right = n_right;
-  s.csr_off.resize(static_cast<std::size_t>(n_left) + 1);
-  s.csr_col.clear();
-  s.csr_val.clear();
-  s.csr_off[0] = 0;
-  for (int u = 0; u < n_left; ++u) {
-    s.csr_col.insert(s.csr_col.end(), adj[u].begin(), adj[u].end());
-    s.csr_off[u + 1] = static_cast<int>(s.csr_col.size());
-  }
-  return run_on_scratch(s);
+  return maximum_matching(n_right, csr_of(n_left, adj));
 }
 
 std::vector<std::vector<int>> threshold_adjacency(const Matrix& m, double threshold) {
-  std::vector<std::vector<int>> adj(m.n());
-  for (int i = 0; i < m.n(); ++i) {
-    for (int j = 0; j < m.n(); ++j) {
-      if (m.at(i, j) >= threshold - kTimeEps) adj[i].push_back(j);
-    }
-  }
-  return adj;
+  return lists_of(csr_at(m, threshold));
 }
 
 std::vector<std::vector<int>> threshold_adjacency(const SupportIndex& idx, double threshold) {
-  std::vector<std::vector<int>> adj(idx.n());
-  for (int i = 0; i < idx.n(); ++i) {
-    const auto support = idx.row_support(i);
-    const auto vals = idx.row_values(i);
-    adj[i].reserve(support.size());
-    for (int k = 0; k < support.size(); ++k) {
-      if (vals[k] >= threshold - kTimeEps) adj[i].push_back(support[k]);
-    }
-  }
-  return adj;
+  return lists_of(csr_at(idx, threshold));
 }
 
 MatchingResult threshold_matching(const Matrix& m, double threshold) {
-  MatchingScratch& s = tls_scratch();
-  build_csr(m, threshold, /*with_values=*/false, s);
-  return run_on_scratch(s);
+  return maximum_matching(m.n(), csr_at(m, threshold));
 }
 
 MatchingResult threshold_matching(const SupportIndex& idx, double threshold) {
-  MatchingScratch& s = tls_scratch();
-  build_csr(idx, threshold, /*with_values=*/false, s);
-  return run_on_scratch(s);
+  return maximum_matching(idx.n(), csr_at(idx, threshold));
 }
 
 bool has_perfect_matching_at(const Matrix& m, double threshold) {

@@ -13,16 +13,16 @@ IncrementalMatcher::IncrementalMatcher(const SupportIndex& index, double thresho
       n_(index.n()),
       words_((index.n() + 63) / 64),
       match_left_(index.n(), -1),
-      match_right_(index.n(), -1) {
-  scratch_.stack_u.assign(static_cast<std::size_t>(n_) + 1, 0);
-  scratch_.stack_e.assign(static_cast<std::size_t>(n_) + 1, 0);
-  scratch_.visited_bits.assign(words_, 0);
+      match_right_(index.n(), -1),
+      visited_bits_(static_cast<std::size_t>(words_), 0),
+      stack_u_(static_cast<std::size_t>(index.n()) + 1, 0),
+      stack_e_(static_cast<std::size_t>(index.n()) + 1, 0) {
   set_threshold(threshold);
 }
 
 void IncrementalMatcher::set_threshold(double threshold) {
   threshold_ = threshold;
-  std::vector<std::uint64_t>& adj = scratch_.adj_bits;
+  std::vector<std::uint64_t>& adj = adj_bits_;
   adj.assign(static_cast<std::size_t>(n_) * words_, 0);
   for (int i = 0; i < n_; ++i) {
     std::uint64_t* row = adj.data() + static_cast<std::size_t>(i) * words_;
@@ -47,16 +47,15 @@ int IncrementalMatcher::try_augment(int row) {
   // visited, so resuming from it after a dead end moves past it.  A row
   // enters the stack at most once per augmentation (it arrives as the match
   // of a freshly visited column), so stacks of size n_ + 1 always suffice.
-  std::uint64_t* visited = scratch_.visited_bits.data();
+  std::uint64_t* visited = visited_bits_.data();
   std::fill_n(visited, words_, 0);
-  int* su = scratch_.stack_u.data();
-  int* se = scratch_.stack_e.data();
+  int* su = stack_u_.data();
+  int* se = stack_e_.data();
   su[0] = row;
   se[0] = 0;
   int sp = 1;
   while (sp > 0) {
-    const std::uint64_t* adj =
-        scratch_.adj_bits.data() + static_cast<std::size_t>(su[sp - 1]) * words_;
+    const std::uint64_t* adj = adj_bits_.data() + static_cast<std::size_t>(su[sp - 1]) * words_;
     int w = se[sp - 1] >> 6;
     std::uint64_t bits = adj[w] & ~visited[w] & (~std::uint64_t{0} << (se[sp - 1] & 63));
     while (bits == 0 && ++w < words_) bits = adj[w] & ~visited[w];

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/support_index.hpp"
-#include "matching/matching_engine.hpp"
 
 namespace reco {
 
@@ -57,7 +56,7 @@ class IncrementalMatcher {
   /// one) that rematch() will act on.
   /// Inline: called for every matched entry of every peeling round.
   void on_entry_changed(int i, int j) {
-    std::uint64_t& word = scratch_.adj_bits[static_cast<std::size_t>(i) * words_ + (j >> 6)];
+    std::uint64_t& word = adj_bits_[static_cast<std::size_t>(i) * words_ + (j >> 6)];
     const std::uint64_t bit = std::uint64_t{1} << (j & 63);
     if (edge_present(i, j)) {
       word |= bit;
@@ -99,12 +98,12 @@ class IncrementalMatcher {
   int words_;  // 64-bit words per bitset row: ceil(n / 64)
   std::vector<int> match_left_;
   std::vector<int> match_right_;
-  // Shared scratch type with the bottleneck engine.  Augmentation uses its
-  // explicit DFS frame stacks (stack_u / stack_e), so repair paths of any
-  // depth run in constant C++ stack space; adj_bits holds the edge bitset
-  // (n rows x words_) and visited_bits the columns visited by the current
-  // augmentation (words_).
-  MatchingScratch scratch_;
+  std::vector<std::uint64_t> adj_bits_;      // edge bitset: n_ rows x words_
+  std::vector<std::uint64_t> visited_bits_;  // columns the current augmentation visited
+  // Explicit DFS frames (row, parked column), so repair paths of any depth
+  // run in constant C++ stack space.
+  std::vector<int> stack_u_;
+  std::vector<int> stack_e_;
   int size_ = 0;
 };
 

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "core/simd.hpp"
 #include "stats/csv.hpp"
 
 namespace reco::obs {
@@ -15,22 +14,7 @@ namespace detail {
 std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
-void set_enabled(bool on) {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-  if (on) {
-    // Record the resolved SIMD dispatch tier once, so /metrics answers
-    // "which kernels is this process actually running" (the core layer
-    // itself cannot depend on obs — the dependency points the other way).
-    static const bool recorded = [] {
-      metrics()
-          .counter(std::string("core.simd.dispatch.") +
-                   simd::level_name(simd::active_level()))
-          .inc();
-      return true;
-    }();
-    (void)recorded;
-  }
-}
+void set_enabled(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
 
 bool init_from_env() {
   const char* env = std::getenv("RECO_TRACE");

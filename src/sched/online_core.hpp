@@ -8,8 +8,8 @@
 // free list as coflows finish, and threads caller-owned scratch
 // (PacketScratch / RecoMulScratch / OrderingScratch) through every
 // pipeline stage.  After warm-up, a replan touches only
-// pre-sized buffers: the `alloc_events` counter (same accounting idiom as
-// `matching.engine`) stays flat across a 100k-coflow arrival stream.
+// pre-sized buffers: the `alloc_events` counter (capacity growths of those
+// buffers) stays flat across a 100k-coflow arrival stream.
 //
 // Determinism contract: every decision is a pure function of submitted
 // coflows and options.  Wall-clock enters only the latency recorder and

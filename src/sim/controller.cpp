@@ -5,6 +5,7 @@
 
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
+#include "matching/bottleneck.hpp"
 #include "matching/hungarian.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
@@ -80,13 +81,11 @@ std::optional<CircuitAssignment> AdaptiveRecoController::next_assignment(
   // Regularize + stuff the residual so a perfect matching exists, then take
   // one max-min extraction — Algorithm 1 re-planned against live state.
   const Matrix prepared = stuff_granular(regularize(residual, delta_), delta_);
-  if (!bottleneck_solve(prepared, scratch_)) {
-    return std::nullopt;  // tolerance-scale crumbs only
-  }
+  const std::optional<BottleneckMatching> match = bottleneck_perfect_matching(prepared);
+  if (!match) return std::nullopt;  // tolerance-scale crumbs only
   CircuitAssignment a;
-  a.duration = scratch_.bottleneck;
-  for (int i = 0; i < prepared.n(); ++i) {
-    const int j = scratch_.final_left[i];
+  a.duration = match->bottleneck;
+  for (const auto& [i, j] : match->pairs) {
     if (residual.at(i, j) >= kMinServiceQuantum) a.circuits.push_back({i, j});
   }
   if (a.circuits.empty()) return std::nullopt;

@@ -17,7 +17,6 @@
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
 #include "core/types.hpp"
-#include "matching/matching_engine.hpp"
 #include "sched/reco_sin.hpp"
 #include "sim/faults.hpp"
 
@@ -79,11 +78,6 @@ class AdaptiveRecoController final : public CircuitController {
 
  private:
   Time delta_;
-  // Owned matching arena: consecutive decisions re-plan against a residual
-  // that moved along one matching, so the engine warm-starts from the
-  // previous decision's matching and reuses every buffer (zero allocations
-  // in the matching layer once the simulation reaches steady state).
-  MatchingScratch scratch_;
 };
 
 /// Degraded-operation wrapper: delegates to an inner controller until the

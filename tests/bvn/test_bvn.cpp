@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "bvn/regularization.hpp"
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
-#include "matching/matching_engine.hpp"
+#include "matching/bottleneck.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -111,7 +112,7 @@ TEST(Bvn, MaxMinExtractsLargeCoefficientsFirst) {
 TEST(Bvn, MaxMinAmortizedCoefficientWithinTwiceOfExact) {
   // The amortized policy's power-of-two thresholds guarantee that every
   // round's coefficient is at least half of that round's exact bottleneck.
-  // Replay each schedule on a copy of its input and ask bottleneck_solve
+  // Replay each schedule on a copy of its input and ask the exact search
   // for the optimum before every round, up to the first round with no
   // perfect matching, where the float-drift cover tail takes over.
   Rng rng(55);
@@ -127,15 +128,15 @@ TEST(Bvn, MaxMinAmortizedCoefficientWithinTwiceOfExact) {
     const Matrix demand = testing::random_demand(rng, n, 0.5, 0.1, 3.0);
     inputs.push_back(stuff_granular(regularize(demand, delta), delta));
   }
-  MatchingScratch scratch;
   int checked = 0;
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     const CircuitSchedule s = bvn_decompose(inputs[k], BvnPolicy::kMaxMinAmortized);
     SupportIndex residual(inputs[k]);
     for (std::size_t r = 0; r < s.assignments.size(); ++r) {
-      if (!bottleneck_solve(residual, scratch)) break;
+      const std::optional<BottleneckMatching> exact = bottleneck_perfect_matching(residual);
+      if (!exact) break;
       const CircuitAssignment& a = s.assignments[r];
-      ASSERT_GE(a.duration, scratch.bottleneck / 2.0 - 1e-9) << "input " << k << " round " << r;
+      ASSERT_GE(a.duration, exact->bottleneck / 2.0 - 1e-9) << "input " << k << " round " << r;
       for (const Circuit& c : a.circuits) {
         residual.set(c.in, c.out, clamp_zero(residual.at(c.in, c.out) - a.duration));
       }

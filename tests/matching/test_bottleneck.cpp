@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/support_index.hpp"
+#include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -82,6 +84,76 @@ TEST(BottleneckProperty, MatchesBruteForce) {
       EXPECT_NEAR(r->bottleneck, oracle, 1e-9) << "trial " << trial;
     }
   }
+}
+
+// Regression cases first written for the amortized engine this search
+// replaced; the suite keeps its name.
+
+TEST(MatchingEngine, EpsilonDedupChainRegression) {
+  // Values 1.0, 1.0 + 0.8e-9, 1.0 + 1.6e-9 form a transitive near-equal
+  // chain: consecutive gaps are below kTimeEps (1e-9) but the endpoints
+  // differ by more.  The seed's pairwise-approx std::unique collapsed the
+  // middle value into 1.0, leaving the ladder {1.0, 1.0 + 1.6e-9}; the
+  // top is infeasible (row 0 maxes out at 1.0 < t - eps), so the seed
+  // reported bottleneck 1.0.  With exact dedup the ladder keeps
+  // 1.0 + 0.8e-9, which IS feasible: every entry is >= t - eps.
+  const double mid = 1.0 + 0.8e-9;
+  const double top = 1.0 + 1.6e-9;
+  Matrix m(3);
+  m.at(0, 0) = 1.0;
+  m.at(0, 1) = 1.0;
+  m.at(1, 0) = 1.0;
+  m.at(1, 1) = mid;
+  m.at(2, 2) = top;
+
+  const auto dense = bottleneck_perfect_matching(m);
+  ASSERT_TRUE(dense.has_value());
+  EXPECT_DOUBLE_EQ(dense->bottleneck, mid);
+
+  // The retained reference oracle carries the same fix.
+  const auto ref = dense_reference::bottleneck_perfect_matching_reference(m);
+  ASSERT_TRUE(ref.has_value());
+  EXPECT_DOUBLE_EQ(ref->bottleneck, mid);
+  EXPECT_EQ(dense->pairs, ref->pairs);
+
+  // Sparse overloads agree.
+  const SupportIndex idx(m);
+  const auto sparse = bottleneck_perfect_matching(idx);
+  ASSERT_TRUE(sparse.has_value());
+  EXPECT_DOUBLE_EQ(sparse->bottleneck, mid);
+  EXPECT_EQ(sparse->pairs, dense->pairs);
+}
+
+TEST(MatchingEngine, PathShapedStressN512DeepAugmentingPath) {
+  // Path-shaped instance whose final augmentation is one alternating path
+  // through all 512 rows: rows 0..n-2 carry edges (i, i) = 1 and
+  // (i, i+1) = 2; row n-1 carries only (n-1, 0) = 1.  Phase one matches
+  // every row i to column i, then row n-1 forces the full-length flip —
+  // 512 frames on Hopcroft-Karp's explicit DFS stack, where a recursive
+  // DFS would nest 512 calls deep.
+  const int n = 512;
+  Matrix m(n);
+  for (int i = 0; i < n - 1; ++i) {
+    m.at(i, i) = 1.0;
+    m.at(i, i + 1) = 2.0;
+  }
+  m.at(n - 1, 0) = 1.0;
+
+  // The unique perfect matching at the bottleneck: row n-1 must take
+  // column 0, cascading every other row onto its (i, i+1) edge — but the
+  // bottleneck is capped by row n-1's only value.
+  const auto dense = bottleneck_perfect_matching(m);
+  ASSERT_TRUE(dense.has_value());
+  EXPECT_DOUBLE_EQ(dense->bottleneck, 1.0);
+  ASSERT_EQ(dense->pairs.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(dense->pairs[n - 1].second, 0);
+  for (int i = 0; i < n - 1; ++i) EXPECT_EQ(dense->pairs[i].second, i + 1);
+
+  // Sparse overload walks the same deep path.
+  const auto sparse = bottleneck_perfect_matching(SupportIndex(m));
+  ASSERT_TRUE(sparse.has_value());
+  EXPECT_DOUBLE_EQ(sparse->bottleneck, 1.0);
+  EXPECT_EQ(sparse->pairs, dense->pairs);
 }
 
 }  // namespace

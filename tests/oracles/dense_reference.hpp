@@ -7,7 +7,9 @@
 //     (tests/property/test_sparse_equivalence.cpp) asserts that the
 //     SupportIndex-based kernels produce identical CircuitSchedules to
 //     these references across sizes, densities, and both BvN policies;
-//   * the matching-engine equivalence tests pin bottleneck_solve against
+//   * the bottleneck equivalence test
+//     (tests/property/test_bottleneck_equivalence.cpp) pins
+//     bottleneck_perfect_matching against
 //     bottleneck_perfect_matching_reference;
 //   * bench_micro_kernels measures the sparse path's speedup against this
 //     baseline (the acceptance bar for the sparse index work).
@@ -44,13 +46,13 @@ Matrix stuff_granular(const Matrix& demand, Time quantum);
 CircuitSchedule solstice(const Matrix& demand, Time delta = 100e-6);
 
 /// Seed bottleneck max-min matching, retained as the reference oracle for
-/// the amortized engine (src/matching/matching_engine.*): sorted distinct
+/// bottleneck_perfect_matching (src/matching/bottleneck.*): sorted distinct
 /// value ladder + binary search, one cold recursive Hopcroft-Karp per
 /// probe.  The ladder uses exact dedup — the one deliberate divergence
 /// from the seed, whose pairwise-approx `std::unique` collapsed transitive
-/// near-equal chains (see the engine header); everything else, including
-/// BFS/DFS visit order and hence the returned pairs, is the seed
-/// algorithm verbatim.  The SupportIndex overload walks the support in the
+/// near-equal chains (see MatchingEngine.EpsilonDedupChainRegression);
+/// everything else, including BFS/DFS visit order and hence the returned
+/// pairs, is the seed algorithm verbatim.  The SupportIndex overload walks the support in the
 /// same row-major order, so both overloads return identical results.
 std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const Matrix& m);
 std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const SupportIndex& idx);

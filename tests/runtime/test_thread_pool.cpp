@@ -81,11 +81,14 @@ Rendezvous nested_rendezvous() {
 }
 
 TEST(ThreadPool, SubmittedJobsRun) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_workers(), 3);
+  // The sync objects outlive the pool: the wait can see ran == 20 before
+  // the worker that ran job 20 has locked `mu` and notified, and the pool's
+  // destructor joins that worker while `mu` and `cv` still exist.
   std::atomic<int> ran{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_workers(), 3);
   for (int i = 0; i < 20; ++i) {
     pool.submit([&] {
       if (ran.fetch_add(1) + 1 == 20) {
@@ -94,8 +97,10 @@ TEST(ThreadPool, SubmittedJobsRun) {
       }
     });
   }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return ran.load() == 20; });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return ran.load() == 20; });
+  }
   EXPECT_EQ(ran.load(), 20);
 }
 
