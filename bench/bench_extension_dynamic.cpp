@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "sched/online.hpp"
 #include "sim/multi_fabric.hpp"
+#include "sim/online_daemon.hpp"
 #include "stats/report.hpp"
 #include "stats/summary.hpp"
 #include "trace/generator.hpp"
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   g.mean_interarrival = 5e-3;
   const auto coflows = generate_workload(g);
 
-  OnlineOptions online;
+  OnlineCoreOptions online;
   online.delta = g.delta;
   online.c_threshold = g.c_threshold;
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     t.add_row({name, fmt_double(r.total_weighted_cct, 4), fmt_time(mean(cct)),
                std::to_string(r.reconfigurations)});
   };
-  const auto add_plan_row = [&](const char* name, OnlineScheduleResult r) {
+  const auto add_plan_row = [&](const char* name, const sim::OnlineScheduleResult& r) {
     std::vector<double> cct(r.cct.begin(), r.cct.end());
     t.add_row({name, fmt_double(r.total_weighted_cct, 4), fmt_time(mean(cct)),
                std::to_string(r.reconfigurations)});
@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
                    simulate_multi_coflow(c, coflows, g.delta));
   }
   add_plan_row("plan: epoch Reco-Mul",
-               schedule_online(coflows, OnlinePolicyKind::kEpochRecoMul, online));
+               sim::schedule_online(coflows, OnlinePolicyKind::kEpochRecoMul, online));
   add_plan_row("plan: drain-replan Reco-Mul",
-               schedule_online(coflows, OnlinePolicyKind::kDrainReplanRecoMul, online));
+               sim::schedule_online(coflows, OnlinePolicyKind::kDrainReplanRecoMul, online));
   add_plan_row("plan: FIFO Reco-Sin",
-               schedule_online(coflows, OnlinePolicyKind::kFifoRecoSin, online));
+               sim::schedule_online(coflows, OnlinePolicyKind::kFifoRecoSin, online));
 
   std::printf("Workload: %d coflows on %d ports; delta = %s; Poisson arrivals\n"
               "(mean gap %s).\n\n",

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "sched/online.hpp"
+#include "sim/online_daemon.hpp"
 #include "stats/report.hpp"
 #include "stats/summary.hpp"
 #include "trace/generator.hpp"
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   g.delta = opts.delta;
   g.c_threshold = opts.c_threshold;
 
-  OnlineOptions online;
+  OnlineCoreOptions online;
   online.delta = g.delta;
   online.c_threshold = g.c_threshold;
 
@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
   for (const Time gap : {0.0, 1e-3, 10e-3, 100e-3}) {
     g.mean_interarrival = gap;
     const auto coflows = generate_workload(g);
-    const OnlineScheduleResult epoch = schedule_online(coflows, OnlinePolicyKind::kEpochRecoMul, online);
-    const OnlineScheduleResult replan =
-        schedule_online(coflows, OnlinePolicyKind::kDrainReplanRecoMul, online);
-    const OnlineScheduleResult fifo = schedule_online(coflows, OnlinePolicyKind::kFifoRecoSin, online);
+    const auto epoch = sim::schedule_online(coflows, OnlinePolicyKind::kEpochRecoMul, online);
+    const auto replan =
+        sim::schedule_online(coflows, OnlinePolicyKind::kDrainReplanRecoMul, online);
+    const auto fifo = sim::schedule_online(coflows, OnlinePolicyKind::kFifoRecoSin, online);
     t.add_row({gap == 0.0 ? "all at 0" : fmt_time(gap),
                std::to_string(epoch.epochs) + "/" + std::to_string(replan.epochs),
                fmt_double(epoch.total_weighted_cct, 4),
@@ -54,10 +54,9 @@ int main(int argc, char** argv) {
   for (const Time gap : {0.5e-3, 2e-3, 8e-3, 32e-3}) {
     g.mean_interarrival = gap;
     const auto coflows = generate_workload(g);
-    const OnlineScheduleResult epoch =
-        schedule_online(coflows, OnlinePolicyKind::kEpochRecoMul, online);
-    const OnlineScheduleResult replan =
-        schedule_online(coflows, OnlinePolicyKind::kDrainReplanRecoMul, online);
+    const auto epoch = sim::schedule_online(coflows, OnlinePolicyKind::kEpochRecoMul, online);
+    const auto replan =
+        sim::schedule_online(coflows, OnlinePolicyKind::kDrainReplanRecoMul, online);
     std::vector<double> e(epoch.cct.begin(), epoch.cct.end());
     std::vector<double> r(replan.cct.begin(), replan.cct.end());
     sweep.add_row({fmt_time(gap), fmt_double(mean(e), 4), fmt_double(mean(r), 4),

@@ -7,7 +7,8 @@
 // `--rep=10` is an error, not a silent default.  The numeric getters parse
 // the whole value with std::from_chars: an empty value, trailing junk, or a
 // number that does not fit the target type throws a cli::FlagError naming
-// the flag; nothing falls back to 0 or wraps in a cast.  get_double accepts
+// the flag; nothing falls back to 0 or wraps in a cast.  get_choice throws
+// one for a value outside the flag's list of names.  get_double accepts
 // "nan" and "inf", so the library's own parameter guards still see, and
 // name, them.  The examples that take positional numbers (datacenter_shuffle,
 // ocs_what_if, trace_tool) call parse_int / parse_double with the argument's
@@ -81,6 +82,19 @@ struct Args {
   T get_int(const std::string& key, T fallback) const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : parse_int<T>("--" + key, it->second);
+  }
+  /// The value of --key, or `fallback`, if it is one of `choices`; else a
+  /// FlagError naming the flag, the value and the choices.
+  std::string get_choice(const std::string& key, const std::string& fallback,
+                         std::initializer_list<std::string_view> choices) const {
+    const std::string value = get(key, fallback);
+    if (std::find(choices.begin(), choices.end(), value) != choices.end()) return value;
+    std::string names;
+    for (const std::string_view choice : choices) {
+      if (!names.empty()) names += '|';
+      names += choice;
+    }
+    throw FlagError("--" + key + ": \"" + value + "\" is not one of " + names);
   }
   /// Size the parallel runtime from --threads=N, if given.
   void apply_threads() const {

@@ -2,10 +2,10 @@
 //
 // Synthesizes a Poisson coflow arrival stream (or replays a trace file)
 // and pushes it through the event-driven OnlineDaemon: arrivals and epoch
-// completions flow through the sim EventQueue, a pluggable OnlinePolicy
-// decides admit/re-order on the residual set, and every replan reuses the
-// warm-started matching and Reco-Mul scratch — zero steady-state
-// allocation once warm.
+// completions flow through the sim EventQueue, the --policy decides when to
+// replan the residual set and --ordering how to order it, and every replan
+// reuses the warm-started matching and Reco-Mul scratch — zero
+// steady-state allocation once warm.
 //
 //   reco_serve [--coflows=N] [--ports=P] [--gap=SEC] [--seed=N]
 //              [--policy=epoch|replan|fifo] [--ordering=bssi|sebf|lp]
@@ -118,27 +118,16 @@ int main(int argc, char** argv) {
     }
     if (!flight_out.empty()) obs::flight_recorder().arm(flight_out);
 
-    const std::string policy_name = args.get("policy", "replan");
-    OnlinePolicyKind policy = OnlinePolicyKind::kDrainReplanRecoMul;
-    if (policy_name == "epoch") {
-      policy = OnlinePolicyKind::kEpochRecoMul;
-    } else if (policy_name == "fifo") {
-      policy = OnlinePolicyKind::kFifoRecoSin;
-    } else if (policy_name != "replan") {
-      std::fprintf(stderr, "unknown --policy=%s\n", policy_name.c_str());
-      return usage();
-    }
+    const std::string policy_name =
+        args.get_choice("policy", "replan", {"epoch", "replan", "fifo"});
+    const OnlinePolicyKind policy = policy_name == "epoch"  ? OnlinePolicyKind::kEpochRecoMul
+                                    : policy_name == "fifo" ? OnlinePolicyKind::kFifoRecoSin
+                                                            : OnlinePolicyKind::kDrainReplanRecoMul;
 
-    const std::string ordering_name = args.get("ordering", "bssi");
-    OrderingPolicy ordering = OrderingPolicy::kBssi;
-    if (ordering_name == "sebf") {
-      ordering = OrderingPolicy::kSebf;
-    } else if (ordering_name == "lp") {
-      ordering = OrderingPolicy::kLp;
-    } else if (ordering_name != "bssi") {
-      std::fprintf(stderr, "unknown --ordering=%s\n", ordering_name.c_str());
-      return usage();
-    }
+    const std::string ordering_name = args.get_choice("ordering", "bssi", {"bssi", "sebf", "lp"});
+    const OrderingPolicy ordering = ordering_name == "sebf" ? OrderingPolicy::kSebf
+                                    : ordering_name == "lp" ? OrderingPolicy::kLp
+                                                            : OrderingPolicy::kBssi;
 
     const std::string csv_path = args.get("csv", "");
     sim::OnlineDaemonOptions options;

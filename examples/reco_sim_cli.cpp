@@ -43,7 +43,6 @@
 #include "ocs/not_all_stop_executor.hpp"
 #include "sched/bvn_baseline.hpp"
 #include "sched/multi_baselines.hpp"
-#include "sched/online.hpp"
 #include "sched/reco_sin.hpp"
 #include "sched/solstice.hpp"
 #include "sched/sunflow.hpp"
@@ -52,6 +51,7 @@
 #include "stats/csv.hpp"
 #include "stats/summary.hpp"
 #include "sim/fabric.hpp"
+#include "sim/online_daemon.hpp"
 #include "trace/fb_format.hpp"
 #include "trace/serialization.hpp"
 
@@ -68,7 +68,7 @@ int usage() {
                "               [--port-mtbf=S] [--port-mttr=S] [--setup-timeout=P]\n"
                "               [--setup-attempts=N] [--crosspoint-fail=P] [--fault-seed=N]\n"
                "  reco_sim_cli multi  <trace> [--algo=A] [--delta=S] [--c=C] [--csv=F]\n"
-               "  reco_sim_cli online <trace> [--policy=epoch|fifo] [--delta=S] [--c=C]\n"
+               "  reco_sim_cli online <trace> [--policy=epoch|replan|fifo] [--delta=S] [--c=C]\n"
                "  (all modes: --threads=N sizes the parallel runtime; 1 = sequential;\n"
                "   --trace-out=F writes Perfetto-loadable trace JSON, --metrics-out=F\n"
                "   a metrics CSV; either flag or RECO_TRACE=1 enables telemetry)\n");
@@ -84,7 +84,7 @@ int run_single(const cli::Args& args, const std::vector<Coflow>& coflows) {
   const Matrix& d = coflows[k].demand;
   const Time delta = args.get_double("delta", 100e-6);
   const std::string algo = args.get("algo", "reco-sin");
-  const std::string model = args.get("model", "all-stop");
+  const std::string model = args.get_choice("model", "all-stop", {"all-stop", "not-all-stop"});
 
   std::printf("coflow %d: %dx%d fabric, %d flows, rho=%g s, tau=%d, LB=%g s\n", k, d.n(), d.n(),
               d.nnz(), d.rho(), d.tau(), single_coflow_lower_bound(d, delta));
@@ -223,14 +223,14 @@ int run_multi(const cli::Args& args, const std::vector<Coflow>& coflows) {
 }
 
 int run_online(const cli::Args& args, const std::vector<Coflow>& coflows) {
-  OnlineOptions o;
+  OnlineCoreOptions o;
   o.delta = args.get_double("delta", 100e-6);
   o.c_threshold = args.get_double("c", 4.0);
-  const std::string policy_name = args.get("policy", "epoch");
+  const std::string policy_name = args.get_choice("policy", "epoch", {"epoch", "replan", "fifo"});
   const OnlinePolicyKind policy = policy_name == "fifo"     ? OnlinePolicyKind::kFifoRecoSin
                               : policy_name == "replan" ? OnlinePolicyKind::kDrainReplanRecoMul
                                                         : OnlinePolicyKind::kEpochRecoMul;
-  const OnlineScheduleResult r = schedule_online(coflows, policy, o);
+  const sim::OnlineScheduleResult r = sim::schedule_online(coflows, policy, o);
   std::vector<double> cct(r.cct.begin(), r.cct.end());
   std::printf("online/%s: sum w*CCT=%g, avg CCT=%g s, %d reconfigs, %d epochs\n",
               policy_name.c_str(), r.total_weighted_cct, mean(cct), r.reconfigurations,

@@ -30,7 +30,7 @@
 #include "sched/fluid.hpp"              // IWYU pragma: export
 #include "sched/hybrid.hpp"             // IWYU pragma: export
 #include "sched/multi_baselines.hpp"    // IWYU pragma: export
-#include "sched/online.hpp"             // IWYU pragma: export
+#include "sched/online_core.hpp"        // IWYU pragma: export
 #include "sched/ordering.hpp"           // IWYU pragma: export
 #include "sched/packet_scheduler.hpp"   // IWYU pragma: export
 #include "sched/reco_mul.hpp"           // IWYU pragma: export
@@ -42,6 +42,7 @@
 #include "sim/fabric.hpp"               // IWYU pragma: export
 #include "sim/faults.hpp"               // IWYU pragma: export
 #include "sim/multi_fabric.hpp"         // IWYU pragma: export
+#include "sim/online_daemon.hpp"        // IWYU pragma: export
 #include "stats/analysis.hpp"           // IWYU pragma: export
 #include "stats/csv.hpp"                // IWYU pragma: export
 #include "stats/report.hpp"             // IWYU pragma: export

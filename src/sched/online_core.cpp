@@ -44,6 +44,15 @@ double elapsed_us(LatencyClock::time_point since) {
 
 }  // namespace
 
+const char* to_string(OnlinePolicyKind kind) {
+  switch (kind) {
+    case OnlinePolicyKind::kEpochRecoMul: return "epoch-reco-mul";
+    case OnlinePolicyKind::kFifoRecoSin: return "fifo-reco-sin";
+    case OnlinePolicyKind::kDrainReplanRecoMul: return "drain-replan-reco-mul";
+  }
+  return "unknown";
+}
+
 void DecisionLatencyRecorder::record_us(double us) {
   if (us < 0.0) us = 0.0;
   std::size_t k = 0;
@@ -75,7 +84,7 @@ double DecisionLatencyRecorder::quantile_us(double q) const {
 }
 
 OnlineCore::OnlineCore(OnlinePolicyKind kind, const OnlineCoreOptions& options)
-    : kind_(kind), policy_(make_online_policy(kind, options.ordering)), options_(options) {}
+    : kind_(kind), options_(options) {}
 
 void OnlineCore::reserve(std::size_t expected_coflows) {
   if (options_.record_cct) cct_.reserve(expected_coflows);
@@ -124,7 +133,7 @@ std::uint64_t OnlineCore::submit(const Coflow& coflow) {
 }
 
 Time OnlineCore::plan(Time now) {
-  if (policy_->serialize_batch()) {
+  if (kind_ == OnlinePolicyKind::kFifoRecoSin) {
     throw std::logic_error("OnlineCore::plan: serialized policy plans via step_fifo");
   }
   if (has_plan_) throw std::logic_error("OnlineCore::plan: previous plan not committed");
@@ -145,7 +154,8 @@ Time OnlineCore::plan(Time now) {
     batch_ids_[b] = static_cast<CoflowId>(b);  // local id == batch position
   }
 
-  policy_->order_batch(batch_residuals_, batch_weights_, ordering_scratch_, order_);
+  order_residuals_into(batch_residuals_, batch_weights_, options_.ordering, ordering_scratch_,
+                       order_);
   packet_schedule_into(batch_residuals_, batch_ids_, order_, packet_scratch_, packet_);
   reco_mul_transform_into(packet_, options_.delta, options_.c_threshold, mul_scratch_, plan_);
 
@@ -244,7 +254,7 @@ Time OnlineCore::commit(Time cut_local) {
 }
 
 Time OnlineCore::step_fifo(Time now) {
-  if (!policy_->serialize_batch()) {
+  if (kind_ != OnlinePolicyKind::kFifoRecoSin) {
     throw std::logic_error("OnlineCore::step_fifo: batch policy steps via plan/commit");
   }
   if (live_slots_.empty()) return now;

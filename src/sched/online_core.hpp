@@ -1,5 +1,6 @@
-// Incremental online replan core: the engine under both `schedule_online`
-// (the batch loop driver) and the event-driven `sim::OnlineDaemon`.
+// Incremental online replan core: the engine under the event-driven
+// `sim::OnlineDaemon`, the one online driver.  `reco_serve` runs the daemon
+// over a stream and `sim::schedule_online` over a materialized workload.
 //
 // The historical online path rebuilt all Reco-Mul state from dense Coflow
 // copies on every epoch — O(batch * N^2) of allocation and copying per
@@ -20,7 +21,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/coflow.hpp"
@@ -28,12 +28,31 @@
 #include "core/snapshot.hpp"
 #include "core/support_index.hpp"
 #include "core/types.hpp"
-#include "sched/online_policy.hpp"
 #include "sched/ordering.hpp"
 #include "sched/packet_scheduler.hpp"
 #include "sched/reco_mul.hpp"
 
 namespace reco {
+
+/// The three online policies (docs/ONLINE.md):
+///
+///  * kEpochRecoMul — whenever the fabric goes idle, plan every live coflow
+///    as one Reco-Mul batch and run it to completion; arrivals wait for the
+///    next epoch.
+///  * kFifoRecoSin — one coflow at a time in arrival order, each through
+///    Reco-Sin.
+///  * kDrainReplanRecoMul — an arrival cuts the running plan (started
+///    slices finish, the rest is cancelled) and the residual set is
+///    replanned with the newcomer.
+///
+/// The batch policies order each batch by `OnlineCoreOptions::ordering`.
+enum class OnlinePolicyKind {
+  kEpochRecoMul,
+  kFifoRecoSin,
+  kDrainReplanRecoMul,
+};
+
+const char* to_string(OnlinePolicyKind kind);
 
 /// Fixed power-of-two-bucket latency sketch: allocation-free recording
 /// (plain array increments).  Kept separate from the obs registry so
@@ -142,7 +161,6 @@ class OnlineCore {
   Time step_fifo(Time now);
 
   OnlinePolicyKind kind() const { return kind_; }
-  const OnlinePolicy& policy() const { return *policy_; }
   const OnlineCoreOptions& options() const { return options_; }
 
   const SliceSchedule& schedule() const { return schedule_; }
@@ -193,7 +211,6 @@ class OnlineCore {
   void note_footprint();
 
   OnlinePolicyKind kind_;
-  std::unique_ptr<OnlinePolicy> policy_;
   OnlineCoreOptions options_;
 
   // Slot store: slots_ never shrinks; finished slots are recycled via the

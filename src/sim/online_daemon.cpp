@@ -23,7 +23,6 @@ constexpr std::uint32_t kDaemonVersion = 1;
 VectorSource::VectorSource(const std::vector<Coflow>& coflows) : coflows_(&coflows) {
   by_arrival_.resize(coflows.size());
   std::iota(by_arrival_.begin(), by_arrival_.end(), 0);
-  // Same stable order as schedule_online's admission sequence.
   std::stable_sort(by_arrival_.begin(), by_arrival_.end(), [&](int a, int b) {
     return coflows[a].arrival < coflows[b].arrival;
   });
@@ -281,7 +280,7 @@ void OnlineDaemon::on_arrival(Time now) {
   // lookahead; its arrival event then delivers nothing and must not cut.
   if (admitted == 0) return;
 
-  if (running_ && core_.policy().preempt_on_arrival()) {
+  if (running_ && core_.kind() == OnlinePolicyKind::kDrainReplanRecoMul) {
     // Drain-replan: cut the running plan *now*.  Slices already started
     // keep running (the kept prefix); everything else is cancelled and the
     // residual set — plus the newcomer(s) — is replanned once the kept
@@ -305,7 +304,7 @@ void OnlineDaemon::on_replan(Time now, std::uint64_t gen) {
   if (gen != gen_ || running_) return;
   last_activity_ = now;
   // Late-admission boundary: coflows landing within eps of the replan
-  // instant join this plan, exactly as the loop driver admits them.
+  // instant join this plan, exactly as the reference loop admits them.
   ingest_until(now + kTimeEps);
   schedule_next_arrival();
   start_if_idle(now);
@@ -315,7 +314,7 @@ void OnlineDaemon::on_complete(Time now, std::uint64_t gen) {
   if (gen != gen_) return;
   last_activity_ = now;
   running_ = false;
-  if (core_.policy().preempt_on_arrival()) {
+  if (core_.kind() == OnlinePolicyKind::kDrainReplanRecoMul) {
     // No arrival cut this plan: commit it whole.  Every batch coflow
     // drains, so the fabric goes idle until the next arrival event.
     core_.commit(std::numeric_limits<Time>::infinity());
@@ -360,10 +359,10 @@ void OnlineDaemon::schedule_next_sample() {
 void OnlineDaemon::start_if_idle(Time now) {
   if (running_ || core_.idle()) return;
   running_ = true;
-  if (core_.policy().serialize_batch()) {
+  if (core_.kind() == OnlinePolicyKind::kFifoRecoSin) {
     const Time done = core_.step_fifo(now);
     schedule_event(EventKind::kFifoDone, std::max(done, now), gen_);
-  } else if (core_.policy().preempt_on_arrival()) {
+  } else if (core_.kind() == OnlinePolicyKind::kDrainReplanRecoMul) {
     // Plan and *hold*: commit happens either at the cut (an arrival) or at
     // the completion event if nothing interrupts.
     plan_base_ = now;
@@ -377,6 +376,29 @@ void OnlineDaemon::start_if_idle(Time now) {
     const Time epoch_end = core_.commit(std::numeric_limits<Time>::infinity());
     schedule_event(EventKind::kComplete, now + epoch_end, gen_);
   }
+}
+
+OnlineScheduleResult schedule_online(const std::vector<Coflow>& coflows, OnlinePolicyKind policy,
+                                     const OnlineCoreOptions& options) {
+  VectorSource source(coflows);
+  OnlineDaemonOptions daemon_options;
+  daemon_options.core = options;
+  OnlineDaemon daemon(policy, daemon_options);
+  daemon.reserve(coflows.size());
+  daemon.run(source);
+
+  const OnlineCore& core = daemon.core();
+  OnlineScheduleResult result;
+  result.schedule = core.schedule();
+  // The core keys CCTs by admission sequence, which is the source's order.
+  const std::vector<Time>& by_seq = core.cct_by_seq();
+  result.cct.resize(by_seq.size());
+  for (std::size_t s = 0; s < by_seq.size(); ++s) result.cct[source.order()[s]] = by_seq[s];
+  result.reconfigurations = core.stats().reconfigurations;
+  result.epochs = core.stats().epochs;
+  result.total_weighted_cct = core.stats().total_weighted_cct;
+  result.digest = core.digest();
+  return result;
 }
 
 }  // namespace reco::sim

@@ -1,17 +1,21 @@
-// Event-driven online scheduler daemon: the `reco_serve` engine.
+// Event-driven online scheduler daemon: the one driver of the sched-layer
+// OnlineCore.  `reco_serve` runs it over a coflow stream, and
+// `schedule_online` below runs it over a materialized workload for the
+// benches, `reco_sim_cli online` and the tests.
 //
 // Coflow arrivals and epoch completions flow through the sim EventQueue;
-// every decision is delegated to the sched-layer OnlineCore, so the daemon
-// produces byte-identical schedules to the batch loop driver
-// (`schedule_online`) — that equivalence is pinned by tests.  What the
-// daemon adds over the loop:
+// every decision is delegated to the OnlineCore.  The clairvoyant batch
+// loop the daemon replaced is kept as a test oracle
+// (tests/oracles/online_loop.hpp), and the daemon must emit byte-identical
+// schedules to it — that equivalence is pinned by tests.  What the daemon
+// does that the loop does not:
 //
 //  * a pull-based CoflowSource, so a 100k-coflow stream is generated one
 //    coflow at a time instead of materializing the whole workload;
-//  * non-clairvoyant control flow: the loop driver peeks at the next
-//    arrival to place the cut; the daemon only learns of an arrival when
-//    its event fires, and cuts the running plan *then* — same kept prefix,
-//    no lookahead into the future;
+//  * non-clairvoyant control flow: the loop peeks at the next arrival to
+//    place the cut; the daemon only learns of an arrival when its event
+//    fires, and cuts the running plan *then* — same kept prefix, no
+//    lookahead into the future;
 //  * zero steady-state allocation: small-buffer EventFn handlers, slot
 //    recycling in the core, and a bounded number of outstanding events;
 //  * deterministic checkpoint/restart (docs/RELIABILITY.md): every
@@ -28,7 +32,7 @@
 //                drain-replan: cut the running plan at t, replan at
 //                max(t, kept-prefix end); epoch/fifo: start work iff idle.
 //   replan(t):   ingest <= t + eps (late admissions between cut and replan
-//                land exactly as the loop driver admits them), then plan
+//                land exactly as the reference loop admits them), then plan
 //                and hold (drain) — completion scheduled at full makespan.
 //   complete(t): commit the whole plan (nothing cut it), then replan if
 //                anything is still live.
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "core/coflow.hpp"
+#include "core/slice.hpp"
 #include "core/types.hpp"
 #include "sched/online_core.hpp"
 #include "sim/event_queue.hpp"
@@ -67,6 +72,9 @@ class VectorSource final : public CoflowSource {
   explicit VectorSource(const std::vector<Coflow>& coflows);
   const Coflow* peek() override;
   void pop() override;
+  /// Input position of each coflow, in the order the source yields them:
+  /// nondecreasing arrival, input position breaking ties.
+  const std::vector<int>& order() const { return by_arrival_; }
 
  private:
   const std::vector<Coflow>* coflows_;
@@ -192,7 +200,7 @@ class OnlineDaemon {
   OnlineDaemonReport drive();
 
   /// Submit every source coflow with arrival <= horizon; returns how many.
-  /// Mirrors the loop driver's eps-tolerant admission boundary.
+  /// Mirrors the reference loop's eps-tolerant admission boundary.
   std::size_t ingest_until(Time horizon);
   void schedule_next_arrival();
   void start_if_idle(Time now);
@@ -224,5 +232,23 @@ class OnlineDaemon {
   bool running_ = false;          ///< a plan/epoch/serve is outstanding
   bool arrival_pending_ = false;  ///< an arrival event is in the queue
 };
+
+/// What `schedule_online` emitted, with CCTs indexed like its input.
+struct OnlineScheduleResult {
+  SliceSchedule schedule;        ///< real-time slices across all epochs
+  std::vector<Time> cct;         ///< per-coflow CCT measured from arrival
+  int reconfigurations = 0;
+  int epochs = 0;                ///< batch replan rounds (batch policies only)
+  Time total_weighted_cct = 0.0;
+  std::uint64_t digest = 0;      ///< FNV-1a over emitted slices (replay witness)
+};
+
+/// Run a materialized workload through an OnlineDaemon over a VectorSource.
+/// The coflows' `arrival` fields are honoured; they need not be sorted.
+/// `cct[k]` is input coflow k's CCT, measured from its arrival.  With
+/// `options.record_schedule` or `record_cct` off, `schedule` or `cct` stays
+/// empty.
+OnlineScheduleResult schedule_online(const std::vector<Coflow>& coflows, OnlinePolicyKind policy,
+                                     const OnlineCoreOptions& options = {});
 
 }  // namespace reco::sim

@@ -1,4 +1,6 @@
-#include "sched/online.hpp"
+// The online policies' behaviour, through `schedule_online`: the event-driven
+// daemon over a materialized workload.
+#include "sim/online_daemon.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,9 @@
 
 namespace reco {
 namespace {
+
+using sim::OnlineScheduleResult;
+using sim::schedule_online;
 
 std::vector<Coflow> arriving_workload(std::uint64_t seed, int k = 20, int n = 16,
                                       Time mean_gap = 0.01) {
@@ -181,7 +186,9 @@ TEST_P(OnlinePolicyTest, BoundaryArrivalAdmittedWithNonNegativeCct) {
     EXPECT_TRUE(is_port_feasible(r.schedule)) << "nudge " << nudge;
     // No slice of B may start before it arrived.
     for (const FlowSlice& s : r.schedule) {
-      if (s.coflow == 1) EXPECT_GE(s.start, b.arrival - 1e-9) << "nudge " << nudge;
+      if (s.coflow == 1) {
+        EXPECT_GE(s.start, b.arrival - 1e-9) << "nudge " << nudge;
+      }
     }
   }
 }
@@ -240,8 +247,8 @@ TEST(Online, FifoAtTimeZeroDegeneratesToSequentialRecoSin) {
   EXPECT_NEAR(online.total_weighted_cct, offline.total_weighted_cct, 1e-9);
 }
 
-// S4: the loop driver replays byte-identically across thread counts (the
-// daemon variant lives in sim/test_online_daemon.cpp).
+// S4: schedule_online replays byte-identically across thread counts (the
+// streaming daemon variant lives in sim/test_online_daemon.cpp).
 TEST_P(OnlinePolicyTest, DigestIdenticalAcrossThreadCounts) {
   const auto coflows = arriving_workload(255, 24, 12, 0.01);
   runtime::set_thread_count(1);

@@ -1,5 +1,5 @@
 // Unit tests for the incremental replan engine (OnlineCore), the policy
-// factory, and the decision-latency sketch — including the drain-replan
+// names, and the decision-latency sketch — including the drain-replan
 // demand-conservation property: at every commit boundary, delivered volume
 // plus outstanding residual equals total submitted demand.
 #include "sched/online_core.hpp"
@@ -23,23 +23,6 @@ std::vector<Coflow> small_workload(std::uint64_t seed, int k = 6, int n = 8) {
   o.num_coflows = k;
   o.seed = seed;
   return generate_workload(o);
-}
-
-TEST(OnlinePolicyFactory, NamesAndFlags) {
-  const auto epoch = make_online_policy(OnlinePolicyKind::kEpochRecoMul);
-  EXPECT_STREQ(epoch->name(), "epoch-reco-mul");
-  EXPECT_FALSE(epoch->preempt_on_arrival());
-  EXPECT_FALSE(epoch->serialize_batch());
-
-  const auto fifo = make_online_policy(OnlinePolicyKind::kFifoRecoSin);
-  EXPECT_STREQ(fifo->name(), "fifo-reco-sin");
-  EXPECT_FALSE(fifo->preempt_on_arrival());
-  EXPECT_TRUE(fifo->serialize_batch());
-
-  const auto drain = make_online_policy(OnlinePolicyKind::kDrainReplanRecoMul);
-  EXPECT_STREQ(drain->name(), "drain-replan-reco-mul");
-  EXPECT_TRUE(drain->preempt_on_arrival());
-  EXPECT_FALSE(drain->serialize_batch());
 }
 
 TEST(OnlinePolicyFactory, ToStringCoversEveryKind) {

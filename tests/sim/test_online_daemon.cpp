@@ -1,20 +1,22 @@
 // Event-driven daemon equivalence and steady-state behaviour.
 //
-// The load-bearing property: OnlineDaemon drives the same OnlineCore as
-// the batch loop driver `schedule_online`, through arrival/completion
-// events instead of a clairvoyant loop — and the emitted schedules are
-// byte-identical (FNV digest over every slice), across policies, seeds,
-// and thread counts.
+// The load-bearing property: OnlineDaemon, the one online driver, drives
+// OnlineCore through arrival/completion events, and `schedule_online` (the
+// daemon over a VectorSource) emits exactly what the clairvoyant batch loop
+// it replaced emits (tests/oracles/online_loop.hpp): every slice, every
+// CCT, the stats and the digest, across policies, seeds and eps-boundary
+// arrivals.  The daemon's digest is also identical across thread counts.
 #include "sim/online_daemon.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "oracles/online_loop.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sched/online.hpp"
 #include "trace/generator.hpp"
 
 namespace reco::sim {
@@ -52,17 +54,79 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, DaemonPolicyTest,
                            return "Unknown";
                          });
 
+void expect_matches_loop(const std::vector<Coflow>& coflows, OnlinePolicyKind kind,
+                         const std::string& label) {
+  SCOPED_TRACE(label);
+  const OnlineScheduleResult loop = oracle::online_loop(coflows, kind);
+  const OnlineScheduleResult daemon = schedule_online(coflows, kind);
+  EXPECT_EQ(daemon.digest, loop.digest);
+  EXPECT_EQ(daemon.reconfigurations, loop.reconfigurations);
+  EXPECT_EQ(daemon.epochs, loop.epochs);
+  EXPECT_EQ(daemon.total_weighted_cct, loop.total_weighted_cct);
+  EXPECT_EQ(daemon.cct, loop.cct);
+  ASSERT_EQ(daemon.schedule.size(), loop.schedule.size());
+  for (std::size_t k = 0; k < loop.schedule.size(); ++k) {
+    EXPECT_TRUE(daemon.schedule[k] == loop.schedule[k]) << "slice " << k;
+  }
+}
+
+Coflow one_flow(CoflowId id, PortId src, PortId dst, Time arrival) {
+  Coflow c;
+  c.id = id;
+  c.demand = Matrix(2);
+  c.demand.at(src, dst) = 0.01;
+  c.arrival = arrival;
+  return c;
+}
+
 TEST_P(DaemonPolicyTest, MatchesLoopDriverByteForByte) {
+  const OnlinePolicyKind kind = GetParam();
   for (const std::uint64_t seed : {411u, 412u, 413u}) {
-    const auto coflows = generate_workload(stream_options(seed));
-    const OnlineScheduleResult loop = schedule_online(coflows, GetParam());
-    const OnlineDaemonReport daemon = run_daemon(coflows, GetParam());
-    EXPECT_EQ(daemon.digest, loop.digest) << "seed " << seed;
-    EXPECT_EQ(daemon.stats.reconfigurations, loop.reconfigurations) << "seed " << seed;
-    EXPECT_EQ(daemon.stats.epochs, loop.epochs) << "seed " << seed;
-    EXPECT_NEAR(daemon.stats.total_weighted_cct, loop.total_weighted_cct, 1e-9)
-        << "seed " << seed;
-    EXPECT_EQ(daemon.stats.finished, coflows.size()) << "seed " << seed;
+    expect_matches_loop(generate_workload(stream_options(seed)), kind,
+                        "seed " + std::to_string(seed));
+  }
+  // Seed x gap sweep: from one burst to arrivals spread past each epoch.
+  for (const std::uint64_t seed : {421u, 422u}) {
+    for (const Time gap : {0.001, 0.005, 0.02, 0.1}) {
+      expect_matches_loop(generate_workload(stream_options(seed, 20, 10, gap)), kind,
+                          "seed " + std::to_string(seed) + " gap " + std::to_string(gap));
+    }
+  }
+  expect_matches_loop(generate_workload(stream_options(414, 10, 10, 0.0)), kind,
+                      "all arrivals at 0");
+  // Unsorted input: CCTs must map back from admission order to input order.
+  auto reversed = generate_workload(stream_options(415, 12, 10, 0.005));
+  std::reverse(reversed.begin(), reversed.end());
+  expect_matches_loop(reversed, kind, "reversed input");
+
+  // Eps-spaced arrivals: all six land inside the first admission window.
+  auto spaced = generate_workload(stream_options(252, 6, 8, 0.0));
+  for (std::size_t k = 0; k < spaced.size(); ++k) {
+    spaced[k].arrival = static_cast<Time>(k) * 0.15 * kTimeEps;
+  }
+  expect_matches_loop(spaced, kind, "eps-spaced arrivals");
+
+  // Eps-boundary nudges: B arrives at, or within eps of, the end of A's
+  // solo epoch, where the loop's and the daemon's admission windows meet.
+  const Coflow a = one_flow(0, 0, 1, 0.0);
+  const Time epoch_end = makespan(oracle::online_loop({a}, kind).schedule);
+  ASSERT_GT(epoch_end, 0.0);
+  for (const double nudge : {-0.5 * kTimeEps, 0.0, 0.5 * kTimeEps}) {
+    expect_matches_loop({a, one_flow(1, 1, 0, epoch_end + nudge)}, kind,
+                        "nudge " + std::to_string(nudge / kTimeEps) + " eps");
+  }
+
+  // Cut-boundary nudges: B's arrival cuts A's drain-replan plan mid-slice,
+  // and C arrives at, or within eps of, the replan once the kept slice ends.
+  const Coflow b = one_flow(1, 1, 0, 0.005);
+  OnlineCore probe(OnlinePolicyKind::kDrainReplanRecoMul);
+  probe.submit(a);
+  probe.plan(0.0);
+  const Time replan_at = probe.commit(b.arrival);
+  ASSERT_GT(replan_at, b.arrival);
+  for (const double nudge : {-0.5 * kTimeEps, 0.0, 0.5 * kTimeEps}) {
+    expect_matches_loop({a, b, one_flow(2, 0, 1, replan_at + nudge)}, kind,
+                        "cut nudge " + std::to_string(nudge / kTimeEps) + " eps");
   }
 }
 
@@ -79,7 +143,6 @@ TEST_P(DaemonPolicyTest, AllArrivalsAtZeroStillDrain) {
   const auto coflows = generate_workload(o);
   const OnlineDaemonReport r = run_daemon(coflows, GetParam());
   EXPECT_EQ(r.stats.finished, coflows.size());
-  EXPECT_EQ(r.digest, schedule_online(coflows, GetParam()).digest);
 }
 
 // S4: every decision is a pure function of the submitted coflows, so the
