@@ -11,6 +11,8 @@
 //     of a stuffed input (tracking row, not gated).
 //   * BM_RecoSinPlan / BM_SolsticePlan — whole-planner cost vs fabric
 //     width (folded in from the retired bench_scalability binary).
+//   * BM_RecoveryReplan — one campaign-shaped recovery replan: build a
+//     SurvivingCursor and take its first pull (tracking row, not gated).
 //   * BM_PacketSchedule — Reco-Mul's packet list scheduling (S_p) of one
 //     300-coflow batch at Table I's density mix.
 //   * BM_OnlineDaemonStream — streamed arrivals through the event-driven
@@ -23,6 +25,7 @@
 // min time x 3 repetitions, median recorded).
 #define RECO_BENCH_WITH_GBENCH
 #include <array>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -130,6 +133,39 @@ void BM_SolsticePlan(benchmark::State& state) {
   report_shape(state, demand);
 }
 BENCHMARK(BM_SolsticePlan)->Args({128, 600})->Args({256, 600})->Args({512, 100});
+
+// ---- recovery replan -------------------------------------------------------
+//
+// The replication of a reliability campaign: the aggregate demand of 8
+// generated coflows on N ports, with one ingress and one egress port down.
+// A fault usually replaces a recovery plan after a pull or two, so the row
+// times what a replan costs in practice: building the SurvivingCursor
+// (ingest, regularize, stuff) and its first pull.
+
+void BM_RecoveryReplan(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  GeneratorOptions gen;
+  gen.num_ports = n;
+  gen.num_coflows = 8;
+  gen.seed = 42;
+  Matrix residual(n);
+  for (const Coflow& c : generate_workload(gen)) residual += c.demand;
+  std::vector<char> failed_in(n, 0);
+  std::vector<char> failed_out(n, 0);
+  failed_in[1] = 1;
+  failed_out[n / 2] = 1;
+  const Time delta = gen.delta;
+  int circuits = 0;
+  for (auto _ : state) {
+    SurvivingCursor cursor(residual, failed_in, failed_out, delta);
+    const std::optional<CircuitAssignment> first = cursor.next();
+    circuits = first ? static_cast<int>(first->circuits.size()) : 0;
+    benchmark::DoNotOptimize(circuits);
+  }
+  state.counters["circuits"] = static_cast<double>(circuits);
+  report_shape(state, residual);
+}
+BENCHMARK(BM_RecoveryReplan)->Arg(24);
 
 // ---- Reco-Mul's packet list scheduling ------------------------------------
 //

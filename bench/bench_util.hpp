@@ -75,6 +75,16 @@ T parse_uint_flag(const char* flag, const char* text) {
   return value;
 }
 
+/// The --trace-out / --metrics-out flags of every bench: honour RECO_TRACE,
+/// and turn telemetry on, flushed at exit, when either path is set.
+inline void enable_telemetry(const std::string& trace_out, const std::string& metrics_out) {
+  obs::init_from_env();
+  if (!trace_out.empty() || !metrics_out.empty()) {
+    obs::set_enabled(true);
+    obs::flush_at_exit(trace_out, metrics_out);
+  }
+}
+
 inline BenchOptions parse_args(int argc, char** argv) {
   BenchOptions o;
   for (int a = 1; a < argc; ++a) {
@@ -112,11 +122,7 @@ inline BenchOptions parse_args(int argc, char** argv) {
       std::exit(2);
     }
   }
-  obs::init_from_env();
-  if (!o.trace_out.empty() || !o.metrics_out.empty()) {
-    obs::set_enabled(true);
-    obs::flush_at_exit(o.trace_out, o.metrics_out);
-  }
+  enable_telemetry(o.trace_out, o.metrics_out);
   return o;
 }
 
@@ -323,8 +329,9 @@ inline bool write_baseline_json(const std::string& path, const std::vector<Row>&
   return true;
 }
 
-/// Shared main() body for the gbench suites.  Handles `--baseline_json=F`
-/// and `--threads=N`, and injects stability defaults unless the caller
+/// Shared main() body for the gbench suites.  Handles `--baseline_json=F`,
+/// `--threads=N` and the telemetry flags `--trace-out=F` / `--metrics-out=F`
+/// (as parse_args does), and injects stability defaults unless the caller
 /// overrides them on the command line: 0.05 s minimum measuring time and
 /// 3 repetitions with aggregate-only reporting (the baseline then records
 /// the median repetition; see BaselineReporter).
@@ -336,18 +343,30 @@ inline int run_main(int argc, char** argv, std::vector<std::string> counter_keys
     counter_keys.push_back("cores");
   }
   std::string baseline_path;
+  std::string trace_out;
+  std::string metrics_out;
   std::vector<std::string> storage;
   bool has_min_time = false, has_reps = false, has_aggregates = false;
   for (int a = 0; a < argc; ++a) {
     const std::string arg = argv[a];
     constexpr const char kBaseline[] = "--baseline_json=";
     constexpr const char kThreads[] = "--threads=";
+    constexpr const char kTraceOut[] = "--trace-out=";
+    constexpr const char kMetricsOut[] = "--metrics-out=";
     if (arg.rfind(kBaseline, 0) == 0) {
       baseline_path = arg.substr(sizeof(kBaseline) - 1);
       continue;
     }
     if (arg.rfind(kThreads, 0) == 0) {
       set_threads_flag(arg.substr(sizeof(kThreads) - 1));
+      continue;
+    }
+    if (arg.rfind(kTraceOut, 0) == 0) {
+      trace_out = arg.substr(sizeof(kTraceOut) - 1);
+      continue;
+    }
+    if (arg.rfind(kMetricsOut, 0) == 0) {
+      metrics_out = arg.substr(sizeof(kMetricsOut) - 1);
       continue;
     }
     if (arg.rfind("--benchmark_min_time", 0) == 0) has_min_time = true;
@@ -358,6 +377,7 @@ inline int run_main(int argc, char** argv, std::vector<std::string> counter_keys
   if (!has_min_time) storage.push_back("--benchmark_min_time=0.05");
   if (!has_reps) storage.push_back("--benchmark_repetitions=3");
   if (!has_aggregates) storage.push_back("--benchmark_report_aggregates_only=true");
+  enable_telemetry(trace_out, metrics_out);
   std::vector<char*> args;
   args.reserve(storage.size());
   for (std::string& s : storage) args.push_back(s.data());

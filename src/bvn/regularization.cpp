@@ -35,32 +35,28 @@ Matrix regularize(const Matrix& demand, Time quantum) {
   return out;
 }
 
-SupportIndex regularize(const SupportIndex& demand, Time quantum) {
+SupportIndex regularize(SupportIndex demand, Time quantum) {
   check_quantum(quantum);
   obs::ScopedSpan span("bvn.regularize", "bvn");
-  SupportIndex out = SupportIndex::zeros(demand.n());
+  const int nnz = demand.nnz();
   Time padding = 0.0;  // published once below; Theorem 2 bounds it by delta*nnz
-  for (int i = 0; i < demand.n(); ++i) {
-    const auto cols = demand.row_support(i);
-    const auto vals = demand.row_values(i);
-    for (int k = 0; k < cols.size(); ++k) {
-      const double rounded = round_up_to_quantum(vals[k], quantum);
-      padding += rounded - vals[k];
-      out.set(i, cols[k], rounded);
-    }
-  }
+  demand.transform_values([&](double v) {
+    const double rounded = round_up_to_quantum(v, quantum);
+    padding += rounded - v;
+    return rounded;
+  });
   if (obs::enabled()) {
     obs::metrics().counter("regularize.calls").inc();
     obs::metrics().counter("regularize.padding_total").inc(padding);
-    obs::metrics().counter("regularize.entries").inc(static_cast<double>(demand.nnz()));
+    obs::metrics().counter("regularize.entries").inc(static_cast<double>(nnz));
     // The Theorem-2 worst case: padding <= delta * nnz.  Emitting both lets
     // a metrics dump report the realized fraction of the bound per run.
-    obs::metrics().counter("regularize.delta_nnz_bound").inc(quantum * demand.nnz());
-    span.arg("nnz", static_cast<double>(demand.nnz()));
+    obs::metrics().counter("regularize.delta_nnz_bound").inc(quantum * nnz);
+    span.arg("nnz", static_cast<double>(nnz));
     span.arg("padding", padding);
-    span.arg("delta_nnz_bound", quantum * demand.nnz());
+    span.arg("delta_nnz_bound", quantum * nnz);
   }
-  return out;
+  return demand;
 }
 
 Time regularization_overhead(const Matrix& demand, Time quantum) {

@@ -14,11 +14,14 @@ namespace reco {
 /// zero (regularization only inflates existing demands, footnote 5).
 Matrix regularize(const Matrix& demand, Time quantum);
 
-/// Sparse path: iterate the support directly (O(nnz) instead of O(N^2))
-/// and return the result as an index, ready for stuffing/decomposition.
-/// Regularization never changes the support (zeros stay zero, nonzeros
-/// stay nonzero), so the output index inherits the input's structure.
-SupportIndex regularize(const SupportIndex& demand, Time quantum);
+/// Sparse path: round the index's stored values where they lie (O(nnz)
+/// instead of O(N^2)) and return the index, ready for stuffing and
+/// decomposition.  Regularization never changes the support (zeros stay
+/// zero, nonzeros stay nonzero), so the blocks are kept as they are; only a
+/// value that rounds below kTimeEps (a quantum that small) leaves it, as
+/// SupportIndex::set would drop it.  Callers that keep their index pass a
+/// copy.
+SupportIndex regularize(SupportIndex demand, Time quantum);
 
 /// The total inflation added by regularization (sum of the per-entry
 /// round-ups); bounded by nnz(D) * quantum.

@@ -35,23 +35,31 @@ class LiveColumns {
   std::vector<int> next_;
 };
 
-}  // namespace
+/// Scan-exact line sums (ordered support re-scan == dense scan
+/// bit-for-bit); the incremental sums may carry round-off from the
+/// caller's mutations.
+struct ExactSums {
+  std::vector<Time> rows;
+  std::vector<Time> cols;
+  Time rho = 0.0;
 
-SupportIndex stuff(SupportIndex demand, Time target) {
-  const int n = demand.n();
+  explicit ExactSums(const SupportIndex& m) : rows(m.n()), cols(m.n()) {
+    for (int i = 0; i < m.n(); ++i) rows[i] = m.row_sum_exact(i);
+    for (int j = 0; j < m.n(); ++j) cols[j] = m.col_sum_exact(j);
+    for (const Time r : rows) rho = std::max(rho, r);
+    for (const Time c : cols) rho = std::max(rho, c);
+  }
+};
+
+/// stuff() on the exact sums of `out`, taken by the caller, so
+/// stuff_granular scans them once.
+SupportIndex stuff_with_sums(SupportIndex out, Time target, const ExactSums& sums) {
+  const int n = out.n();
   obs::ScopedSpan span("bvn.stuff", "bvn");
   span.arg("n", static_cast<double>(n));
-  SupportIndex out = std::move(demand);
-  // Scan-exact sums (ordered support re-scan == dense scan bit-for-bit);
-  // the incremental sums may carry round-off from the caller's mutations.
-  std::vector<Time> row_sums(n);
-  std::vector<Time> col_sums(n);
-  for (int i = 0; i < n; ++i) row_sums[i] = out.row_sum_exact(i);
-  for (int j = 0; j < n; ++j) col_sums[j] = out.col_sum_exact(j);
-  Time rho = 0.0;
-  for (int i = 0; i < n; ++i) rho = std::max(rho, row_sums[i]);
-  for (int j = 0; j < n; ++j) rho = std::max(rho, col_sums[j]);
-  const Time goal = std::max(rho, target);
+  const std::vector<Time>& row_sums = sums.rows;
+  const std::vector<Time>& col_sums = sums.cols;
+  const Time goal = std::max(sums.rho, target);
   std::vector<Time> row_slack(n);
   std::vector<Time> col_slack(n);
   for (int i = 0; i < n; ++i) row_slack[i] = clamp_zero(goal - row_sums[i]);
@@ -143,6 +151,13 @@ SupportIndex stuff(SupportIndex demand, Time target) {
   return out;
 }
 
+}  // namespace
+
+SupportIndex stuff(SupportIndex demand, Time target) {
+  const ExactSums sums(demand);
+  return stuff_with_sums(std::move(demand), target, sums);
+}
+
 Matrix stuff(const Matrix& demand, Time target) {
   return stuff(SupportIndex(demand), target).release();
 }
@@ -151,11 +166,9 @@ SupportIndex stuff_granular(SupportIndex demand, Time quantum) {
   if (!(quantum > 0.0) || !std::isfinite(quantum)) {  // NaN fails every comparison
     throw std::invalid_argument("stuff_granular: quantum must be positive and finite");
   }
-  Time rho = 0.0;
-  for (int i = 0; i < demand.n(); ++i) rho = std::max(rho, demand.row_sum_exact(i));
-  for (int j = 0; j < demand.n(); ++j) rho = std::max(rho, demand.col_sum_exact(j));
-  const Time goal = std::max(1.0, std::ceil(rho / quantum - kTimeEps)) * quantum;
-  return stuff(std::move(demand), goal);
+  const ExactSums sums(demand);
+  const Time goal = std::max(1.0, std::ceil(sums.rho / quantum - kTimeEps)) * quantum;
+  return stuff_with_sums(std::move(demand), goal, sums);
 }
 
 Matrix stuff_granular(const Matrix& demand, Time quantum) {

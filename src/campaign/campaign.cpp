@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -11,7 +12,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
-#include "sched/reco_sin.hpp"
 #include "sim/controller.hpp"
 #include "sim/fabric.hpp"
 #include "sim/faults.hpp"
@@ -155,7 +155,10 @@ ReplicationResult CampaignRunner::run_one(std::size_t index) const {
   Time deadline = 0.0;
   if (policy == RecoveryPolicy::kWaitForRepair) deadline = kWaitForever;
   if (policy == RecoveryPolicy::kHybrid) deadline = config_.hybrid_deadline;
-  sim::RecoveringController controller(reco_sin(demand, config_.delta), config_.delta, deadline);
+  // The initial plan is pulled as the fabric runs it: a fault usually
+  // replaces it after a few assignments, and the rest is never peeled.
+  sim::RecoveringController controller(
+      std::make_unique<sim::RecoSinController>(demand, config_.delta), config_.delta, deadline);
   const sim::SimulationReport sim =
       sim::simulate_single_coflow(controller, demand, config_.delta, injector);
 

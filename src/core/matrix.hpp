@@ -41,6 +41,7 @@ class Matrix {
   /// Contiguous dense row i (n doubles) — the source of the SupportIndex
   /// value-mirror re-gather.
   const double* row_data(int i) const { return v_.data() + idx(i, 0); }
+  double* row_data(int i) { return v_.data() + idx(i, 0); }
 
   /// Number of entries strictly above the simulation tolerance.
   int nnz() const;

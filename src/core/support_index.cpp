@@ -1,6 +1,8 @@
 #include "core/support_index.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 namespace reco {
@@ -28,55 +30,113 @@ void SupportIndex::build_from_matrix() {
   col_blk_.assign(n, Block{});
   row_sum_.assign(n, 0.0);
   col_sum_.assign(n, 0.0);
+  row_dirty_.assign(n, 0);
   row_garbage_ = 0;
   col_garbage_ = 0;
   nnz_ = 0;
-  // Pass 1: snap ingest crumbs and count per-line support so every block
-  // can be laid out contiguously in line order in one shot.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      double& cell = m_.at(i, j);
-      if (approx_zero(cell)) {
-        cell = 0.0;  // snap ingest crumbs so support == {exactly nonzero}
-        continue;
-      }
-      ++row_blk_[i].len;
-      ++col_blk_[j].len;
-      row_sum_[i] += cell;
-      col_sum_[j] += cell;
-      ++nnz_;
-    }
-  }
   int row_total = 0;
-  int col_total = 0;
   for (int i = 0; i < n; ++i) {
+    // A row's block starts where the previous row's capacity ends, so the
+    // row arena fills in place; it needs room for n writes past the start.
+    const int off = row_total;
+    const std::size_t room = static_cast<std::size_t>(off) + n;
+    if (row_cols_.size() < room) {
+      const std::size_t grown = std::max(room, 2 * row_cols_.size());
+      row_cols_.resize(grown);
+      row_vals_.resize(grown);
+    }
+    // The O(N^2) part, with no data-dependent branch per cell: snap ingest
+    // crumbs to +0.0 by masking their bits, and write every cell's column
+    // and value at the row's fill point, which advances only past a kept
+    // (nonzero) cell.
+    double* row = m_.row_data(i);
+    int* cols = row_cols_.data() + off;
+    double* vals = row_vals_.data() + off;
+    int len = 0;
+    for (int j = 0; j < n; ++j) {
+      const std::uint64_t keep = 0 - std::uint64_t{!approx_zero(row[j])};
+      const double v = std::bit_cast<double>(std::bit_cast<std::uint64_t>(row[j]) & keep);
+      row[j] = v;
+      cols[len] = j;
+      vals[len] = v;
+      len += static_cast<int>(keep & 1);
+    }
+    // The sums and column counts from the row's nonzeros, in row-major
+    // order: the same additions in the same order as a dense scan.
+    Time sum = 0.0;
+    for (int k = 0; k < len; ++k) {
+      sum += vals[k];
+      col_sum_[cols[k]] += vals[k];
+      ++col_blk_[cols[k]].len;
+    }
     Block& rb = row_blk_[i];
-    rb.cap = dense_reserved_ ? n : cap_for(rb.len);
-    rb.off = row_total;
-    row_total += rb.cap;
-    Block& cb = col_blk_[i];
-    cb.cap = dense_reserved_ ? n : cap_for(cb.len);
-    cb.off = col_total;
-    col_total += cb.cap;
+    rb.off = off;
+    rb.len = len;
+    rb.cap = dense_reserved_ ? n : cap_for(len);
+    row_total = off + rb.cap;
+    row_sum_[i] = sum;
+    nnz_ += len;
   }
   row_cols_.resize(row_total);
   row_vals_.resize(row_total);
-  row_dirty_.assign(n, 0);
+  int col_total = 0;
+  for (Block& cb : col_blk_) {
+    cb.cap = dense_reserved_ ? n : cap_for(cb.len);
+    cb.off = col_total;
+    col_total += cb.cap;
+    cb.len = 0;  // refilled below
+  }
   col_rows_.resize(col_total);
-  // Pass 2: fill the blocks (ascending by construction of the scan order).
-  std::vector<int> fill(n, 0);
+  // O(nnz): a row-major walk of the row arena lists each column's rows in
+  // ascending order.
   for (int i = 0; i < n; ++i) {
-    int k = row_blk_[i].off;
-    for (int j = 0; j < n; ++j) {
-      const double v = m_.at(i, j);
-      if (v == 0.0) continue;
-      row_cols_[k] = j;
-      row_vals_[k] = v;
-      ++k;
-      col_rows_[col_blk_[j].off + fill[j]++] = i;
+    const Block& rb = row_blk_[i];
+    const int* cols = row_cols_.data() + rb.off;
+    for (int k = 0; k < rb.len; ++k) {
+      Block& cb = col_blk_[cols[k]];
+      col_rows_[cb.off + cb.len++] = i;
     }
-    // Reset len to what pass 2 actually wrote (identical to pass 1's count).
-    row_blk_[i].len = k - row_blk_[i].off;
+  }
+}
+
+void SupportIndex::drop_zeros() {
+  nnz_ = 0;
+  for (Block& b : row_blk_) {
+    int* cols = row_cols_.data() + b.off;
+    double* vals = row_vals_.data() + b.off;
+    int kept = 0;
+    for (int k = 0; k < b.len; ++k) {
+      if (vals[k] == 0.0) continue;
+      cols[kept] = cols[k];
+      vals[kept] = vals[k];
+      ++kept;
+    }
+    b.len = kept;
+    nnz_ += kept;
+  }
+  for (int j = 0; j < m_.n(); ++j) {
+    Block& b = col_blk_[j];
+    int* rows = col_rows_.data() + b.off;
+    int kept = 0;
+    for (int k = 0; k < b.len; ++k) {
+      if (m_.at(rows[k], j) != 0.0) rows[kept++] = rows[k];
+    }
+    b.len = kept;
+  }
+}
+
+void SupportIndex::resum() {
+  std::fill(col_sum_.begin(), col_sum_.end(), 0.0);
+  for (int i = 0; i < m_.n(); ++i) {
+    const Block& b = row_blk_[i];
+    const int* cols = row_cols_.data() + b.off;
+    const double* vals = row_vals_.data() + b.off;
+    Time sum = 0.0;
+    for (int k = 0; k < b.len; ++k) {
+      sum += vals[k];
+      col_sum_[cols[k]] += vals[k];
+    }
+    row_sum_[i] = sum;
   }
 }
 

@@ -101,8 +101,9 @@ class SupportIndex {
  public:
   SupportIndex() = default;
 
-  /// Take ownership of `m` and build the index in one O(N^2) scan.
-  /// Sub-tolerance entries of `m` are snapped to exact zero.
+  /// Take ownership of `m` and build the index in one branch-free O(N^2)
+  /// scan plus O(nnz) to lay out the column blocks.  Sub-tolerance entries
+  /// of `m` are snapped to exact zero.
   explicit SupportIndex(Matrix m);
 
   /// Rebuild this index over a copy of `m` in place, reusing every buffer's
@@ -114,8 +115,8 @@ class SupportIndex {
   void assign(const Matrix& m);
 
   /// Empty n x n index without the O(N^2) ingest scan — the right entry
-  /// point for kernels that build a sparse result entry by entry
-  /// (regularization, stuffing of an indexed input).
+  /// point for code that builds a sparse result entry by entry (the
+  /// snapshot reader).
   static SupportIndex zeros(int n);
 
   int n() const { return m_.n(); }
@@ -154,6 +155,35 @@ class SupportIndex {
 
   /// set(i, j, at(i, j) + dv).
   void add(int i, int j, double dv) { set(i, j, m_.at(i, j) + dv); }
+
+  /// Replace every stored value v by f(v), visiting the support row by row
+  /// in ascending column order, where it lies: the blocks stay as they are,
+  /// and an entry leaves the support only when f(v) rounds below kTimeEps
+  /// (set()'s snap rule).  The row and column sums are then re-summed in
+  /// row-major order, which is bit for bit what writing the same values
+  /// into zeros(n) with set(), in that order, leaves.  O(nnz + N).
+  template <class F>
+  void transform_values(F&& f) {
+    bool snapped = false;
+    for (int i = 0; i < m_.n(); ++i) {
+      const Block& b = row_blk_[i];
+      double* row = m_.row_data(i);
+      const int* cols = row_cols_.data() + b.off;
+      double* vals = row_vals_.data() + b.off;
+      for (int k = 0; k < b.len; ++k) {
+        double v = f(row[cols[k]]);
+        if (approx_zero(v)) {
+          v = 0.0;
+          snapped = true;
+        }
+        row[cols[k]] = v;
+        vals[k] = v;
+      }
+      row_dirty_[i] = 0;
+    }
+    if (snapped) drop_zeros();
+    resum();
+  }
 
   // ---- O(1) aggregates -------------------------------------------------
   int nnz() const { return nnz_; }
@@ -231,8 +261,16 @@ class SupportIndex {
   /// Slow path of set(): entry (i, j) entered (`now`) or left the support.
   void update_support(int i, int j, bool now);
 
-  /// Rebuild both arenas from the dense matrix (ingest / assign / compact).
+  /// Rebuild both arenas from the dense matrix (ingest / assign).
   void build_from_matrix();
+
+  /// transform_values' slow path: drop the entries it zeroed from both
+  /// sides' blocks, in place.
+  void drop_zeros();
+
+  /// Recompute the row and column sums from the row arena, in row-major
+  /// order.
+  void resum();
 
   /// Drop dead space: rewrite an arena so blocks are tightly packed in
   /// line order.  Called when relocation garbage exceeds half the arena.

@@ -14,28 +14,55 @@ IncrementalMatcher::IncrementalMatcher(const SupportIndex& index, double thresho
       words_((index.n() + 63) / 64),
       match_left_(index.n(), -1),
       match_right_(index.n(), -1),
+      adj_bits_(static_cast<std::size_t>(n_) * words_, 0),
       visited_bits_(static_cast<std::size_t>(words_), 0),
       stack_u_(static_cast<std::size_t>(index.n()) + 1, 0),
       stack_e_(static_cast<std::size_t>(index.n()) + 1, 0) {
-  set_threshold(threshold);
+  set_edge_bits();
 }
 
 void IncrementalMatcher::set_threshold(double threshold) {
+  // A lowered threshold only adds edges, and every earlier value change was
+  // reported, so the current bits stay and every matched pair keeps its
+  // edge: no clear, no unmatch scan.
+  const bool lowered = threshold < threshold_;
   threshold_ = threshold;
-  std::vector<std::uint64_t>& adj = adj_bits_;
-  adj.assign(static_cast<std::size_t>(n_) * words_, 0);
+  if (!lowered) std::fill(adj_bits_.begin(), adj_bits_.end(), 0);
+  set_edge_bits();
+  if (lowered) return;
+  // Only a raised threshold can leave a matched pair without its edge.
   for (int i = 0; i < n_; ++i) {
-    std::uint64_t* row = adj.data() + static_cast<std::size_t>(i) * words_;
-    for (const int j : index_->row_support(i)) {
-      if (edge_present(i, j)) row[j >> 6] |= std::uint64_t{1} << (j & 63);
-    }
-    // Only a raised threshold can leave a matched pair without its edge.
     const int j = match_left_[i];
+    const std::uint64_t* row = adj_bits_.data() + static_cast<std::size_t>(i) * words_;
     if (j != -1 && !((row[j >> 6] >> (j & 63)) & 1)) {
       match_left_[i] = -1;
       match_right_[j] = -1;
       --size_;
     }
+  }
+}
+
+void IncrementalMatcher::set_edge_bits() {
+  // edge_present() over the value arena, without a branch per entry: every
+  // support value is nonzero, so the threshold test alone decides the bit.
+  // Columns ascend, so each word is gathered in a register and stored once.
+  const double floor = threshold_ - kTimeEps;
+  for (int i = 0; i < n_; ++i) {
+    std::uint64_t* row = adj_bits_.data() + static_cast<std::size_t>(i) * words_;
+    const SupportSpan cols = index_->row_support(i);
+    const ValueSpan vals = index_->row_values(i);
+    int w = 0;
+    std::uint64_t bits = 0;
+    for (int k = 0; k < cols.size(); ++k) {
+      const int j = cols[k];
+      if ((j >> 6) != w) {
+        row[w] |= bits;
+        w = j >> 6;
+        bits = 0;
+      }
+      bits |= std::uint64_t{vals[k] >= floor} << (j & 63);
+    }
+    row[w] |= bits;
   }
 }
 

@@ -40,10 +40,11 @@ class IncrementalMatcher {
 
   double threshold() const { return threshold_; }
 
-  /// Rebuilds the edge bitset at `threshold`.  Lowering the threshold only
-  /// adds edges: the current matching stays valid and rematch() can only
-  /// grow it.  Raising it drops edges; any matched pair now below threshold
-  /// is unmatched first.
+  /// Moves the edge bitset to `threshold`.  Lowering the threshold only
+  /// adds edges: the new ones are ORed in, the current matching stays valid
+  /// and rematch() can only grow it.  Raising it drops edges: the bitset is
+  /// rebuilt, and any matched pair now below threshold is unmatched first.
+  /// O(nnz + N^2/64) either way.
   void set_threshold(double threshold);
 
   /// Notify that entry (i, j) changed value: its edge bit is recomputed,
@@ -88,6 +89,9 @@ class IncrementalMatcher {
     const double v = index_->at(i, j);
     return v != 0.0 && v >= threshold_ - kTimeEps;
   }
+  /// Sets the bit of every support entry that is an edge at threshold_
+  /// (never clears one).
+  void set_edge_bits();
   /// Kuhn augmentation from free `row`; returns the number of edges on the
   /// augmenting path it applied, or 0 when none exists.
   int try_augment(int row);

@@ -1,5 +1,6 @@
 #include "sched/reco_sin.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "bvn/regularization.hpp"
@@ -11,14 +12,16 @@ namespace reco {
 
 namespace {
 
-/// Alg. 1 up to the peel: regularize and stuff a non-empty indexed demand,
-/// recording its size on the caller's sched.reco_sin span.
-SupportIndex regularize_and_stuff(const SupportIndex& indexed, Time delta,
-                                  obs::ScopedSpan& span) {
+/// Alg. 1 up to the peel, shared by reco_sin and RecoSinCursor: ingest
+/// `demand`, regularize and stuff it, recording its size on the caller's
+/// sched.reco_sin span.  An all-zero demand gives an empty index.
+SupportIndex plan_front_end(Matrix demand, Time delta, obs::ScopedSpan& span) {
+  SupportIndex indexed(std::move(demand));
+  if (indexed.nnz() == 0) return {};
   span.arg("n", static_cast<double>(indexed.n()));
   span.arg("nnz", static_cast<double>(indexed.nnz()));
   if (obs::enabled()) obs::metrics().counter("sched.reco_sin.calls").inc();
-  return stuff_granular(regularize(indexed, delta), delta);
+  return stuff_granular(regularize(std::move(indexed), delta), delta);
 }
 
 bool down(const std::vector<char>& mask, int p) {
@@ -32,9 +35,25 @@ CircuitSchedule reco_sin(const Matrix& demand, Time delta, BvnPolicy policy) {
   // regularize, stuff, BvN peel — works the support index, so the
   // pipeline's cost tracks nnz(D) rather than N^2 per peeling round.
   obs::ScopedSpan span("sched.reco_sin", "sched");
-  const SupportIndex indexed(demand);
-  if (indexed.nnz() == 0) return {};
-  return bvn_decompose(regularize_and_stuff(indexed, delta, span), policy);
+  SupportIndex stuffed = plan_front_end(demand, delta, span);
+  if (stuffed.empty()) return {};
+  return bvn_decompose(std::move(stuffed), policy);
+}
+
+RecoSinCursor::RecoSinCursor(Matrix demand, Time delta) {
+  obs::ScopedSpan span("sched.reco_sin", "sched");
+  SupportIndex stuffed = plan_front_end(std::move(demand), delta, span);
+  if (stuffed.empty()) return;
+  obs::ScopedSpan decompose("bvn.decompose", "bvn");
+  decompose.arg("n", static_cast<double>(stuffed.n()));
+  decompose.arg("nnz", static_cast<double>(stuffed.nnz()));
+  peel_.emplace(std::move(stuffed), BvnPolicy::kMaxMinAmortized);
+}
+
+std::optional<CircuitAssignment> RecoSinCursor::next() {
+  if (!peel_) return std::nullopt;
+  obs::ScopedSpan span("bvn.peel", "bvn");
+  return peel_->next();
 }
 
 SurvivingCursor::SurvivingCursor(const Matrix& residual, std::vector<char> failed_in,
@@ -42,28 +61,22 @@ SurvivingCursor::SurvivingCursor(const Matrix& residual, std::vector<char> faile
     : failed_in_(std::move(failed_in)), failed_out_(std::move(failed_out)) {
   obs::ScopedSpan span("sched.reco_sin_surviving", "sched");
   Matrix masked = residual;
-  for (int i = 0; i < masked.n(); ++i) {
-    for (int j = 0; j < masked.n(); ++j) {
-      if (down(failed_in_, i) || down(failed_out_, j)) masked.at(i, j) = 0.0;
-    }
+  const int n = masked.n();
+  for (int i = 0; i < n; ++i) {
+    if (down(failed_in_, i)) std::fill_n(masked.row_data(i), n, 0.0);
+  }
+  for (int j = 0; j < n; ++j) {
+    if (!down(failed_out_, j)) continue;
+    for (int i = 0; i < n; ++i) masked.at(i, j) = 0.0;
   }
   if (obs::enabled()) {
     span.arg("masked_demand", residual.total() - masked.total());
   }
-  obs::ScopedSpan plan_span("sched.reco_sin", "sched");
-  const SupportIndex indexed(std::move(masked));
-  if (indexed.nnz() == 0) return;
-  SupportIndex stuffed = regularize_and_stuff(indexed, delta, plan_span);
-  obs::ScopedSpan decompose("bvn.decompose", "bvn");
-  decompose.arg("n", static_cast<double>(stuffed.n()));
-  decompose.arg("nnz", static_cast<double>(stuffed.nnz()));
-  peel_.emplace(std::move(stuffed), BvnPolicy::kMaxMinAmortized);
+  plan_.emplace(std::move(masked), delta);
 }
 
 std::optional<CircuitAssignment> SurvivingCursor::next() {
-  if (!peel_) return std::nullopt;
-  obs::ScopedSpan span("bvn.peel", "bvn");
-  while (std::optional<CircuitAssignment> a = peel_->next()) {
+  while (std::optional<CircuitAssignment> a = plan_->next()) {
     // Stuffing may pad failed rows/columns up to the stochastic row sum;
     // those circuits carry no demand and cannot physically latch.
     std::erase_if(a->circuits, [this](const Circuit& c) {

@@ -36,6 +36,17 @@ std::optional<CircuitAssignment> ReplayController::next_assignment(Time /*now*/,
   return std::nullopt;
 }
 
+RecoSinController::RecoSinController(Matrix demand, Time delta)
+    : plan_(std::move(demand), delta) {}
+
+std::optional<CircuitAssignment> RecoSinController::next_assignment(Time /*now*/,
+                                                                    const Matrix& residual) {
+  while (std::optional<CircuitAssignment> a = plan_.next()) {
+    if (serves_residual(*a, residual)) return a;
+  }
+  return std::nullopt;
+}
+
 GreedyMaxWeightController::GreedyMaxWeightController(Time delta, double day_over_delta)
     : delta_(delta), day_over_delta_(day_over_delta) {}
 

@@ -54,6 +54,19 @@ class ReplayController final : public CircuitController {
   std::size_t next_ = 0;
 };
 
+/// ReplayController(reco_sin(demand, delta)), decision for decision, with
+/// the plan pulled from a RecoSinCursor instead of materialized: only the
+/// assignments the run asks for are peeled, so a plan that a fault cuts
+/// short (RecoveringController's inner plan) costs only what ran.
+class RecoSinController final : public CircuitController {
+ public:
+  RecoSinController(Matrix demand, Time delta);
+  std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;
+
+ private:
+  RecoSinCursor plan_;
+};
+
 /// Adaptive Helios-style policy: max-weight matching over the residual on
 /// every decision, held until the largest matched residual drains (or a
 /// fixed day, whichever is shorter).
@@ -106,7 +119,8 @@ class RecoveringController final : public CircuitController {
   RecoveringController(std::unique_ptr<CircuitController> inner, Time delta,
                        Time replan_deadline = 0.0);
   /// Convenience: recover over a precomputed schedule (wraps a
-  /// ReplayController).
+  /// ReplayController).  To recover over Reco-Sin's own plan without
+  /// materializing it, pass a RecoSinController to the first constructor.
   RecoveringController(CircuitSchedule initial, Time delta, Time replan_deadline = 0.0);
 
   std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;

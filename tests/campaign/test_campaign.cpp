@@ -169,6 +169,28 @@ TEST(Campaign, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_json, parallel_json);
 }
 
+TEST(Campaign, CiSmokeConfigDigestIsPinned) {
+  // CI's campaign-smoke config.  The other campaign tests compare runs with
+  // each other; this one pins the bytes, so a planner or simulator change
+  // that moves any replication fails here, at either thread count.
+  CampaignConfig c;
+  c.ports = 12;
+  c.coflows = 4;
+  c.seed = 7;
+  c.replications = 16;
+  c.policies = {RecoveryPolicy::kReplan, RecoveryPolicy::kWaitForRepair,
+                RecoveryPolicy::kHybrid};
+  c.grid = {{0.05, 0.01}, {0.02, 0.01}};
+  c.bootstrap.resamples = 100;  // the digest covers the replications only
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    CampaignRunner runner(c);
+    runner.run();
+    EXPECT_EQ(runner.report().digest, 0x169ae83ca5e1a5e1ull) << threads << " threads";
+  }
+  runtime::set_thread_count(0);  // restore default
+}
+
 TEST(Campaign, CheckpointResumeMatchesUninterruptedRun) {
   CampaignRunner uninterrupted(small_config());
   uninterrupted.run();

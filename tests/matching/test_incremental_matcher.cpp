@@ -176,6 +176,39 @@ TEST(IncrementalMatcherProperty, AgreesWithHopcroftKarpUnderRandomDeletions) {
   }
 }
 
+TEST(IncrementalMatcherProperty, ThresholdWalksAgreeWithHopcroftKarp) {
+  // Random threshold walks, lowered (the new edges are ORed into the
+  // bitset) and raised (the bitset is rebuilt), between reported value
+  // drops: after every step the matching is maximum on exactly the edges
+  // at the current threshold.  Sizes sit on and across the 64-column word
+  // boundary.
+  Rng rng(29);
+  for (const int n : {8, 63, 65, 129}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      SupportIndex m(testing::random_demand(rng, n, 0.2, 0.5, 10.0));
+      IncrementalMatcher matcher(m, 8.0);
+      matcher.rematch();
+      for (int step = 0; step < 4 * n; ++step) {
+        if (step % 3 == 0) {
+          matcher.set_threshold(rng.uniform(0.5, 10.0));
+        } else {
+          const int i = rng.uniform_int(n);
+          const int j = rng.uniform_int(n);
+          m.set(i, j, m.at(i, j) / 2.0);
+          matcher.on_entry_changed(i, j);
+        }
+        matcher.rematch();
+        EXPECT_EQ(matcher.size(), threshold_matching(m, matcher.threshold()).size)
+            << "n " << n << " trial " << trial << " step " << step;
+        for (const auto& [i, j] : matcher.pairs()) {
+          EXPECT_GE(m.at(i, j), matcher.threshold() - kTimeEps)
+              << "n " << n << " trial " << trial << " step " << step;
+        }
+      }
+    }
+  }
+}
+
 TEST(IncrementalMatcherProperty, SupportIterationMatchesDenseMatching) {
   // The sparse matcher probes only support neighbours; it must still find
   // a maximum matching of the same size the dense adjacency build does.

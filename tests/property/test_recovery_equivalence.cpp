@@ -1,13 +1,18 @@
 // Recovery replans pull their assignments from a SurvivingCursor instead of
-// materializing the whole surviving-ports plan.  Nothing reorders the
-// peel's assignments and pruning is per assignment, so a pulled plan must
-// drive the fault-injected fabric exactly as the materialized one did:
-// every SimulationReport field and the replan count, over the campaign's
-// recovery policies, MTBF points and extra fault channels.
+// materializing the whole surviving-ports plan, and a campaign pulls its
+// initial plan from a RecoSinController instead of replaying a whole
+// reco_sin schedule.  Nothing reorders the peel's assignments and pruning
+// is per assignment, so a pulled plan must drive the fault-injected fabric
+// exactly as the materialized one did: every SimulationReport field and the
+// replan count, over the campaign's recovery policies, MTBF points and
+// extra fault channels.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,17 +42,34 @@ struct Replication {
 };
 
 /// One campaign replication (CampaignRunner::run_one's shape): a generated
-/// workload aggregated into one demand, planned by Reco-Sin, run on the
-/// fault-injected fabric under `Controller`.
+/// workload aggregated into one demand, run on the fault-injected fabric
+/// under `controller`.
 template <class Controller>
-Replication run_replication(const Matrix& demand, const sim::FaultConfig& faults,
-                            Time deadline) {
+Replication simulate(Controller& controller, const Matrix& demand,
+                     const sim::FaultConfig& faults) {
   sim::FaultInjector injector(faults);
-  Controller controller(reco_sin(demand, kDelta), kDelta, deadline);
   Replication r;
   r.report = sim::simulate_single_coflow(controller, demand, kDelta, injector);
   r.replans = controller.replans();
   return r;
+}
+
+/// The replication with its initial plan materialized by reco_sin and
+/// replayed, under `Controller`.
+template <class Controller>
+Replication run_replication(const Matrix& demand, const sim::FaultConfig& faults,
+                            Time deadline) {
+  Controller controller(reco_sin(demand, kDelta), kDelta, deadline);
+  return simulate(controller, demand, faults);
+}
+
+/// The replication as CampaignRunner::run_one runs it: the initial plan is
+/// pulled from a RecoSinController.
+Replication run_lazy_replication(const Matrix& demand, const sim::FaultConfig& faults,
+                                 Time deadline) {
+  sim::RecoveringController controller(std::make_unique<sim::RecoSinController>(demand, kDelta),
+                                       kDelta, deadline);
+  return simulate(controller, demand, faults);
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -92,7 +114,17 @@ struct Coverage {
   int degraded_setups = 0;  ///< setup failures plus partial setups
 };
 
-Coverage sweep(const std::vector<double>& mtbfs, const Channels& channels, int reps,
+/// Which two controllers a sweep runs side by side.
+enum class Pair {
+  /// Pulled recovery plans against materialized ones (both replay a
+  /// materialized initial plan).
+  kRecoveryPlans,
+  /// A pulled initial plan against a replayed reco_sin schedule (both pull
+  /// their recovery plans).
+  kInitialPlan,
+};
+
+Coverage sweep(Pair pair, const std::vector<double>& mtbfs, const Channels& channels, int reps,
                int ports) {
   Coverage seen;
   for (const Time deadline : kDeadlines) {
@@ -118,10 +150,15 @@ Coverage sweep(const std::vector<double>& mtbfs, const Channels& channels, int r
                                   " rep=" + std::to_string(rep) +
                                   " setup_timeout=" + std::to_string(channels.setup_timeout) +
                                   " crosspoint=" + std::to_string(channels.crosspoint);
-        const Replication pulled =
-            run_replication<sim::RecoveringController>(demand, faults, deadline);
         const Replication materialized =
-            run_replication<oracle::MaterializingRecoveringController>(demand, faults, deadline);
+            pair == Pair::kRecoveryPlans
+                ? run_replication<oracle::MaterializingRecoveringController>(demand, faults,
+                                                                             deadline)
+                : run_replication<sim::RecoveringController>(demand, faults, deadline);
+        const Replication pulled =
+            pair == Pair::kRecoveryPlans
+                ? run_replication<sim::RecoveringController>(demand, faults, deadline)
+                : run_lazy_replication(demand, faults, deadline);
         expect_same_replication(pulled, materialized, where);
         seen.replans += pulled.replans;
         seen.port_failures += pulled.report.port_failures;
@@ -133,20 +170,21 @@ Coverage sweep(const std::vector<double>& mtbfs, const Channels& channels, int r
 }
 
 TEST(RecoveryEquivalence, PortFaultsAtBothMtbfPoints) {
-  const Coverage seen = sweep({0.05, 0.02}, Channels{}, 6, 24);
+  const Coverage seen = sweep(Pair::kRecoveryPlans, {0.05, 0.02}, Channels{}, 6, 24);
   EXPECT_GT(seen.port_failures, 0);
   EXPECT_GT(seen.replans, 0);
 }
 
 TEST(RecoveryEquivalence, PortFaultsWithDegradedSetups) {
-  const Coverage seen = sweep({0.05, 0.02}, Channels{0.05, 0.05}, 6, 24);
+  const Coverage seen =
+      sweep(Pair::kRecoveryPlans, {0.05, 0.02}, Channels{0.05, 0.05}, 6, 24);
   EXPECT_GT(seen.degraded_setups, 0);
   EXPECT_GT(seen.replans, 0);
 }
 
 TEST(RecoveryEquivalence, DegradedSetupsAloneTriggerReplans) {
   // No port ever fails, so every replan here comes from on_setup_degraded.
-  const Coverage seen = sweep({0.0}, Channels{0.1, 0.1}, 6, 16);
+  const Coverage seen = sweep(Pair::kRecoveryPlans, {0.0}, Channels{0.1, 0.1}, 6, 16);
   EXPECT_EQ(seen.port_failures, 0);
   EXPECT_GT(seen.degraded_setups, 0);
   EXPECT_GT(seen.replans, 0);
@@ -201,6 +239,107 @@ TEST(RecoveryEquivalence, TelemetryLeavesPulledRecoveryUnchanged) {
   expect_same_replication(on, off, "telemetry on vs off");
   ASSERT_GT(on.replans, 0);
   EXPECT_EQ(replans, static_cast<double>(on.replans));
+}
+
+TEST(LazyInitialPlan, PortFaultsAtBothMtbfPoints) {
+  const Coverage seen = sweep(Pair::kInitialPlan, {0.05, 0.02}, Channels{}, 6, 24);
+  EXPECT_GT(seen.port_failures, 0);
+  EXPECT_GT(seen.replans, 0);
+}
+
+TEST(LazyInitialPlan, PortFaultsWithDegradedSetups) {
+  const Coverage seen =
+      sweep(Pair::kInitialPlan, {0.05, 0.02}, Channels{0.05, 0.05}, 6, 24);
+  EXPECT_GT(seen.degraded_setups, 0);
+  EXPECT_GT(seen.replans, 0);
+}
+
+TEST(LazyInitialPlan, DegradedSetupsAloneTriggerReplans) {
+  const Coverage seen = sweep(Pair::kInitialPlan, {0.0}, Channels{0.1, 0.1}, 6, 16);
+  EXPECT_EQ(seen.port_failures, 0);
+  EXPECT_GT(seen.degraded_setups, 0);
+  EXPECT_GT(seen.replans, 0);
+}
+
+TEST(LazyInitialPlan, FaultFreeRunPlaysTheWholePlan) {
+  // No fault ever fires, so the initial plan runs to its end.
+  const Coverage seen = sweep(Pair::kInitialPlan, {0.0}, Channels{}, 4, 24);
+  EXPECT_EQ(seen.replans, 0);
+  EXPECT_EQ(seen.degraded_setups, 0);
+}
+
+TEST(LazyInitialPlan, ReplaysTheRecoSinSchedule) {
+  // Alone, the controller hands out reco_sin's assignments in order,
+  // skipping those whose circuits are drained, as ReplayController does.
+  Rng rng(37);
+  for (const int n : {3, 8, 24}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const Matrix demand = testing::random_demand(rng, n, 0.4, 1e-4, 5e-3);
+      sim::RecoSinController lazy(demand, kDelta);
+      sim::ReplayController replay(reco_sin(demand, kDelta));
+      const std::string where = "n=" + std::to_string(n) + " trial=" + std::to_string(trial);
+      // Drain every other residual entry after the first decision, so later
+      // decisions have establishments to skip.
+      Matrix residual = demand;
+      for (int step = 0;; ++step) {
+        const std::optional<CircuitAssignment> a = lazy.next_assignment(0.0, residual);
+        const std::optional<CircuitAssignment> b = replay.next_assignment(0.0, residual);
+        ASSERT_EQ(a.has_value(), b.has_value()) << where << " step " << step;
+        if (!a) break;
+        EXPECT_EQ(bits(a->duration), bits(b->duration)) << where << " step " << step;
+        EXPECT_EQ(a->circuits, b->circuits) << where << " step " << step;
+        if (step == 0) {
+          for (int i = 0; i < n; ++i) {
+            for (int j = (i % 2); j < n; j += 2) residual.at(i, j) = 0.0;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Number of wall-clock complete events named `name` in a Chrome trace.
+int count_spans(const std::string& json, const std::string& name) {
+  const std::string head = "{\"name\":\"" + name + "\",";
+  int count = 0;
+  for (std::size_t at = json.find(head); at != std::string::npos; at = json.find(head, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(LazyInitialPlan, InitialPlanIsTracedAsRecoSinNotAsARecovery) {
+  GeneratorOptions gen;
+  gen.num_ports = 16;
+  gen.num_coflows = 8;
+  gen.delta = kDelta;
+  gen.seed = 5;
+  Matrix demand(gen.num_ports);
+  for (const Coflow& c : generate_workload(gen)) demand += c.demand;
+  for (const double mtbf : {0.0, 0.02}) {
+    sim::FaultConfig faults;
+    faults.port_mtbf = mtbf;
+    faults.port_mttr = 0.01;
+    faults.seed = 9;
+    const bool was_enabled = obs::enabled();
+    obs::reset();
+    obs::set_enabled(true);
+    const Replication r = run_lazy_replication(demand, faults, 0.0);
+    const double replans = obs::metrics().counter("faults.replans").value();
+    std::ostringstream json;
+    obs::tracer().write_chrome_json(json);
+    const std::uint64_t dropped = obs::tracer().dropped();
+    obs::set_enabled(was_enabled);
+    obs::reset();
+    ASSERT_EQ(dropped, 0u);
+    EXPECT_EQ(replans, static_cast<double>(r.replans)) << "mtbf=" << mtbf;
+    // One sched.reco_sin span per plan: the initial one and each recovery.
+    EXPECT_EQ(count_spans(json.str(), "sched.reco_sin_surviving"), r.replans) << "mtbf=" << mtbf;
+    EXPECT_EQ(count_spans(json.str(), "sched.reco_sin"), r.replans + 1) << "mtbf=" << mtbf;
+    if (mtbf > 0.0) {
+      EXPECT_GT(r.replans, 0);
+    }
+  }
 }
 
 }  // namespace
