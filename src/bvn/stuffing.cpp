@@ -45,7 +45,7 @@ struct ExactSums {
 
   explicit ExactSums(const SupportIndex& m) : rows(m.n()), cols(m.n()) {
     for (int i = 0; i < m.n(); ++i) rows[i] = m.row_sum_exact(i);
-    for (int j = 0; j < m.n(); ++j) cols[j] = m.col_sum_exact(j);
+    m.col_sums_exact(cols.data());
     for (const Time r : rows) rho = std::max(rho, r);
     for (const Time c : cols) rho = std::max(rho, c);
   }
@@ -100,10 +100,11 @@ SupportIndex stuff_with_sums(SupportIndex out, Time target, const ExactSums& sum
   // deficits (recomputed without clamping), preferring cells that already
   // carry demand so sparsity-sensitive consumers see no new support.
   std::vector<Time> col_need(n);
+  out.col_sums_exact(col_need.data());
   bool any_col_need = false;
   Time repaired_slack = 0.0;
   for (int j = 0; j < n; ++j) {
-    col_need[j] = goal - out.col_sum_exact(j);
+    col_need[j] = goal - col_need[j];
     any_col_need = any_col_need || col_need[j] > 0.0;
   }
   for (int i = 0; i < n; ++i) {

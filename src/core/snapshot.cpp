@@ -1,6 +1,8 @@
 #include "core/snapshot.hpp"
 
 #include <bit>
+#include <cmath>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -144,6 +146,7 @@ SupportIndex load_support_index(SnapshotReader& in) {
     throw std::runtime_error("snapshot: malformed SupportIndex dimensions");
   }
   SupportIndex index = SupportIndex::zeros(n);
+  std::int64_t previous = -1;  // row-major position of the previous entry
   for (int k = 0; k < nnz; ++k) {
     const int i = in.get_i32();
     const int j = in.get_i32();
@@ -151,6 +154,14 @@ SupportIndex load_support_index(SnapshotReader& in) {
     if (i < 0 || i >= n || j < 0 || j >= n) {
       throw std::runtime_error("snapshot: SupportIndex entry out of range");
     }
+    const std::int64_t position = std::int64_t{i} * n + j;
+    if (position <= previous) {
+      throw std::runtime_error("snapshot: SupportIndex entry duplicated or out of order");
+    }
+    if (!std::isfinite(v) || approx_zero(v)) {
+      throw std::runtime_error("snapshot: SupportIndex value not finite or below kTimeEps");
+    }
+    previous = position;
     index.set(i, j, v);
   }
   return index;

@@ -101,7 +101,10 @@ class SnapshotReader {
 /// Restoring rebuilds the index through the public set() path, which is
 /// bit-exact: stored values are never sub-tolerance (the index invariant),
 /// so the snap-to-zero in set() never fires, and sorted support makes the
-/// restored iteration order identical to the saved one.
+/// restored iteration order identical to the saved one.  The loader
+/// accepts exactly what the saver writes: it throws std::runtime_error on
+/// an entry that does not come strictly after the previous one in (i, j)
+/// order, or whose value is not finite or is below kTimeEps in magnitude.
 void save_support_index(SnapshotWriter& out, const SupportIndex& index);
 SupportIndex load_support_index(SnapshotReader& in);
 

@@ -108,10 +108,9 @@ std::uint64_t OnlineCore::submit(const Coflow& coflow) {
   } else {
     slot = static_cast<int>(slots_.size());
     slots_.emplace_back();
+    // An index's arena holds every n x n shape, so re-seating this slot
+    // never allocates.
     slots_[slot].residual = SupportIndex(coflow.demand);
-    // Dense-reserve the fresh index: its capacity is now independent of the
-    // coflow shapes it will host, so re-seating this slot never allocates.
-    slots_[slot].residual.reserve_dense();
   }
   Slot& s = slots_[slot];
   s.id = coflow.id;
@@ -450,9 +449,6 @@ void OnlineCore::load(SnapshotReader& in) {
     s.arrival = in.get_f64();
     s.last_end = in.get_f64();
     s.residual = load_support_index(in);
-    // Same capacity discipline as submit()'s fresh-slot path: re-seats of a
-    // restored slot never allocate.
-    s.residual.reserve_dense();
     slots_.push_back(std::move(s));
   }
   const auto read_slot_list = [&](std::vector<int>& list) {

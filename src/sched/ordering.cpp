@@ -127,15 +127,25 @@ void order_residuals_into(const std::vector<const SupportIndex*>& residuals,
     order.clear();
     return;
   }
+  // Per-port exact loads over 2n ports (ingress 0..n-1, egress n..2n-1),
+  // bit-identical to the Matrix scans because every skipped entry is
+  // exactly 0.0; each parallel worker writes only its own coflow's row.
+  const int n = residuals.front()->n();
+  const int num_ports = 2 * n;
+  scratch.load.resize(static_cast<std::size_t>(num_coflows) * num_ports);
+  runtime::parallel_for(num_coflows, [&](int k) {
+    double* row = scratch.load.data() + static_cast<std::size_t>(k) * num_ports;
+    const SupportIndex& r = *residuals[k];
+    for (int i = 0; i < n; ++i) row[i] = r.row_sum_exact(i);
+    r.col_sums_exact(row + n);
+  });
   if (policy == OrderingPolicy::kSebf) {
-    // Exact-sum bottlenecks: bit-identical to Matrix::rho() because every
-    // skipped entry is exactly 0.0 and contributes nothing to an IEEE sum.
+    // Each coflow's bottleneck is its largest port load: Matrix::rho().
     scratch.key.resize(num_coflows);
     for (int k = 0; k < num_coflows; ++k) {
-      const SupportIndex& r = *residuals[k];
+      const double* row = scratch.load.data() + static_cast<std::size_t>(k) * num_ports;
       Time rho = 0.0;
-      for (int i = 0; i < r.n(); ++i) rho = std::max(rho, r.row_sum_exact(i));
-      for (int j = 0; j < r.n(); ++j) rho = std::max(rho, r.col_sum_exact(j));
+      for (int p = 0; p < num_ports; ++p) rho = std::max(rho, row[p]);
       scratch.key[k] = rho;
     }
     order.resize(num_coflows);
@@ -146,15 +156,6 @@ void order_residuals_into(const std::vector<const SupportIndex*>& residuals,
   }
 
   // kBssi, and kLp's residual fallback.
-  const int n = residuals.front()->n();
-  const int num_ports = 2 * n;
-  scratch.load.assign(static_cast<std::size_t>(num_coflows) * num_ports, 0.0);
-  runtime::parallel_for(num_coflows, [&](int k) {
-    double* row = scratch.load.data() + static_cast<std::size_t>(k) * num_ports;
-    const SupportIndex& r = *residuals[k];
-    for (int i = 0; i < n; ++i) row[i] = r.row_sum_exact(i);
-    for (int j = 0; j < n; ++j) row[n + j] = r.col_sum_exact(j);
-  });
   scratch.w.assign(weights.begin(), weights.end());
   bssi_from_loads(num_coflows, num_ports, scratch, order);
 }

@@ -50,7 +50,7 @@ struct OrderingScratch {
 
 /// Order a residual set (one sparse index + weight per live coflow) into
 /// `order`, a permutation of indices into `residuals`.  Loads come from
-/// `row_sum_exact` / `col_sum_exact`, which match the dense Matrix scans
+/// `row_sum_exact` / `col_sums_exact`, which match the dense Matrix scans
 /// bit-for-bit, so on equal matrices this returns exactly what
 /// `order_coflows` returns on the corresponding Coflow vector.  kLp falls
 /// back to BSSI here (the interval LP wants whole Coflow objects; residual

@@ -29,11 +29,6 @@ struct SplitMix64 {
   }
 };
 
-/// Percentile of the resampled statistics (nearest-rank on a sorted copy).
-double stat_percentile(std::vector<double>& stats, double p) {
-  return percentile(stats, p);  // takes by value; copy is intentional
-}
-
 }  // namespace
 
 DistributionSummary summarize_distribution(const std::vector<double>& xs,
@@ -71,16 +66,21 @@ DistributionSummary summarize_distribution(const std::vector<double>& xs,
     for (std::size_t i = 0; i < xs.size(); ++i) {
       resample[i] = xs[rng.index(xs.size())];
     }
+    // The mean first, in draw order; then one sort serves both percentiles.
     means.push_back(mean(resample));
-    p50s.push_back(percentile(resample, 50.0));
-    p99s.push_back(percentile(resample, 99.0));
+    std::sort(resample.begin(), resample.end());
+    p50s.push_back(percentile_sorted(resample, 50.0));
+    p99s.push_back(percentile_sorted(resample, 99.0));
   }
-  s.mean_lo = stat_percentile(means, lo_pct);
-  s.mean_hi = stat_percentile(means, hi_pct);
-  s.p50_lo = stat_percentile(p50s, lo_pct);
-  s.p50_hi = stat_percentile(p50s, hi_pct);
-  s.p99_lo = stat_percentile(p99s, lo_pct);
-  s.p99_hi = stat_percentile(p99s, hi_pct);
+  std::sort(means.begin(), means.end());
+  std::sort(p50s.begin(), p50s.end());
+  std::sort(p99s.begin(), p99s.end());
+  s.mean_lo = percentile_sorted(means, lo_pct);
+  s.mean_hi = percentile_sorted(means, hi_pct);
+  s.p50_lo = percentile_sorted(p50s, lo_pct);
+  s.p50_hi = percentile_sorted(p50s, hi_pct);
+  s.p99_lo = percentile_sorted(p99s, lo_pct);
+  s.p99_hi = percentile_sorted(p99s, hi_pct);
   return s;
 }
 

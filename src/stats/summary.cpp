@@ -14,14 +14,18 @@ double mean(const std::vector<double>& xs) {
 }
 
 double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
   std::sort(xs.begin(), xs.end());
-  const double rank = p / 100.0 * (static_cast<double>(xs.size()) - 1.0);
+  return percentile_sorted(xs, p);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
+  const double rank = p / 100.0 * (static_cast<double>(sorted.size()) - 1.0);
   const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
   const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> xs) {

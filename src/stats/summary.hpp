@@ -10,8 +10,13 @@ namespace reco {
 
 double mean(const std::vector<double>& xs);
 
-/// Nearest-rank percentile, p in [0, 100].  Empty input -> 0.
+/// Percentile by linear interpolation between the two closest ranks: the
+/// value at rank p/100 * (n - 1) of the sorted samples, p in [0, 100]
+/// (std::invalid_argument otherwise).  Empty input -> 0.
 double percentile(std::vector<double> xs, double p);
+
+/// percentile() of samples already sorted ascending, without a copy.
+double percentile_sorted(const std::vector<double>& sorted, double p);
 
 /// Empirical CDF points (x, F(x)), one per sample, x ascending.
 std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> xs);

@@ -6,9 +6,11 @@
 // policies, interruption points, and thread counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -168,6 +170,50 @@ TEST(Snapshot, SupportIndexRoundTripIsBitExact) {
           << "(" << i << ", " << j << ")";
     }
   }
+}
+
+TEST(Snapshot, SupportIndexLoaderRejectsMalformedEntries) {
+  // Payloads with an intact digest whose entries the saver never writes:
+  // each must throw a named error instead of loading a wrong index.
+  struct Entry {
+    int i;
+    int j;
+    double v;
+  };
+  const auto load = [](const std::vector<Entry>& entries) {
+    SnapshotWriter w;
+    w.put_i32(2);
+    w.put_i32(static_cast<std::int32_t>(entries.size()));
+    for (const Entry& e : entries) {
+      w.put_i32(e.i);
+      w.put_i32(e.j);
+      w.put_f64(e.v);
+    }
+    std::ostringstream out;
+    w.finish(out, kTestMagic, 1);
+    std::istringstream in(out.str());
+    SnapshotReader r(in, kTestMagic, 1, "test snapshot");
+    (void)load_support_index(r);
+    r.expect_end();
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string bad_value = "SupportIndex value not finite or below kTimeEps";
+  const std::string bad_order = "SupportIndex entry duplicated or out of order";
+  EXPECT_NE(error_of([&] { load({{0, 0, std::nan("")}}); }).find(bad_value), std::string::npos);
+  EXPECT_NE(error_of([&] { load({{0, 1, inf}}); }).find(bad_value), std::string::npos);
+  EXPECT_NE(error_of([&] { load({{0, 1, -inf}}); }).find(bad_value), std::string::npos);
+  EXPECT_NE(error_of([&] { load({{1, 0, 0.0}}); }).find(bad_value), std::string::npos);
+  EXPECT_NE(error_of([&] { load({{1, 0, 0.5 * kTimeEps}}); }).find(bad_value),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { load({{0, 0, 1.0}, {0, 0, 2.0}}); }).find(bad_order),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { load({{1, 0, 1.0}, {0, 1, 2.0}}); }).find(bad_order),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { load({{0, 1, 1.0}, {0, 0, 2.0}}); }).find(bad_order),
+            std::string::npos);
+  // What the saver writes still loads: ascending entries, any sign, down to
+  // exactly kTimeEps in magnitude.
+  EXPECT_EQ(error_of([&] { load({{0, 0, kTimeEps}, {0, 1, -2.0}, {1, 0, 3.5}}); }), "");
 }
 
 TEST(Snapshot, FaultInjectorMidRunSaveLoadReplaysTheTimeline) {

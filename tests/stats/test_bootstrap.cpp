@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
+
+#include "stats/summary.hpp"
 
 namespace reco {
 namespace {
@@ -132,6 +138,97 @@ TEST(Bootstrap, WiderConfidenceWidensTheInterval) {
   const DistributionSummary sw = summarize_distribution(xs, wide);
   EXPECT_LE(sw.mean_lo, sn.mean_lo);
   EXPECT_GE(sw.mean_hi, sn.mean_hi);
+}
+
+/// The by-value summary the one-sort one must match: every percentile
+/// sorts its own copy of the resample or of the statistic vector.  The
+/// splitmix64 stream and Lemire reduction repeat summarize_distribution's.
+DistributionSummary summarize_by_value(const std::vector<double>& xs,
+                                       const BootstrapOptions& options) {
+  DistributionSummary s;
+  if (xs.empty()) return s;
+  s.count = xs.size();
+  s.mean = mean(xs);
+  s.p50 = percentile(xs, 50.0);
+  s.p99 = percentile(xs, 99.0);
+  s.min = *std::min_element(xs.begin(), xs.end());
+  s.max = *std::max_element(xs.begin(), xs.end());
+  if (xs.size() == 1) {
+    s.mean_lo = s.mean_hi = s.mean;
+    s.p50_lo = s.p50_hi = s.p50;
+    s.p99_lo = s.p99_hi = s.p99;
+    return s;
+  }
+  const int resamples = std::max(1, options.resamples);
+  const double confidence = std::min(0.999999, std::max(1e-6, options.confidence));
+  const double lo_pct = 100.0 * (1.0 - confidence) / 2.0;
+  const double hi_pct = 100.0 - lo_pct;
+  std::uint64_t state = options.seed;
+  const auto draw = [&](std::size_t n) {
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    const std::uint64_t x = (z ^ (z >> 31)) >> 32;
+    return static_cast<std::size_t>((x * static_cast<std::uint64_t>(n)) >> 32);
+  };
+  std::vector<double> resample(xs.size());
+  std::vector<double> means;
+  std::vector<double> p50s;
+  std::vector<double> p99s;
+  for (int b = 0; b < resamples; ++b) {
+    for (std::size_t i = 0; i < xs.size(); ++i) resample[i] = xs[draw(xs.size())];
+    means.push_back(mean(resample));
+    p50s.push_back(percentile(resample, 50.0));
+    p99s.push_back(percentile(resample, 99.0));
+  }
+  s.mean_lo = percentile(means, lo_pct);
+  s.mean_hi = percentile(means, hi_pct);
+  s.p50_lo = percentile(p50s, lo_pct);
+  s.p50_hi = percentile(p50s, hi_pct);
+  s.p99_lo = percentile(p99s, lo_pct);
+  s.p99_hi = percentile(p99s, hi_pct);
+  return s;
+}
+
+TEST(Bootstrap, OneSortPerResampleMatchesByValuePercentiles) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  int cases = 0;
+  for (const int n : {2, 3, 7, 48, 129}) {
+    // Skewed samples, and the same rounded to a coarse grid so that the
+    // sorts meet ties.
+    std::vector<double> tied = skewed_samples(n);
+    for (double& x : tied) x = std::round(x);
+    for (const std::vector<double>& xs : {skewed_samples(n), tied}) {
+      for (const int resamples : {1, 2, 17, 300}) {
+        for (const double confidence : {0.5, 0.9, 0.95, 0.999}) {
+          BootstrapOptions options;
+          options.resamples = resamples;
+          options.confidence = confidence;
+          options.seed = 0x5eed0002u + static_cast<std::uint64_t>(n);
+          const DistributionSummary got = summarize_distribution(xs, options);
+          const DistributionSummary want = summarize_by_value(xs, options);
+          const std::string where = "n=" + std::to_string(n) + " resamples=" +
+                                    std::to_string(resamples) +
+                                    " confidence=" + std::to_string(confidence);
+          EXPECT_EQ(got.count, want.count) << where;
+          EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
+          EXPECT_EQ(bits(got.mean_lo), bits(want.mean_lo)) << where;
+          EXPECT_EQ(bits(got.mean_hi), bits(want.mean_hi)) << where;
+          EXPECT_EQ(bits(got.p50), bits(want.p50)) << where;
+          EXPECT_EQ(bits(got.p50_lo), bits(want.p50_lo)) << where;
+          EXPECT_EQ(bits(got.p50_hi), bits(want.p50_hi)) << where;
+          EXPECT_EQ(bits(got.p99), bits(want.p99)) << where;
+          EXPECT_EQ(bits(got.p99_lo), bits(want.p99_lo)) << where;
+          EXPECT_EQ(bits(got.p99_hi), bits(want.p99_hi)) << where;
+          EXPECT_EQ(bits(got.min), bits(want.min)) << where;
+          EXPECT_EQ(bits(got.max), bits(want.max)) << where;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 160);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@ TEST(Summary, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 30.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 25), 20.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 95), 48.0);  // between 40 and 50
+  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 95), 48.0);
 }
 
 TEST(Summary, PercentileUnsortedInput) {
@@ -29,6 +30,9 @@ TEST(Summary, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(percentile({7.0}, 95), 7.0);
   EXPECT_THROW(percentile({1.0}, -1), std::invalid_argument);
   EXPECT_THROW(percentile({1.0}, 101), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(percentile_sorted({}, 50), 0.0);
+  EXPECT_THROW(percentile_sorted({1.0}, -1), std::invalid_argument);
+  EXPECT_THROW(percentile_sorted({1.0}, 101), std::invalid_argument);
 }
 
 TEST(Summary, EmpiricalCdf) {
