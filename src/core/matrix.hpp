@@ -38,8 +38,8 @@ class Matrix {
   double& at(int i, int j) { return v_[idx(i, j)]; }
   double at(int i, int j) const { return v_[idx(i, j)]; }
 
-  /// Contiguous dense row i (n doubles) — the source of the SupportIndex
-  /// value-mirror re-gather.
+  /// Contiguous dense row i (n doubles) — where SupportIndex's readers take
+  /// the values along row_support(i).
   const double* row_data(int i) const { return v_.data() + idx(i, 0); }
   double* row_data(int i) { return v_.data() + idx(i, 0); }
 

@@ -129,12 +129,11 @@ void save_support_index(SnapshotWriter& out, const SupportIndex& index) {
   out.put_i32(n);
   out.put_i32(index.nnz());
   for (int i = 0; i < n; ++i) {
-    const SupportSpan cols = index.row_support(i);
-    const ValueSpan vals = index.row_values(i);
-    for (int k = 0; k < cols.size(); ++k) {
+    const double* row = index.matrix().row_data(i);
+    for (const int j : index.row_support(i)) {
       out.put_i32(i);
-      out.put_i32(cols[k]);
-      out.put_f64(vals[k]);
+      out.put_i32(j);
+      out.put_f64(row[j]);
     }
   }
 }

@@ -11,19 +11,19 @@
 // support queries are O(1)/O(degree) and the whole peeling loop becomes
 // proportional to nnz instead of N^2.
 //
-// Layout: one row arena at a fixed stride of n.  Row i owns slots
-// [i*n, i*n + n) of a column-index array and of a parallel value mirror,
-// so an O(degree) iteration streams two flat arrays (indices and values
-// side by side) instead of striding the N-wide dense row per value, and a
-// support insert is a sorted insert in place: no row ever relocates.  The
-// arena costs 12 B per cell beside the dense matrix's 8 B, allocated once
-// per dimension, which also makes every index's capacity independent of
-// the shape of the matrix it holds.  There is no column-side structure: the
+// Layout: one column-index arena at a fixed stride of n.  Row i owns slots
+// [i*n, i*n + n), so a support insert is a sorted insert in place: no row
+// ever relocates.  Values are read from the dense matrix along the support
+// (matrix().row_data(i)[j]); the index stores no copy of them.  The arena
+// costs 4 B per cell beside the dense matrix's 8 B, allocated once per
+// dimension, which also makes every index's capacity independent of the
+// shape of the matrix it holds.  There is no column-side structure: the
 // column sums callers need exactly come from one row-major pass
 // (col_sums_exact).
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/matrix.hpp"
@@ -31,47 +31,9 @@
 
 namespace reco {
 
-/// Lightweight view of one row's support indices inside the arena.
-/// Invalidated by any mutation of the index (set/add/assign/release), like
-/// iterators into a vector — do not hold one across writes.
-class SupportSpan {
- public:
-  SupportSpan() = default;
-  SupportSpan(const int* data, int size) : data_(data), size_(size) {}
-  const int* begin() const { return data_; }
-  const int* end() const { return data_ + size_; }
-  int size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  int operator[](int k) const { return data_[k]; }
-  int front() const { return data_[0]; }
-  int back() const { return data_[size_ - 1]; }
-
- private:
-  const int* data_ = nullptr;
-  int size_ = 0;
-};
-
-/// View of the values parallel to a row's SupportSpan: element k is the
-/// matrix entry at column row_support(i)[k].  Same invalidation rule.
-class ValueSpan {
- public:
-  ValueSpan() = default;
-  ValueSpan(const double* data, int size) : data_(data), size_(size) {}
-  const double* begin() const { return data_; }
-  const double* end() const { return data_ + size_; }
-  int size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  double operator[](int k) const { return data_[k]; }
-
- private:
-  const double* data_ = nullptr;
-  int size_ = 0;
-};
-
 /// Owns a dense Matrix and maintains, under `set`/`add` mutation:
-///   * row_support(i) — sorted columns of row i's nonzero entries;
-///   * row_values(i) — values parallel to row_support(i), streamed from
-///     the value arena (no dense-row gather);
+///   * row_support(i) — sorted columns of row i's nonzero entries; their
+///     values are matrix().row_data(i)[j] for each j in it;
 ///   * row_sum / col_sum / nnz — O(1) aggregates.
 ///
 /// Invariants:
@@ -84,10 +46,6 @@ class ValueSpan {
 ///     visits the same nonzero entries in the same order as a
 ///     dense j = 0..N-1 scan — which is what makes the sparse kernels
 ///     bit-identical to their dense counterparts (see DESIGN.md §3);
-///   * row_values(i)[k] equals at(i, row_support(i)[k]) exactly — the
-///     value arena is a lazily refreshed mirror: in-place writes mark the
-///     row dirty and the next row_values(i) re-gathers it from the dense
-///     row, so read results are always exact;
 ///   * incremental row/col sums are updated by +=delta and therefore agree
 ///     with a from-scratch scan only up to float round-off; callers that
 ///     need scan-exact sums (stuffing's slack arithmetic, the orderings'
@@ -95,6 +53,9 @@ class ValueSpan {
 ///     re-scans of the support that match Matrix::row_sum / col_sum
 ///     bit-for-bit because exact zeros contribute exactly nothing to an
 ///     IEEE sum.
+///
+/// Concurrency: every const member only reads, so any number of threads
+/// may read one index at once while no thread writes it.
 class SupportIndex {
  public:
   SupportIndex() = default;
@@ -128,11 +89,10 @@ class SupportIndex {
   double at(int i, int j) const { return m_.at(i, j); }
 
   /// Write entry (i, j).  Sub-tolerance values are snapped to exact zero.
-  /// O(1) when the entry stays inside the support (dense write + a dirty
-  /// mark; the value mirror refreshes lazily on the next row_values read),
-  /// O(degree) when it enters or leaves (sorted insert/erase in the row's
-  /// arena slots).  Defined inline: this is the innermost write of every
-  /// peeling round.
+  /// O(1) when the entry stays inside the support (a dense write), O(degree)
+  /// when it enters or leaves (sorted insert/erase in the row's arena
+  /// slots).  Defined inline: this is the innermost write of every peeling
+  /// round.
   void set(int i, int j, double v) {
     if (approx_zero(v)) v = 0.0;
     double& cell = m_.at(i, j);
@@ -141,13 +101,8 @@ class SupportIndex {
     row_sum_[i] += v - old;
     col_sum_[j] += v - old;
     cell = v;
-    const bool was = old != 0.0;
     const bool now = v != 0.0;
-    if (was != now) {
-      update_support(i, j, now);
-    } else if (now) {
-      row_dirty_[i] = 1;
-    }
+    if ((old != 0.0) != now) update_support(i, j, now);
   }
 
   /// set(i, j, at(i, j) + dv).
@@ -164,18 +119,14 @@ class SupportIndex {
     bool snapped = false;
     for (int i = 0; i < m_.n(); ++i) {
       double* row = m_.row_data(i);
-      const int* cols = row_cols_.data() + base(i);
-      double* vals = row_vals_.data() + base(i);
-      for (int k = 0; k < row_len_[i]; ++k) {
-        double v = f(row[cols[k]]);
+      for (const int j : row_support(i)) {
+        double v = f(row[j]);
         if (approx_zero(v)) {
           v = 0.0;
           snapped = true;
         }
-        row[cols[k]] = v;
-        vals[k] = v;
+        row[j] = v;
       }
-      row_dirty_[i] = 0;
     }
     if (snapped) drop_zeros();
     resum();
@@ -189,26 +140,17 @@ class SupportIndex {
   Time col_sum(int j) const { return col_sum_[j]; }
 
   // ---- O(N) / O(nnz) aggregates ---------------------------------------
-  /// Largest entry, by streaming the value arena (O(nnz), no dense reads).
+  /// Largest entry, read from the dense rows along the support (O(nnz)).
   double max_entry() const;
   /// Sum of all entries, from the incremental row sums (O(N)).
   Time total() const;
 
   // ---- support structure ----------------------------------------------
   /// Columns j with m(i, j) != 0, ascending.  Exact — no stale entries.
-  SupportSpan row_support(int i) const { return {row_cols_.data() + base(i), row_len_[i]}; }
-  /// Values parallel to row_support(i): element k is at(i, support[k]).
-  ValueSpan row_values(int i) const {
-    double* dst = row_vals_.data() + base(i);
-    if (row_dirty_[i]) {
-      // Mirror re-gather from the dense row — the hottest gather in the
-      // peel loop.
-      const double* src = m_.row_data(i);
-      const int* cols = row_cols_.data() + base(i);
-      for (int k = 0; k < row_len_[i]; ++k) dst[k] = src[cols[k]];
-      row_dirty_[i] = 0;
-    }
-    return {dst, row_len_[i]};
+  /// Invalidated by any mutation of the index (set/add/assign/release), like
+  /// iterators into a vector — do not hold one across writes.
+  std::span<const int> row_support(int i) const {
+    return {row_cols_.data() + base(i), static_cast<std::size_t>(row_len_[i])};
   }
 
   /// Ordered O(degree) re-scan of row i over its support; bit-identical to
@@ -217,8 +159,6 @@ class SupportIndex {
   /// Write every column's exact sum to out[0..n): one row-major O(nnz + N)
   /// pass over the support and the dense values, so column j receives its
   /// addends in ascending row order — bit-identical to Matrix::col_sum(j).
-  /// Reads the dense values and leaves the value mirror alone, so it is
-  /// safe under concurrent const readers (the ordering's parallel_for).
   void col_sums_exact(Time* out) const;
 
   /// Total heap capacity currently held, in elements (dense storage plus
@@ -242,26 +182,13 @@ class SupportIndex {
   /// rows, in place.
   void drop_zeros();
 
-  /// Recompute the row and column sums from the row arena, in row-major
+  /// Recompute the row and column sums along the support, in row-major
   /// order.
   void resum();
 
   Matrix m_;
-  // The row arena at stride n: columns and values in lockstep.
-  std::vector<int> row_cols_;
-  mutable std::vector<double> row_vals_;
-  std::vector<int> row_len_;  ///< live entries of each row
-  /// Per-row staleness of the value mirror.  An in-place set() only writes
-  /// the dense cell and this byte; row_values() gathers the row from dense
-  /// storage on its next read and clears the mark.  Writes therefore cost
-  /// what they did pre-SoA, and a burst of writes (a peel's subtraction
-  /// chain) pays one gather per row instead of one search per write.
-  /// Structural insert/erase keep the mirror aligned, so clean rows stay
-  /// clean.  mutable: refresh happens under const readers — concurrent
-  /// row_values() calls on the SAME index race; every current caller
-  /// reads one index from one thread (see ordering.cpp's parallel loops,
-  /// which are per-coflow).
-  mutable std::vector<unsigned char> row_dirty_;
+  std::vector<int> row_cols_;  ///< the column arena at stride n
+  std::vector<int> row_len_;   ///< live entries of each row
   std::vector<Time> row_sum_;
   std::vector<Time> col_sum_;
   int nnz_ = 0;

@@ -65,8 +65,8 @@ std::optional<BottleneckMatching> bottleneck_perfect_matching(const SupportIndex
   std::vector<double> values;
   values.reserve(static_cast<std::size_t>(idx.nnz()));
   for (int i = 0; i < idx.n(); ++i) {
-    const auto vals = idx.row_values(i);
-    values.insert(values.end(), vals.begin(), vals.end());
+    const double* row = idx.matrix().row_data(i);
+    for (const int j : idx.row_support(i)) values.push_back(row[j]);
   }
   return bottleneck_search(idx, std::move(values));
 }

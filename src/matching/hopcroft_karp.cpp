@@ -50,10 +50,9 @@ Csr csr_at(const Matrix& m, double threshold) {
 Csr csr_at(const SupportIndex& idx, double threshold) {
   Csr g;
   for (int i = 0; i < idx.n(); ++i) {
-    const auto support = idx.row_support(i);
-    const auto vals = idx.row_values(i);
-    for (int k = 0; k < support.size(); ++k) {
-      if (vals[k] >= threshold - kTimeEps) g.col.push_back(support[k]);
+    const double* row = idx.matrix().row_data(i);
+    for (const int j : idx.row_support(i)) {
+      if (row[j] >= threshold - kTimeEps) g.col.push_back(j);
     }
     g.end_row();
   }

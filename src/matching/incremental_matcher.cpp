@@ -43,24 +43,23 @@ void IncrementalMatcher::set_threshold(double threshold) {
 }
 
 void IncrementalMatcher::set_edge_bits() {
-  // edge_present() over the value arena, without a branch per entry: every
-  // support value is nonzero, so the threshold test alone decides the bit.
-  // Columns ascend, so each word is gathered in a register and stored once.
+  // edge_present() along each row's support, reading the dense row, without
+  // a branch per entry: every support value is nonzero, so the threshold
+  // test alone decides the bit.  Columns ascend, so each word is gathered in
+  // a register and stored once.
   const double floor = threshold_ - kTimeEps;
   for (int i = 0; i < n_; ++i) {
     std::uint64_t* row = adj_bits_.data() + static_cast<std::size_t>(i) * words_;
-    const SupportSpan cols = index_->row_support(i);
-    const ValueSpan vals = index_->row_values(i);
+    const double* vals = index_->matrix().row_data(i);
     int w = 0;
     std::uint64_t bits = 0;
-    for (int k = 0; k < cols.size(); ++k) {
-      const int j = cols[k];
+    for (const int j : index_->row_support(i)) {
       if ((j >> 6) != w) {
         row[w] |= bits;
         w = j >> 6;
         bits = 0;
       }
-      bits |= std::uint64_t{vals[k] >= floor} << (j & 63);
+      bits |= std::uint64_t{vals[j] >= floor} << (j & 63);
     }
     row[w] |= bits;
   }

@@ -127,8 +127,10 @@ void packet_schedule_into(const std::vector<const SupportIndex*>& residuals,
   check_order(order, residuals.size(), n, [&](int idx) { return residuals[idx]->n(); });
   Time min_len = std::numeric_limits<Time>::infinity();
   for (int idx : order) {
+    const SupportIndex& r = *residuals[idx];
     for (int i = 0; i < n; ++i) {
-      for (const double v : residuals[idx]->row_values(i)) min_len = std::min(min_len, v);
+      const double* row = r.matrix().row_data(i);
+      for (const int j : r.row_support(i)) min_len = std::min(min_len, row[j]);
     }
   }
   reset_timelines(scratch, n, min_len);
@@ -140,9 +142,8 @@ void packet_schedule_into(const std::vector<const SupportIndex*>& residuals,
     // Support lists are sorted ascending, so this visits the same flows in
     // the same order as the dense (i, j) scan of the coflow overload.
     for (int i = 0; i < n; ++i) {
-      const auto cols = r.row_support(i);
-      const auto vals = r.row_values(i);
-      for (int k = 0; k < cols.size(); ++k) scratch.flows.push_back({i, cols[k], vals[k]});
+      const double* row = r.matrix().row_data(i);
+      for (const int j : r.row_support(i)) scratch.flows.push_back({i, j, row[j]});
     }
     place_coflow_flows(scratch, ids[idx], out);
   }

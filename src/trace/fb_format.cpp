@@ -1,14 +1,29 @@
 #include "trace/fb_format.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 #include "trace/line_reader.hpp"
 #include "trace/rng.hpp"
 
 namespace reco {
+namespace {
+
+/// Parse all of `s` as a T: base 10 for an integer, chars_format::general
+/// for a double (so no hex and no leading '+').  False on any leftover.
+template <class T>
+bool parse_whole(std::string_view s, T& out) {
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, out);
+  return ec == std::errc() && ptr == last;
+}
+
+}  // namespace
 
 Time megabytes_to_seconds(double megabytes, double link_gbps) {
   if (link_gbps <= 0.0) throw std::invalid_argument("megabytes_to_seconds: bad bandwidth");
@@ -28,6 +43,7 @@ std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
   if (!(header >> num_ports >> num_coflows) || num_ports <= 0 || num_coflows < 0) {
     parse_error(kWho, lineno, "bad header (want '<racks> <coflows>')");
   }
+  trace_detail::expect_line_end(header, kWho, lineno, "header");
   Rng rng(options.perturb_seed);
   std::vector<Coflow> coflows;
   coflows.reserve(num_coflows);
@@ -76,12 +92,11 @@ std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
       if (colon == std::string::npos) {
         parse_error(kWho, lineno, "reducer token '" + token + "' missing ':'");
       }
+      const std::string_view text(token);
       int rack = -1;
       double size_mb = -1.0;
-      try {
-        rack = std::stoi(token.substr(0, colon));
-        size_mb = std::stod(token.substr(colon + 1));
-      } catch (const std::exception&) {
+      if (!parse_whole(text.substr(0, colon), rack) ||
+          !parse_whole(text.substr(colon + 1), size_mb)) {
         parse_error(kWho, lineno, "unparseable reducer token '" + token + "'");
       }
       if (rack < 0 || rack >= num_ports) {
@@ -108,6 +123,7 @@ std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
         c.demand.at(m, rack) += per_mapper * jitter;
       }
     }
+    trace_detail::expect_line_end(rec, kWho, lineno, "reducer list");
     coflows.push_back(std::move(c));
   }
   return coflows;

@@ -51,6 +51,7 @@ std::vector<Coflow> read_trace(std::istream& in, int& num_ports) {
   }
   if (num_ports <= 0) parse_error(kWho, lineno, "non-positive port count");
   if (count < 0) parse_error(kWho, lineno, "negative coflow count");
+  trace_detail::expect_line_end(header, kWho, lineno, "header");
 
   std::vector<Coflow> coflows;
   coflows.reserve(static_cast<std::size_t>(count));
@@ -103,8 +104,7 @@ std::vector<Coflow> read_trace(std::istream& in, int& num_ports) {
       }
       c.demand.at(i, j) = d;
     }
-    std::string extra;
-    if (rec >> extra) parse_error(kWho, lineno, "trailing tokens after the flow list");
+    trace_detail::expect_line_end(rec, kWho, lineno, "flow list");
     coflows.push_back(std::move(c));
   }
   return coflows;

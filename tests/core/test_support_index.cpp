@@ -5,19 +5,24 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/snapshot.hpp"
+#include "matching/bottleneck.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
 namespace reco {
 namespace {
 
-std::vector<int> to_vector(const SupportSpan& s) { return {s.begin(), s.end()}; }
+std::vector<int> to_vector(std::span<const int> s) { return {s.begin(), s.end()}; }
 
-/// Check every index invariant against the dense matrix it wraps.  The
-/// exact column sums come first, while rows may still carry a stale value
-/// mirror (row_values() below refreshes it).
+/// Check every index invariant against the dense matrix it wraps.
 void expect_index_consistent(const SupportIndex& idx, double sum_tol = 1e-9) {
   const Matrix& m = idx.matrix();
   const int n = idx.n();
@@ -39,12 +44,6 @@ void expect_index_consistent(const SupportIndex& idx, double sum_tol = 1e-9) {
     EXPECT_EQ(to_vector(idx.row_support(i)), expected) << "row " << i;
     EXPECT_NEAR(idx.row_sum(i), m.row_sum(i), sum_tol) << "row " << i;
     EXPECT_DOUBLE_EQ(idx.row_sum_exact(i), m.row_sum(i)) << "row " << i;
-    // SoA value mirror: row_values must track the dense entries exactly.
-    const auto vals = idx.row_values(i);
-    ASSERT_EQ(vals.size(), idx.row_support(i).size());
-    for (int k = 0; k < vals.size(); ++k) {
-      EXPECT_EQ(vals[k], m.at(i, idx.row_support(i)[k])) << "row " << i << " slot " << k;
-    }
   }
   EXPECT_EQ(idx.nnz(), nnz);
   EXPECT_EQ(idx.nnz(), m.nnz());
@@ -171,6 +170,75 @@ TEST(SupportIndexProperty, PeelStyleDrainStaysConsistent) {
     ASSERT_LT(round, 1000) << "drain did not terminate";
   }
   expect_index_consistent(idx);
+}
+
+/// Everything a const reader can ask of an index, for comparing readers.
+struct ConstReads {
+  std::vector<MatchingResult> matchings;
+  std::optional<BottleneckMatching> bottleneck;
+  double max_entry = 0.0;
+  std::vector<Time> row_sums;
+  std::vector<Time> col_sums;
+  std::string snapshot;
+};
+
+ConstReads read_all(const SupportIndex& idx) {
+  ConstReads r;
+  for (const double threshold : {kTimeEps, 2.0, 5.0, 9.0}) {
+    r.matchings.push_back(threshold_matching(idx, threshold));
+  }
+  r.bottleneck = bottleneck_perfect_matching(idx);
+  r.max_entry = idx.max_entry();
+  for (int i = 0; i < idx.n(); ++i) r.row_sums.push_back(idx.row_sum_exact(i));
+  r.col_sums.resize(idx.n());
+  idx.col_sums_exact(r.col_sums.data());
+  SnapshotWriter out;
+  save_support_index(out, idx);
+  r.snapshot = out.payload();
+  return r;
+}
+
+void expect_same_reads(const ConstReads& got, const ConstReads& want) {
+  ASSERT_EQ(got.matchings.size(), want.matchings.size());
+  for (std::size_t t = 0; t < want.matchings.size(); ++t) {
+    EXPECT_EQ(got.matchings[t].match_left, want.matchings[t].match_left) << "threshold " << t;
+    EXPECT_EQ(got.matchings[t].size, want.matchings[t].size) << "threshold " << t;
+  }
+  ASSERT_EQ(got.bottleneck.has_value(), want.bottleneck.has_value());
+  if (want.bottleneck) {
+    EXPECT_EQ(got.bottleneck->pairs, want.bottleneck->pairs);
+    EXPECT_EQ(got.bottleneck->bottleneck, want.bottleneck->bottleneck);
+  }
+  EXPECT_EQ(got.max_entry, want.max_entry);
+  EXPECT_EQ(got.row_sums, want.row_sums);
+  EXPECT_EQ(got.col_sums, want.col_sums);
+  EXPECT_EQ(got.snapshot, want.snapshot);
+}
+
+TEST(SupportIndex, ConcurrentConstReadersAgree) {
+  // Const members only read, so threads may share one index.  The in-place
+  // adds leave every value changed since ingest; a reader that cached
+  // values and refreshed them on read would race here (run under TSan).
+  Rng rng(27);
+  const int n = 64;
+  Matrix m = testing::random_demand(rng, n, 0.2, 1.0, 10.0);
+  for (int i = 0; i < n; ++i) m.at(i, i) = rng.uniform(1.0, 10.0);
+  SupportIndex idx(std::move(m));
+  for (int i = 0; i < n; ++i) {
+    const std::vector<int> support = to_vector(idx.row_support(i));
+    for (const int j : support) idx.add(i, j, rng.uniform(-0.5, 0.5));
+  }
+  const SupportIndex copy = idx;
+  const ConstReads want = read_all(copy);
+  ASSERT_TRUE(want.bottleneck.has_value());
+
+  std::vector<ConstReads> got(4);
+  std::vector<std::thread> readers;
+  for (ConstReads& g : got) {
+    readers.emplace_back([&idx, &g] { g = read_all(idx); });
+  }
+  for (std::thread& t : readers) t.join();
+  for (const ConstReads& g : got) expect_same_reads(g, want);
 }
 
 }  // namespace

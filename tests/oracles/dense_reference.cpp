@@ -257,8 +257,7 @@ std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const Su
   std::vector<double> values;
   values.reserve(idx.nnz());
   for (int i = 0; i < idx.n(); ++i) {
-    const auto vals = idx.row_values(i);
-    values.insert(values.end(), vals.begin(), vals.end());
+    for (const int j : idx.row_support(i)) values.push_back(idx.at(i, j));
   }
   return bottleneck_reference_impl(idx, std::move(values));
 }

@@ -30,12 +30,10 @@ inline SupportIndex regularize_by_set(const SupportIndex& demand, Time quantum) 
   SupportIndex out = SupportIndex::zeros(demand.n());
   Time padding = 0.0;
   for (int i = 0; i < demand.n(); ++i) {
-    const auto cols = demand.row_support(i);
-    const auto vals = demand.row_values(i);
-    for (int k = 0; k < cols.size(); ++k) {
-      const double rounded = round_up(vals[k]);
-      padding += rounded - vals[k];
-      out.set(i, cols[k], rounded);
+    for (const int j : demand.row_support(i)) {
+      const double rounded = round_up(demand.at(i, j));
+      padding += rounded - demand.at(i, j);
+      out.set(i, j, rounded);
     }
   }
   if (obs::enabled()) {

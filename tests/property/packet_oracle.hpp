@@ -111,9 +111,7 @@ inline SliceSchedule packet_schedule(const std::vector<const SupportIndex*>& res
     const SupportIndex& r = *residuals[idx];
     std::vector<Flow> flows;
     for (int i = 0; i < n; ++i) {
-      const auto cols = r.row_support(i);
-      const auto vals = r.row_values(i);
-      for (int k = 0; k < cols.size(); ++k) flows.push_back({i, cols[k], vals[k]});
+      for (const int j : r.row_support(i)) flows.push_back({i, j, r.at(i, j)});
     }
     place(std::move(flows), ids[idx], ports, out);
   }

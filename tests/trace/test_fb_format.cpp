@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace reco {
 namespace {
@@ -99,6 +102,22 @@ TEST(FbFormat, RejectsMalformedInput) {
     EXPECT_THROW(read_fb_trace(in, ports), std::runtime_error);
   }
   EXPECT_THROW(load_fb_trace("/nonexistent/file", ports), std::runtime_error);
+  // Trailing garbage in a rack, a size or a line: each names its line.
+  for (const auto& [text, line] : std::vector<std::pair<std::string, std::string>>{
+           {"4 1\n1 0 1 0 1 2x:10\n", "line 2"},     // rack "2x"
+           {"4 1\n1 0 1 0 1 2:10MB\n", "line 2"},    // size "10MB"
+           {"4 1\n1 0 1 0 1 2:0x10\n", "line 2"},    // hex size
+           {"4 1\n1 0 1 0 1 2:10 junk\n", "line 2"}, // token after the reducers
+           {"4 1 junk\n1 0 1 0 1 2:10\n", "line 1"}, // token after the header
+       }) {
+    std::istringstream in(text);
+    try {
+      read_fb_trace(in, ports);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(FbFormat, MalformedInputNamesTheLine) {

@@ -121,6 +121,10 @@ TEST(Serialization, RejectsNegativeWeightAndArrival) {
 TEST(Serialization, RejectsTrailingTokens) {
   const std::string err = read_error("reco-trace 2 4 1\n0 1.0 0.0 1 0 1 5.0 junk\n");
   EXPECT_NE(err.find("trailing"), std::string::npos) << err;
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  const std::string header = read_error("reco-trace 2 4 1 junk\n0 1.0 0.0 1 0 1 5.0\n");
+  EXPECT_NE(header.find("trailing"), std::string::npos) << header;
+  EXPECT_NE(header.find("line 1"), std::string::npos) << header;
 }
 
 TEST(Serialization, TruncatedFileNamesExpectedCount) {
