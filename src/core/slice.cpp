@@ -1,10 +1,26 @@
 #include "core/slice.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
 #include <tuple>
+#include <utility>
 
 namespace reco {
+
+namespace {
+
+/// The bits of t + 0.0, which folds -0.0 into +0.0, mapped so that unsigned
+/// order equals double order: a non-negative value gets its sign bit set,
+/// a negative one has every bit inverted.
+std::uint64_t start_key(Time t) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+}  // namespace
 
 bool is_port_feasible(const SliceSchedule& schedule) {
   // Sweep each port's slices sorted by start; neighbours must not overlap.
@@ -97,6 +113,40 @@ Time makespan(const SliceSchedule& schedule) {
   Time m = 0.0;
   for (const FlowSlice& s : schedule) m = std::max(m, s.end);
   return m;
+}
+
+void order_by_start(const SliceSchedule& slices, std::vector<std::size_t>& order,
+                    std::vector<StartKey>& keys, std::vector<StartKey>& temp) {
+  const std::size_t n = slices.size();
+  keys.resize(n);
+  temp.resize(n);
+  order.resize(n);
+  std::uint64_t any_bits = 0;
+  std::uint64_t all_bits = ~std::uint64_t{0};
+  for (std::size_t f = 0; f < n; ++f) {
+    const std::uint64_t key = start_key(slices[f].start);
+    keys[f] = {key, f};
+    any_bits |= key;
+    all_bits &= key;
+  }
+  // Each pass is a stable counting sort on one digit, and the keys start in
+  // index order, so equal keys stay in index order throughout.
+  std::array<std::array<std::size_t, 256>, 8> offset{};
+  for (const StartKey& k : keys) {
+    for (int d = 0; d < 8; ++d) ++offset[d][(k.key >> (8 * d)) & 0xff];
+  }
+  StartKey* from = keys.data();
+  StartKey* to = temp.data();
+  const std::uint64_t varying = any_bits ^ all_bits;
+  for (int d = 0; d < 8; ++d) {
+    const int shift = 8 * d;
+    if (((varying >> shift) & 0xff) == 0) continue;  // every key shares this digit
+    std::size_t sum = 0;
+    for (std::size_t& c : offset[d]) sum += std::exchange(c, sum);
+    for (std::size_t f = 0; f < n; ++f) to[offset[d][(from[f].key >> shift) & 0xff]++] = from[f];
+    std::swap(from, to);
+  }
+  for (std::size_t f = 0; f < n; ++f) order[f] = from[f].index;
 }
 
 }  // namespace reco

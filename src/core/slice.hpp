@@ -4,6 +4,8 @@
 // final OCS schedule (S_o).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/coflow.hpp"
@@ -50,5 +52,22 @@ std::vector<Time> start_batches(const SliceSchedule& schedule);
 
 /// Makespan: latest end time over all slices (0 for an empty schedule).
 Time makespan(const SliceSchedule& schedule);
+
+/// One slice index and its start as an order-preserving unsigned key: the
+/// element order_by_start sorts.
+struct StartKey {
+  std::uint64_t key;
+  std::size_t index;
+};
+
+/// Write every index of `slices` once into `order`, by ascending start,
+/// equal starts by ascending index, so the order is a function of the
+/// schedule alone (-0.0 and +0.0 are equal starts).  An LSD radix sort over
+/// 8-bit digits, skipping every digit all keys share.  `keys` and `temp` are
+/// work buffers, both resized to `slices.size()` like `order`; all three
+/// keep their capacity, so a caller with long-lived buffers allocates
+/// nothing here once they have grown.
+void order_by_start(const SliceSchedule& slices, std::vector<std::size_t>& order,
+                    std::vector<StartKey>& keys, std::vector<StartKey>& temp);
 
 }  // namespace reco

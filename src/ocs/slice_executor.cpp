@@ -1,8 +1,6 @@
 #include "ocs/slice_executor.hpp"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -28,10 +26,10 @@ std::size_t count_below(const std::vector<Time>& batches, Time t) {
 }  // namespace
 
 SliceSchedule inflate_pseudo_time(const SliceSchedule& pseudo, Time delta) {
-  std::vector<std::size_t> order(pseudo.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return pseudo[a].start < pseudo[b].start; });
+  std::vector<std::size_t> order;
+  std::vector<StartKey> keys;
+  std::vector<StartKey> temp;
+  order_by_start(pseudo, order, keys, temp);
   std::vector<Time> batches;
   SliceSchedule real;
   inflate_in_start_order(pseudo, order, delta, batches, real);
@@ -81,15 +79,15 @@ int count_reconfigurations(const SliceSchedule& schedule) {
 }
 
 SliceSchedule realize_not_all_stop(const SliceSchedule& pseudo, Time delta) {
-  std::vector<std::size_t> order(pseudo.size());
-  for (std::size_t f = 0; f < order.size(); ++f) order[f] = f;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (pseudo[a].start != pseudo[b].start) return pseudo[a].start < pseudo[b].start;
-    return a < b;
-  });
+  std::vector<std::size_t> order;
+  std::vector<StartKey> keys;
+  std::vector<StartKey> temp;
+  order_by_start(pseudo, order, keys, temp);
 
-  std::map<PortId, Time> free_in;
-  std::map<PortId, Time> free_out;
+  PortId max_port = -1;
+  for (const FlowSlice& s : pseudo) max_port = std::max({max_port, s.src, s.dst});
+  std::vector<Time> free_in(static_cast<std::size_t>(max_port + 1), 0.0);
+  std::vector<Time> free_out(static_cast<std::size_t>(max_port + 1), 0.0);
   SliceSchedule real(pseudo.size());
   for (std::size_t f : order) {
     const FlowSlice& s = pseudo[f];

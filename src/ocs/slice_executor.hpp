@@ -20,7 +20,8 @@ namespace reco {
 ///                                                fires before it finishes)
 /// Both shifts count the flow's own batch, so port feasibility is preserved
 /// (Lemma 2) and per-flow duration is stretched by exactly the number of
-/// mid-flight batches times delta (the all-stop halts).
+/// mid-flight batches times delta (the all-stop halts).  Takes the start
+/// order from order_by_start and runs inflate_in_start_order along it.
 SliceSchedule inflate_pseudo_time(const SliceSchedule& pseudo, Time delta);
 
 /// The same inflation, given the schedule's start order: `order` lists
@@ -49,7 +50,8 @@ MultiExecutionStats analyze_schedule(const SliceSchedule& schedule, int num_cofl
 
 /// Not-all-stop realization of a pseudo-time schedule (Sec. VI): each
 /// circuit pays its own per-port setup delta and nothing halts anybody
-/// else.  Slices are realized in pseudo-start order:
+/// else.  Slices are realized in pseudo-start order, equal starts by index
+/// (order_by_start):
 ///   real_start = max(pseudo_start, in_free, out_free) + delta
 /// so the port constraint holds by construction and priority (pseudo
 /// order) is preserved per port.  Start-time alignment buys nothing here —

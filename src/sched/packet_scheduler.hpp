@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,24 +53,30 @@ class PortTimeline {
     min_len_ = min_len;
   }
 
-  /// Earliest s >= t such that [s, s+d) is free on this port.  `k` is a
-  /// cursor: on entry an index at or before the first interval ending after
-  /// t, on return that interval, where the scan started.  An interval
-  /// ending at or before t cannot move t, so the scan skips it.  Throws
-  /// std::logic_error if d is below the floor.
-  Time earliest_fit(Time t, Time d, std::size_t& k) const {
+  /// Earliest s >= t such that [s, s+d) is free on this port.  `k` is the
+  /// query cursor: on entry an index at or before the first interval ending
+  /// after t; on return the index where the scan stopped, the first
+  /// interval ending after the answer.  Every interval before it ends at or
+  /// before the answer, and the one at it, if any, starts at least
+  /// d - kTimeEps after it.  So `k` serves the port's next query at or
+  /// after the answer.  `scan_start` receives the first interval ending
+  /// after t, where the scan started: the cursor for an insert at or after
+  /// t.  An interval ending at or before t cannot move t, so the scan skips
+  /// it.  Throws std::logic_error if d is below the floor.
+  Time earliest_fit(Time t, Time d, std::size_t& k, std::size_t& scan_start) const {
     if (d < min_len_) throw_below_floor(d, min_len_);
-    k = first_ending_after(t, k);
-    for (std::size_t i = k; i < busy_.size(); ++i) {
-      if (busy_[i].first - t >= d - kTimeEps) break;  // fits before interval i
-      t = busy_[i].second;
+    scan_start = first_ending_after(t, k);
+    for (k = scan_start; k < busy_.size(); ++k) {
+      if (busy_[k].first - t >= d - kTimeEps) break;  // fits before interval k
+      t = busy_[k].second;
     }
     return t;
   }
 
   Time earliest_fit(Time t, Time d) const {
     std::size_t k = 0;
-    return earliest_fit(t, d, k);
+    std::size_t scan_start = 0;
+    return earliest_fit(t, d, k, scan_start);
   }
 
   /// Insert [start, end]; `k` is at or before the first interval ending
@@ -96,6 +103,8 @@ class PortTimeline {
   std::size_t capacity() const { return busy_.capacity(); }
   /// Number of stored (coalesced) intervals.
   std::size_t size() const { return busy_.size(); }
+  /// The stored (coalesced) intervals, by ascending start.
+  std::span<const std::pair<Time, Time>> intervals() const { return busy_; }
 
  private:
   /// Whether the gap from a busy end `e` to a busy start `s` can hold a
@@ -128,20 +137,25 @@ class PortTimeline {
 
 /// Place a flow of length d at the earliest s >= 0 at which [s, s+d) is
 /// free on both `a` and `b`, insert it into both, and return s.  The fixed
-/// point alternates between the two timelines; each step only moves the
-/// candidate forward, so each timeline's cursor only moves forward too.
+/// point alternates between the two timelines.  Each port's next query
+/// time is never below its last answer, so each port's next query starts
+/// where its last scan stopped.  The accepted s may lie up to kTimeEps
+/// before a port's last answer, so each insert starts where that port's
+/// last scan started instead.
 inline Time place_common(PortTimeline& a, PortTimeline& b, Time d) {
-  std::size_t ka = 0;
-  std::size_t kb = 0;
-  Time t_a = a.earliest_fit(0.0, d, ka);
+  std::size_t query_a = 0;
+  std::size_t query_b = 0;
+  std::size_t insert_a = 0;
+  std::size_t insert_b = 0;
+  Time t_a = a.earliest_fit(0.0, d, query_a, insert_a);
   while (true) {
-    const Time t_both = b.earliest_fit(t_a, d, kb);
+    const Time t_both = b.earliest_fit(t_a, d, query_b, insert_b);
     const bool b_agrees = t_both <= t_a + kTimeEps;
     // Verifies t_both on `a`; if rejected, it is the next round's first query.
-    t_a = a.earliest_fit(t_both, d, ka);
+    t_a = a.earliest_fit(t_both, d, query_a, insert_a);
     if (b_agrees && t_a <= t_both + kTimeEps) {
-      a.insert(t_both, t_both + d, ka);
-      b.insert(t_both, t_both + d, kb);
+      a.insert(t_both, t_both + d, insert_a);
+      b.insert(t_both, t_both + d, insert_b);
       return t_both;
     }
   }

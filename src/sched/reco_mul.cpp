@@ -51,15 +51,10 @@ void reco_mul_transform_into(const SliceSchedule& packet, Time delta, double c,
   // costs extra start batches — exactly the graceful degradation the paper
   // observes at millisecond-scale delta.
   {
+    // Packet-start order is the (snapped start, packet start) order: every
+    // IEEE step of the snap is monotone, so snapping keeps starts in order.
     std::vector<std::size_t>& by_start = out.order;
-    by_start.resize(out.pseudo.size());
-    for (std::size_t f = 0; f < by_start.size(); ++f) by_start[f] = f;
-    std::sort(by_start.begin(), by_start.end(), [&](std::size_t a, std::size_t b) {
-      if (out.pseudo[a].start != out.pseudo[b].start) {
-        return out.pseudo[a].start < out.pseudo[b].start;
-      }
-      return packet[a].start < packet[b].start;  // original priority as tiebreak
-    });
+    order_by_start(packet, by_start, scratch.keys, scratch.keys_temp);
     PortId max_port = -1;
     for (const FlowSlice& s : out.pseudo) max_port = std::max({max_port, s.src, s.dst});
     scratch.free_in.assign(static_cast<std::size_t>(max_port + 1), 0.0);
@@ -75,14 +70,12 @@ void reco_mul_transform_into(const SliceSchedule& packet, Time delta, double c,
       scratch.free_out[s.dst] = s.end;
     }
     // Legalization only delays starts, so the order still ascends unless a
-    // push carried a slice past a later one.  Only then sort again.  No
-    // later stage depends on how equal starts are ordered, so an in-place
-    // sort serves; std::stable_sort would allocate on every reorder.
-    const auto ascending = [&](std::size_t a, std::size_t b) {
-      return out.pseudo[a].start < out.pseudo[b].start;
-    };
-    const bool reordered = !std::is_sorted(by_start.begin(), by_start.end(), ascending);
-    if (reordered) std::sort(by_start.begin(), by_start.end(), ascending);
+    // push carried a slice past a later one.  Only then sort again.
+    const bool reordered =
+        !std::is_sorted(by_start.begin(), by_start.end(), [&](std::size_t a, std::size_t b) {
+          return out.pseudo[a].start < out.pseudo[b].start;
+        });
+    if (reordered) order_by_start(out.pseudo, by_start, scratch.keys, scratch.keys_temp);
     if (obs::enabled()) {
       obs::metrics().counter("reco_mul.calls").inc();
       obs::metrics().counter("reco_mul.slices").inc(static_cast<double>(packet.size()));

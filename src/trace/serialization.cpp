@@ -14,6 +14,21 @@
 
 namespace reco {
 
+namespace {
+
+/// "(i, j)", for error messages only: built with appends, so a record that
+/// parses builds no string.
+std::string flow_label(int i, int j) {
+  std::string label = "(";
+  label += std::to_string(i);
+  label += ", ";
+  label += std::to_string(j);
+  label += ')';
+  return label;
+}
+
+}  // namespace
+
 void write_trace(std::ostream& out, const std::vector<Coflow>& coflows, int num_ports) {
   // Format v2 adds the arrival time (v1 readers did not need it because the
   // paper assumes pre-buffered coflows; the online extension does).
@@ -90,17 +105,16 @@ std::vector<Coflow> read_trace(std::istream& in, int& num_ports) {
         parse_error(kWho, lineno,
                     "truncated flow list (declared " + std::to_string(num_flows) + " flows)");
       }
-      const std::string flow = "(" + std::to_string(i) + ", " + std::to_string(j) + ")";
       if (i < 0 || i >= num_ports || j < 0 || j >= num_ports) {
         parse_error(kWho, lineno,
-                    "flow " + flow + " out of range for a " + std::to_string(num_ports) +
-                        "-port fabric");
+                    "flow " + flow_label(i, j) + " out of range for a " +
+                        std::to_string(num_ports) + "-port fabric");
       }
       if (!std::isfinite(d) || d < 0.0) {
-        parse_error(kWho, lineno, "NaN or negative demand on flow " + flow);
+        parse_error(kWho, lineno, "NaN or negative demand on flow " + flow_label(i, j));
       }
       if (!seen_flows.emplace(i, j).second) {
-        parse_error(kWho, lineno, "duplicate flow " + flow);
+        parse_error(kWho, lineno, "duplicate flow " + flow_label(i, j));
       }
       c.demand.at(i, j) = d;
     }

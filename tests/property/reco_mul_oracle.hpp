@@ -1,10 +1,11 @@
 // Test oracle for Reco-Mul's pseudo-time transform (Algorithm 2), frozen as
 // the production code computed it before each plan's start order was
 // shared by every stage: legalization walks an index sort of the snapped
-// starts; inflation re-sorts the legalized starts into start batches and
-// binary-searches them twice per slice; the reconfiguration count sorts
-// the real starts a third time.  The production transform must match it
-// slice for slice, bit for bit, and count for count.
+// starts (ties by packet start, then by index, the order production's
+// start order gives); inflation re-sorts the legalized starts into start
+// batches and binary-searches them twice per slice; the reconfiguration
+// count sorts the real starts a third time.  The production transform must
+// match it slice for slice, bit for bit, and count for count.
 #pragma once
 
 #include <algorithm>
@@ -94,7 +95,8 @@ inline RecoMulResult reco_mul_transform(const SliceSchedule& packet, Time delta,
   for (std::size_t f = 0; f < by_start.size(); ++f) by_start[f] = f;
   std::sort(by_start.begin(), by_start.end(), [&](std::size_t a, std::size_t b) {
     if (r.pseudo[a].start != r.pseudo[b].start) return r.pseudo[a].start < r.pseudo[b].start;
-    return packet[a].start < packet[b].start;
+    if (packet[a].start != packet[b].start) return packet[a].start < packet[b].start;
+    return a < b;
   });
   PortId max_port = -1;
   for (const FlowSlice& s : r.pseudo) max_port = std::max({max_port, s.src, s.dst});

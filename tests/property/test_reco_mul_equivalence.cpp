@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/slice.hpp"
+#include "core/support_index.hpp"
 #include "obs/obs.hpp"
 #include "ocs/slice_executor.hpp"
 #include "property/reco_mul_oracle.hpp"
@@ -190,14 +191,16 @@ TEST(RecoMulEquivalence, EpsilonEdgeLegalization) {
   // With c = 1 the quantum is delta and the stretch 2; every blocker starts
   // at 0 and every follower at 1e-12, which snaps to 0 but sorts after the
   // blocker on its port, so legalization pushes the follower to the
-  // blocker's end: t, t + 0.9 eps or t + 1.5 eps.  Slices that end at those
-  // starts, plus or minus eps, ride along on their own ports.
+  // blocker's end: t + 1.5 eps, t + 0.9 eps or t.  Equal packet starts go
+  // in index order, so each follower is pushed past the ones after it and
+  // the order is built again.  Slices that end at those starts, plus or
+  // minus eps, ride along on their own ports.
   RecoMulScratch scratch;
   RecoMulSchedule got;
   for (const Time t : {0.25, 1.0, 3.0}) {
     SliceSchedule packet;
     PortId port = 0;
-    for (const double lag : {0.0, 0.9, 1.5}) {
+    for (const double lag : {1.5, 0.9, 0.0}) {
       const Time release = t + lag * kE;
       packet.push_back({0.0, release, port, port, 0});
       packet.push_back({1e-12, 1e-12 + 0.5, port, port + 1, 1});
@@ -215,6 +218,104 @@ TEST(RecoMulEquivalence, EpsilonEdgeLegalization) {
       EXPECT_TRUE(want.reordered) << where;
     }
   }
+}
+
+/// Transform `packet` and a random permutation of it: slice k of the
+/// permuted input is slice perm[k] of `packet`, so pseudo[k] and real[k]
+/// must be the unpermuted transform's pseudo[perm[k]] and real[perm[k]].
+void expect_permutation_invariant(const SliceSchedule& packet, Time delta, double c, Rng& rng,
+                                  const std::string& where) {
+  const RecoMulSchedule base = reco_mul_transform(packet, delta, c);
+  std::vector<std::size_t> perm(packet.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  for (int shuffle = 0; shuffle < 3; ++shuffle) {
+    for (std::size_t k = perm.size(); k > 1; --k) {
+      std::swap(perm[k - 1], perm[rng.uniform_int(static_cast<int>(k))]);
+    }
+    SliceSchedule permuted;
+    for (const std::size_t f : perm) permuted.push_back(packet[f]);
+    const RecoMulSchedule got = reco_mul_transform(permuted, delta, c);
+    SliceSchedule want_pseudo;
+    SliceSchedule want_real;
+    for (const std::size_t f : perm) {
+      want_pseudo.push_back(base.pseudo[f]);
+      want_real.push_back(base.real[f]);
+    }
+    const std::string at = where + " shuffle " + std::to_string(shuffle);
+    EXPECT_TRUE(bit_identical(got.pseudo, want_pseudo)) << at << " (pseudo)";
+    EXPECT_TRUE(bit_identical(got.real, want_real)) << at << " (real)";
+    EXPECT_EQ(got.reconfigurations, base.reconfigurations) << at;
+  }
+}
+
+TEST(RecoMulEquivalence, PermutingSlicesPermutesTheSchedules) {
+  // The transform's output is a function of the packet schedule's slices,
+  // not of the order they are listed in, whenever no two slices share a
+  // port and an exact packet start (docs/ALGORITHMS.md, "One start order
+  // per plan").  Generator schedules, online residual plans and a plan of
+  // many equal starts on disjoint ports, where a comparison sort of more
+  // than 16 elements partitions, all qualify.
+  Rng rng(174);
+  const Time delta0 = 0.01;
+  for (const double c : {1.0, 4.0, 9.0}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto coflows = testing::random_workload(rng, 4 + 3 * trial, 4 + trial, delta0, c);
+      const SliceSchedule packet = packet_schedule(coflows, bssi_order(coflows));
+      for (const double scale : {1.0, 30.0}) {
+        expect_permutation_invariant(packet, delta0 * scale, c, rng,
+                                     "generator c=" + std::to_string(c) + " trial " +
+                                         std::to_string(trial) + " scale " +
+                                         std::to_string(scale));
+      }
+    }
+  }
+
+  // Online residual plans: generator demands, partly served, list-scheduled
+  // through the residual overload under the online core's BSSI order.
+  GeneratorOptions g;
+  g.num_ports = 16;
+  g.num_coflows = 12;
+  PacketScratch packet_scratch;
+  OrderingScratch ordering_scratch;
+  for (int trial = 0; trial < 6; ++trial) {
+    g.seed = 175 + static_cast<std::uint64_t>(trial);
+    const std::vector<Coflow> coflows = generate_workload(g);
+    std::vector<SupportIndex> residuals;
+    residuals.reserve(coflows.size());
+    for (const Coflow& cf : coflows) {
+      residuals.emplace_back(cf.demand);
+      SupportIndex& r = residuals.back();
+      for (int i = 0; i < r.n(); ++i) {
+        for (int j = 0; j < r.n(); ++j) {
+          if (r.at(i, j) == 0.0 || rng.uniform() < 0.5) continue;
+          r.set(i, j, rng.uniform() < 0.3 ? 0.0 : r.at(i, j) * rng.uniform(0.1, 1.0));
+        }
+      }
+    }
+    std::vector<const SupportIndex*> views;
+    std::vector<CoflowId> ids;
+    std::vector<double> weights;
+    for (std::size_t k = 0; k < residuals.size(); ++k) {
+      views.push_back(&residuals[k]);
+      ids.push_back(static_cast<CoflowId>(k));
+      weights.push_back(coflows[k].weight);
+    }
+    std::vector<int> order;
+    order_residuals_into(views, weights, OrderingPolicy::kBssi, ordering_scratch, order);
+    SliceSchedule packet;
+    packet_schedule_into(views, ids, order, packet_scratch, packet);
+    for (const double scale : {1.0, 30.0}) {
+      expect_permutation_invariant(packet, g.delta * scale, g.c_threshold, rng,
+                                   "residual trial " + std::to_string(trial) + " scale " +
+                                       std::to_string(scale));
+    }
+  }
+
+  // 24 slices at packet start 0 on disjoint ports, plus a few later ones.
+  SliceSchedule zeros;
+  for (PortId p = 0; p < 24; ++p) zeros.push_back({0.0, 0.5 + 0.01 * p, p, p, p % 3});
+  for (PortId p = 0; p < 6; ++p) zeros.push_back({0.5 + 0.01 * p, 1.0, p, p, 3});
+  expect_permutation_invariant(zeros, 0.01, 4.0, rng, "zeros");
 }
 
 TEST(RecoMulEquivalence, OnlineDrainReplanCountsAlongThePlanOrder) {

@@ -238,18 +238,111 @@ TEST(PortTimeline, QueryBelowFloorThrows) {
 
 TEST(PortTimeline, CursorRestartsAtTheScanStart) {
   // Egress answers kTimeEps; ingress, asked at kTimeEps, scans past
-  // [1.5eps, 3eps) to 3eps.  The cursor it hands back is where that scan
-  // started, so asking again at kTimeEps still sees the interval.  A cursor
-  // past it would answer kTimeEps, on top of [1.5eps, 3eps).
+  // [1.5eps, 3eps) to 3eps.  The insert cursor it hands back is where that
+  // scan started, so asking again at kTimeEps from it still sees the
+  // interval.  The query cursor, where the scan stopped, is past it: from
+  // there kTimeEps would be the answer, on top of [1.5eps, 3eps).
   PortTimeline in;
   PortTimeline eg;
   in.insert(1.5 * kTimeEps, 3 * kTimeEps);
   eg.insert(0.0, kTimeEps);
   std::size_t k = 0;
-  EXPECT_EQ(in.earliest_fit(kTimeEps, 2 * kTimeEps, k), 3 * kTimeEps);
-  EXPECT_EQ(k, 0u);  // where the scan started, not where it stopped
-  EXPECT_EQ(in.earliest_fit(kTimeEps, 2 * kTimeEps, k), 3 * kTimeEps);
+  std::size_t scan_start = 0;
+  EXPECT_EQ(in.earliest_fit(kTimeEps, 2 * kTimeEps, k, scan_start), 3 * kTimeEps);
+  EXPECT_EQ(scan_start, 0u);  // where the scan started
+  EXPECT_EQ(k, 1u);           // where it stopped
+  k = scan_start;
+  EXPECT_EQ(in.earliest_fit(kTimeEps, 2 * kTimeEps, k, scan_start), 3 * kTimeEps);
   EXPECT_EQ(place_common(in, eg, 2 * kTimeEps), 3 * kTimeEps);
+
+  // place_common accepts kTimeEps although ingress's check answered
+  // 1.8eps, past two intervals that end in between.  Inserting from where
+  // that scan stopped would skip both, and the one step back reaches only
+  // the second; from where it started, the flow absorbs both.
+  PortTimeline a;
+  PortTimeline b;
+  a.insert(1.1 * kTimeEps, 1.3 * kTimeEps);
+  a.insert(1.5 * kTimeEps, 1.8 * kTimeEps);
+  b.insert(0.0, kTimeEps);
+  EXPECT_EQ(place_common(a, b, 2 * kTimeEps), kTimeEps);
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.intervals()[0].first, kTimeEps);
+  EXPECT_EQ(a.intervals()[0].second, kTimeEps + 2 * kTimeEps);
+}
+
+/// A timeline filled the way list scheduling fills one: `flows` placements
+/// of random length at or above `min_len`, each at the earliest fit after a
+/// random release time, some of them touching, some leaving gaps.
+PortTimeline random_timeline(Rng& rng, Time min_len, int flows) {
+  PortTimeline t;
+  t.reset(min_len);
+  for (int f = 0; f < flows; ++f) {
+    const Time d = min_len * rng.uniform(1.0, 4.0);
+    const Time s = t.earliest_fit(rng.uniform(0.0, 3.0 * min_len * flows), d);
+    t.insert(s, s + d);
+  }
+  return t;
+}
+
+TEST(PortTimeline, StopCursorBoundsTheScannedIntervals) {
+  // Every stored interval before the stop index ends at or before the
+  // answer; the one at it, if any, starts at least d - kTimeEps after it.
+  Rng rng(171);
+  for (const Time min_len : {1e-9, 1.5e-9, 1e-3, 1.0}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const PortTimeline t = random_timeline(rng, min_len, 1 + trial);
+      const auto busy = t.intervals();
+      const Time horizon = busy.empty() ? 1.0 : busy.back().second;
+      for (int q = 0; q < 50; ++q) {
+        const Time at = rng.uniform(0.0, 1.1 * horizon);
+        const Time d = min_len * rng.uniform(1.0, 6.0);
+        std::size_t k = 0;
+        std::size_t scan_start = 0;
+        const Time got = t.earliest_fit(at, d, k, scan_start);
+        const std::string where = "min_len=" + std::to_string(min_len) + " trial " +
+                                  std::to_string(trial) + " query " + std::to_string(q);
+        ASSERT_LE(scan_start, k) << where;
+        ASSERT_LE(k, busy.size()) << where;
+        for (std::size_t i = 0; i < k; ++i) EXPECT_LE(busy[i].second, got) << where;
+        for (std::size_t i = 0; i < scan_start; ++i) EXPECT_LE(busy[i].second, at) << where;
+        if (scan_start < busy.size()) {
+          EXPECT_GT(busy[scan_start].second, at) << where;
+        }
+        if (k < busy.size()) {
+          EXPECT_GE(busy[k].first - got, d - kTimeEps) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(PortTimeline, QueryFromTheStopCursorMatchesOneFromZero) {
+  // place_common's contract: a port's next query time is never below its
+  // last answer.  From the stop cursor, such a query gives the answer and
+  // both cursors of a query from 0.
+  Rng rng(172);
+  for (const Time min_len : {1e-9, 1e-3, 1.0}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const PortTimeline t = random_timeline(rng, min_len, 1 + trial);
+      const Time horizon = t.size() == 0 ? 1.0 : t.intervals().back().second;
+      std::size_t k = 0;
+      std::size_t scan_start = 0;
+      Time at = 0.0;
+      for (int q = 0; q < 30; ++q) {
+        const Time d = min_len * rng.uniform(1.0, 6.0);
+        std::size_t k0 = 0;
+        std::size_t scan_start0 = 0;
+        const Time want = t.earliest_fit(at, d, k0, scan_start0);
+        const std::string where = "min_len=" + std::to_string(min_len) + " trial " +
+                                  std::to_string(trial) + " query " + std::to_string(q);
+        EXPECT_EQ(t.earliest_fit(at, d, k, scan_start), want) << where;
+        EXPECT_EQ(k, k0) << where;
+        EXPECT_EQ(scan_start, scan_start0) << where;
+        // The next query time: the answer itself, or a step past it.
+        at = want + (rng.uniform() < 0.3 ? 0.0 : rng.uniform(0.0, 0.2 * horizon));
+      }
+    }
+  }
 }
 
 TEST(PortTimeline, PlaceCommonInsertsIntoBothPorts) {

@@ -34,6 +34,26 @@ TEST(RecoMul, RejectsBadParameters) {
   }
 }
 
+TEST(RecoMul, EqualPacketStartsOnOnePortLegalizeInIndexOrder) {
+  // A flow of exactly kTimeEps is placed at 0 beside a flow already at 0 on
+  // its port (docs/ALGORITHMS.md, the d <= kTimeEps bullet), so two slices
+  // share a port and an exact packet start.  Legalization takes them in
+  // index order, the lower index first, however many other slices share
+  // their start.  20 more slices at 0 on disjoint ports take the start
+  // order past insertion sort's 16 elements.
+  for (const bool long_first : {true, false}) {
+    SliceSchedule packet;
+    for (PortId p = 0; p < 20; ++p) packet.push_back({0.0, 1.0, p, p, 0});
+    const FlowSlice long_flow{0.0, 1.0, 20, 20, 1};
+    const FlowSlice eps_flow{0.0, kTimeEps, 20, 21, 2};
+    packet.insert(packet.begin() + 5, long_first ? long_flow : eps_flow);
+    packet.insert(packet.begin() + 13, long_first ? eps_flow : long_flow);
+    const RecoMulSchedule r = reco_mul_transform(packet, 1e-3, 1.0);
+    EXPECT_EQ(r.pseudo[5].start, 0.0) << "long_first=" << long_first;
+    EXPECT_EQ(r.pseudo[13].start, r.pseudo[5].end) << "long_first=" << long_first;
+  }
+}
+
 TEST(RecoMul, EmptyScheduleStaysEmpty) {
   const RecoMulSchedule r = reco_mul_transform({}, 1.0, 4.0);
   EXPECT_TRUE(r.pseudo.empty());
