@@ -96,7 +96,7 @@ BENCHMARK(BM_OnlineFifoDecision)->Arg(16)->Arg(32);
 //
 // One iteration = a whole daemon lifetime: Args{0} coflows streamed one at
 // a time from the generator (never materialized), every arrival flowing
-// through the event queue into the drain-replan policy.  items/s is
+// through the daemon's event heap into the drain-replan policy.  items/s is
 // coflows scheduled per second, daemon overhead included.
 
 void BM_OnlineDaemonThroughput(benchmark::State& state) {

@@ -2,10 +2,10 @@
 //
 // Synthesizes a Poisson coflow arrival stream (or replays a trace file)
 // and pushes it through the event-driven OnlineDaemon: arrivals and epoch
-// completions flow through the sim EventQueue, the --policy decides when to
-// replan the residual set and --ordering how to order it, and every replan
-// reuses the warm-started matching and Reco-Mul scratch — zero
-// steady-state allocation once warm.
+// completions are typed events in the daemon's heap, the --policy decides
+// when to replan the residual set and --ordering how to order it, and
+// every replan reuses the warm-started matching and Reco-Mul buffers —
+// zero steady-state allocation once warm.
 //
 //   reco_serve [--coflows=N] [--ports=P] [--gap=SEC] [--seed=N]
 //              [--policy=epoch|replan|fifo] [--ordering=bssi|sebf|lp]
@@ -26,7 +26,7 @@
 //
 // Live telemetry (all off by default; any flag enables obs): --sample-every
 // snapshots the registry on both timelines (a simulated-time sampler rides
-// the daemon's event queue; a wall-clock thread ticks alongside),
+// a recurring daemon event; a wall-clock thread ticks alongside),
 // --metrics-port serves GET /metrics (Prometheus text) and GET /snapshot
 // (JSON rings) on 127.0.0.1 (0 = ephemeral, port is printed), --hold keeps
 // the process alive that many seconds after the run so scrapers can land,

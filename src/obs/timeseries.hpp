@@ -6,7 +6,7 @@
 // One sampler instance serves one timeline:
 //  * the *wall* sampler is driven by a background thread (WallSampler)
 //    ticking every `period_s` of real time — the daemon/endpoint mode;
-//  * the *sim* sampler is driven by a recurring EventQueue event (the
+//  * the *sim* sampler is driven by a recurring daemon event (the
 //    OnlineDaemon schedules one every `sample_every` simulated seconds),
 //    so windows are exact simulated-time intervals.
 //

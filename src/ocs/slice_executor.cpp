@@ -53,7 +53,9 @@ int inflate_in_start_order(const SliceSchedule& pseudo, const std::vector<std::s
   }
   // Batches <= start + eps: starts ascend along the order, so this count is
   // a forward cursor.  Batches < end - eps: ends do not ascend, so that one
-  // is a binary search over the same list.
+  // is a binary search over the same list.  Every batch counted at the
+  // start counts at the end too: a slice of at most 2 eps would otherwise
+  // miss its own batch there and end before it starts.
   real_out.resize(pseudo.size());
   std::size_t at_or_below = 0;
   int real_batches = 0;
@@ -64,7 +66,8 @@ int inflate_in_start_order(const SliceSchedule& pseudo, const std::vector<std::s
       ++at_or_below;
     }
     const Time start = s.start + delta * static_cast<Time>(at_or_below);
-    const Time end = s.end + delta * static_cast<Time>(count_below(batches, s.end));
+    const Time end =
+        s.end + delta * static_cast<Time>(std::max(at_or_below, count_below(batches, s.end)));
     real_out[f] = {start, end, s.src, s.dst, s.coflow};
     if (real_batches == 0 || !approx_eq(last_real_batch, start)) {
       ++real_batches;

@@ -20,7 +20,10 @@ namespace reco {
 ///                                                fires before it finishes)
 /// Both shifts count the flow's own batch, so port feasibility is preserved
 /// (Lemma 2) and per-flow duration is stretched by exactly the number of
-/// mid-flight batches times delta (the all-stop halts).  Takes the start
+/// mid-flight batches times delta (the all-stop halts).  Batches are
+/// compared with kTimeEps tolerance; a slice of at most 2 kTimeEps takes
+/// the start's count at its end too, so it never ends before it starts.
+/// Takes the start
 /// order from order_by_start and runs inflate_in_start_order along it.
 SliceSchedule inflate_pseudo_time(const SliceSchedule& pseudo, Time delta);
 

@@ -1,12 +1,12 @@
 #include "sim/fabric.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <numeric>
+#include <optional>
 #include <string>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
-#include "sim/event_queue.hpp"
 #include "trace/rng.hpp"
 
 namespace reco::sim {
@@ -28,6 +28,15 @@ double utilization(const std::vector<Time>& busy_in, const std::vector<Time>& bu
     }
   }
   return active > 0 ? sum / active : 0.0;
+}
+
+/// Time order; flows that complete at one instant keep the order in which
+/// they drained.
+void sort_by_completion(std::vector<FlowCompletion>& completions) {
+  std::stable_sort(completions.begin(), completions.end(),
+                   [](const FlowCompletion& a, const FlowCompletion& b) {
+                     return a.completed_at < b.completed_at;
+                   });
 }
 
 }  // namespace
@@ -55,7 +64,6 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
   Matrix residual = demand;
   std::vector<Time> busy_in(n, 0.0);
   std::vector<Time> busy_out(n, 0.0);
-  EventQueue queue;
 
   // Port liveness mirrors of the injector's state, maintained transition
   // by transition so degraded time can be integrated interval-exactly.
@@ -125,29 +133,34 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
   constexpr int kUselessLimit = 8;
   int useless_streak = 0;
 
-  // The decision loop is expressed as a self-scheduling chain of events:
-  // decide -> (reconfigure delta) -> circuits up -> (hold) -> drained ->
-  // decide...  `decide` is a named lambda stored so events can re-enter it.
-  std::function<void()> decide = [&]() {
-    const Time now = queue.now();
+  // The decision loop: decide -> (reconfigure) -> hold -> decide ...  Each
+  // pass is one decision, and `next` is the time of the following one, if
+  // any: after a hold, after a fruitless or failed setup, or at a pending
+  // fault transition.  A pass that sets none ends the run.
+  std::optional<Time> next = 0.0;
+  Time now = 0.0;
+  while (next.has_value()) {
+    now = *next;
+    next.reset();
+    ++report.events;
     apply_faults(now);
-    const auto next = controller.next_assignment(now, residual);
-    if (!next.has_value()) {
+    const auto proposed = controller.next_assignment(now, residual);
+    if (!proposed.has_value()) {
       // Controller stopped.  If deliverable-later demand remains and a
       // repair is pending, idle until the repair and ask again; otherwise
-      // the queue drains and the sim ends (leftovers become stranded).
+      // the sim ends (leftovers become stranded).
       if (residual.max_entry() >= kMinServiceQuantum) {
         if (const auto repair = injector.next_repair();
             repair.has_value() && *repair > now + kTimeEps) {
-          queue.schedule(*repair, decide);
+          next = *repair;
         }
       }
-      return;
+      continue;
     }
 
     // Keep only circuits on live ports; ignore establishments with nothing
     // useful to send (no delta charged).
-    const CircuitAssignment assignment = *next;
+    const CircuitAssignment& assignment = *proposed;
     std::vector<Circuit> live;
     live.reserve(assignment.circuits.size());
     Time max_rem = 0.0;
@@ -162,16 +175,16 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
         useless_streak = 0;
         if (const auto t = injector.next_transition();
             t.has_value() && *t > now + kTimeEps) {
-          queue.schedule(*t, decide);
+          next = *t;
         }
-        return;  // nothing will change: terminate with stranded accounting
+        continue;  // nothing will change: terminate with stranded accounting
       }
-      queue.schedule(now, decide);  // ask again immediately
-      return;
+      next = now;  // ask again immediately
+      continue;
     }
     useless_streak = 0;
 
-    SetupOutcome outcome = injector.sample_setup(delta, live);
+    const SetupOutcome outcome = injector.sample_setup(delta, live);
     ++report.reconfigurations;
     report.reconfiguration_time += outcome.setup_time;
     if (obs::enabled()) {
@@ -193,10 +206,11 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
                                       static_cast<double>(outcome.attempts));
       }
       controller.on_setup_degraded(now + outcome.setup_time, assignment, {});
-      queue.schedule(now + outcome.setup_time, decide);
-      return;
+      next = now + outcome.setup_time;
+      continue;
     }
-    if (outcome.established_circuits.size() < live.size()) {
+    const std::vector<Circuit>& circuits = outcome.established_circuits;
+    if (circuits.size() < live.size()) {
       ++report.partial_setups;
       degraded = true;
       if (degraded_since < 0.0) degraded_since = now;
@@ -205,92 +219,83 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
         obs::tracer().sim_instant(
             "setup.partial", "sim.fault", now + outcome.setup_time, kFabricTrack,
             {{"requested", static_cast<double>(live.size())},
-             {"established", static_cast<double>(outcome.established_circuits.size())}});
-        obs::flight_recorder().record(
-            "setup_partial", now + outcome.setup_time,
-            static_cast<std::int64_t>(outcome.established_circuits.size()),
-            static_cast<double>(live.size()));
+             {"established", static_cast<double>(circuits.size())}});
+        obs::flight_recorder().record("setup_partial", now + outcome.setup_time,
+                                      static_cast<std::int64_t>(circuits.size()),
+                                      static_cast<double>(live.size()));
       }
-      controller.on_setup_degraded(now + outcome.setup_time, assignment,
-                                   outcome.established_circuits);
+      controller.on_setup_degraded(now + outcome.setup_time, assignment, circuits);
     }
     // Hold until the largest residual among what actually latched drains.
     Time est_rem = 0.0;
-    for (const Circuit& c : outcome.established_circuits) {
+    for (const Circuit& c : circuits) {
       const Time rem = residual.at(c.in, c.out);
       if (rem >= kMinServiceQuantum) est_rem = std::max(est_rem, rem);
     }
     if (est_rem == 0.0) {
       // Every useful crosspoint failed to latch: time is spent, re-decide.
-      queue.schedule(now + outcome.setup_time, decide);
-      return;
+      next = now + outcome.setup_time;
+      continue;
     }
+
+    // The hold: the latched circuits come up once the setup ends and
+    // transmit for `hold`; the next decision follows when it drains.
     const Time hold = std::min(assignment.duration, est_rem);
-    const std::vector<Circuit> circuits = std::move(outcome.established_circuits);
-
-    queue.schedule(now + outcome.setup_time, [&, circuits, hold]() {
-      const Time start = queue.now();
-      report.transmission_time += hold;
-      if (obs::enabled()) {
-        obs::tracer().sim_instant("circuit.establish", "sim.circuit", start, kFabricTrack,
-                                  {{"circuits", static_cast<double>(circuits.size())}});
-        obs::tracer().sim_span("hold", "sim.circuit", start, start + hold, kFabricTrack,
-                               {{"circuits", static_cast<double>(circuits.size())}});
-      }
-      Time delivered_this_hold = 0.0;
-      for (const Circuit& c : circuits) {
-        const Time rem = residual.at(c.in, c.out);
-        const Time sent = std::min(hold, rem);
-        if (approx_zero(sent)) continue;
-        residual.at(c.in, c.out) = clamp_zero(rem - sent);
-        busy_in[c.in] += sent;
-        busy_out[c.out] += sent;
-        report.delivered_demand += sent;
-        delivered_this_hold += sent;
-        if (residual.at(c.in, c.out) < kMinServiceQuantum) {
-          report.completions.push_back({c, start + sent});
-          if (obs::enabled()) {
-            obs::tracer().sim_instant("flow.complete", "sim.flow", start + sent, kFabricTrack,
-                                      {{"in", static_cast<double>(c.in)},
-                                       {"out", static_cast<double>(c.out)}});
-          }
-        }
-      }
-      if (degraded && delivered_this_hold > 0.0) {
-        // Useful service resumed after a fault: one recovery.
-        ++report.recoveries;
-        degraded = false;
+    const Time start = now + outcome.setup_time;
+    ++report.events;
+    report.transmission_time += hold;
+    if (obs::enabled()) {
+      obs::tracer().sim_instant("circuit.establish", "sim.circuit", start, kFabricTrack,
+                                {{"circuits", static_cast<double>(circuits.size())}});
+      obs::tracer().sim_span("hold", "sim.circuit", start, start + hold, kFabricTrack,
+                             {{"circuits", static_cast<double>(circuits.size())}});
+    }
+    Time delivered_this_hold = 0.0;
+    for (const Circuit& c : circuits) {
+      const Time rem = residual.at(c.in, c.out);
+      const Time sent = std::min(hold, rem);
+      if (approx_zero(sent)) continue;
+      residual.at(c.in, c.out) = clamp_zero(rem - sent);
+      busy_in[c.in] += sent;
+      busy_out[c.out] += sent;
+      report.delivered_demand += sent;
+      delivered_this_hold += sent;
+      if (residual.at(c.in, c.out) < kMinServiceQuantum) {
+        report.completions.push_back({c, start + sent});
         if (obs::enabled()) {
-          obs::metrics().counter("faults.recoveries").inc();
-          if (degraded_since >= 0.0) {
-            obs::tracer().sim_span("recovery", "sim.fault", degraded_since, start,
-                                   kFabricTrack);
-          }
+          obs::tracer().sim_instant("flow.complete", "sim.flow", start + sent, kFabricTrack,
+                                    {{"in", static_cast<double>(c.in)},
+                                     {"out", static_cast<double>(c.out)}});
         }
-        degraded_since = -1.0;
       }
+    }
+    if (degraded && delivered_this_hold > 0.0) {
+      // Useful service resumed after a fault: one recovery.
+      ++report.recoveries;
+      degraded = false;
       if (obs::enabled()) {
-        obs::tracer().sim_instant("circuit.teardown", "sim.circuit", start + hold, kFabricTrack);
+        obs::metrics().counter("faults.recoveries").inc();
+        if (degraded_since >= 0.0) {
+          obs::tracer().sim_span("recovery", "sim.fault", degraded_since, start,
+                                 kFabricTrack);
+        }
       }
-      queue.schedule(start + hold, decide);
-    });
-  };
+      degraded_since = -1.0;
+    }
+    if (obs::enabled()) {
+      obs::tracer().sim_instant("circuit.teardown", "sim.circuit", start + hold, kFabricTrack);
+    }
+    next = start + hold;
+  }
 
-  queue.schedule(0.0, decide);
-  queue.run_all();
-
-  std::sort(report.completions.begin(), report.completions.end(),
-            [](const FlowCompletion& a, const FlowCompletion& b) {
-              return a.completed_at < b.completed_at;
-            });
-  report.cct = queue.now();
+  sort_by_completion(report.completions);
+  report.cct = now;
   if (down_ports > 0 && report.cct > degraded_mark) {
     report.degraded_time += report.cct - degraded_mark;
   }
   report.satisfied = residual.max_entry() < kMinServiceQuantum;
   report.stranded_demand = residual.total();
   report.avg_port_utilization = utilization(busy_in, busy_out, report.cct);
-  report.events = queue.events_processed();
   if (obs::enabled()) {
     obs::metrics().counter("sim.reconfigurations").inc(report.reconfigurations);
     obs::metrics().counter("sim.reconfiguration_time").inc(report.reconfiguration_time);
@@ -319,13 +324,12 @@ SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
   std::vector<Time> free_out(n, 0.0);
   std::vector<int> peer_of_in(n, -1);
   std::vector<int> peer_of_out(n, -1);
-  EventQueue queue;
   Time cct = 0.0;
 
   // Per-circuit timing is decided up front (ports are independent in the
-  // not-all-stop model); the event queue then realizes drains in global
-  // time order so completions come out chronologically sorted by nature.
-  // Setup faults are sampled in this same deterministic circuit order.
+  // not-all-stop model): each served circuit is one drain event, and a
+  // stable sort puts the completions in time order, circuit order breaking
+  // ties.  Setup faults are sampled in this same deterministic order.
   for (const CircuitAssignment& a : schedule.assignments) {
     for (const Circuit& c : a.circuits) {
       const Time rem = residual.at(c.in, c.out);
@@ -359,23 +363,16 @@ SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
       peer_of_in[c.in] = c.out;
       peer_of_out[c.out] = c.in;
       cct = std::max(cct, end);
-      if (residual.at(c.in, c.out) < kMinServiceQuantum) {
-        const Circuit circuit = c;
-        queue.schedule(end, [&, circuit]() {
-          report.completions.push_back({circuit, queue.now()});
-        });
-      } else {
-        queue.schedule(end, []() {});  // drain event for the event count
-      }
+      ++report.events;
+      if (residual.at(c.in, c.out) < kMinServiceQuantum) report.completions.push_back({c, end});
     }
   }
-  queue.run_all();
+  sort_by_completion(report.completions);
 
   report.cct = cct;
   report.satisfied = residual.max_entry() < kMinServiceQuantum;
   report.stranded_demand = residual.total();
   report.avg_port_utilization = utilization(busy_in, busy_out, report.cct);
-  report.events = queue.events_processed();
   if (obs::enabled()) {
     obs::metrics().counter("sim.reconfigurations").inc(report.reconfigurations);
     obs::metrics().counter("sim.reconfiguration_time").inc(report.reconfiguration_time);
@@ -399,45 +396,49 @@ SliceReplayReport simulate_slice_schedule(const SliceSchedule& schedule, int num
   // Runtime occupancy: which slice currently owns each port.
   std::vector<int> in_owner(num_ports, -1);
   std::vector<int> out_owner(num_ports, -1);
-  EventQueue queue;
 
-  // End events are scheduled before start events so that, at equal
-  // timestamps, a port hand-off (A ends exactly when B starts) is not a
-  // violation — the queue breaks time ties by insertion order.
-  for (std::size_t f = 0; f < schedule.size(); ++f) {
-    const FlowSlice& s = schedule[f];
-    queue.schedule(s.end, [&, f]() {
-      const FlowSlice& slice = schedule[f];
-      if (in_owner[slice.src] == static_cast<int>(f)) in_owner[slice.src] = -1;
-      if (out_owner[slice.dst] == static_cast<int>(f)) out_owner[slice.dst] = -1;
+  // Two events per slice, swept in time order: index k < F ends slice k,
+  // and index F + k starts it.  The sort is stable, so at equal times ends
+  // run before starts and a port hand-off (A ends exactly when B starts)
+  // is not a violation.
+  const std::size_t num_slices = schedule.size();
+  std::vector<std::size_t> events(2 * num_slices);
+  std::iota(events.begin(), events.end(), std::size_t{0});
+  const auto event_time = [&](std::size_t k) {
+    return k < num_slices ? schedule[k].end : schedule[k - num_slices].start;
+  };
+  std::stable_sort(events.begin(), events.end(),
+                   [&](std::size_t a, std::size_t b) { return event_time(a) < event_time(b); });
+  for (const std::size_t k : events) {
+    const Time now = event_time(k);
+    if (k < num_slices) {
+      const FlowSlice& slice = schedule[k];
+      if (in_owner[slice.src] == static_cast<int>(k)) in_owner[slice.src] = -1;
+      if (out_owner[slice.dst] == static_cast<int>(k)) out_owner[slice.dst] = -1;
       busy_in[slice.src] += slice.duration();
       busy_out[slice.dst] += slice.duration();
       if (slice.coflow >= 0 && slice.coflow < num_coflows) {
-        report.cct[slice.coflow] = std::max(report.cct[slice.coflow], queue.now());
+        report.cct[slice.coflow] = std::max(report.cct[slice.coflow], now);
       }
-      report.makespan = std::max(report.makespan, queue.now());
-    });
+      report.makespan = std::max(report.makespan, now);
+      continue;
+    }
+    const std::size_t f = k - num_slices;
+    const FlowSlice& slice = schedule[f];
+    // A port still owned by a slice whose end is due within tolerance of
+    // "now" is a hand-off racing float round-off, not a violation.
+    const auto is_conflict = [&](int owner) {
+      return owner != -1 && schedule[owner].end > now + kTimeEps;
+    };
+    if (is_conflict(in_owner[slice.src]) || is_conflict(out_owner[slice.dst])) {
+      ++report.port_violations;
+    }
+    in_owner[slice.src] = static_cast<int>(f);
+    out_owner[slice.dst] = static_cast<int>(f);
   }
-  for (std::size_t f = 0; f < schedule.size(); ++f) {
-    const FlowSlice& s = schedule[f];
-    queue.schedule(s.start, [&, f]() {
-      const FlowSlice& slice = schedule[f];
-      // A port still owned by a slice whose end is due within tolerance of
-      // "now" is a hand-off racing float round-off, not a violation.
-      const auto is_conflict = [&](int owner) {
-        return owner != -1 && schedule[owner].end > queue.now() + kTimeEps;
-      };
-      if (is_conflict(in_owner[slice.src]) || is_conflict(out_owner[slice.dst])) {
-        ++report.port_violations;
-      }
-      in_owner[slice.src] = static_cast<int>(f);
-      out_owner[slice.dst] = static_cast<int>(f);
-    });
-  }
-  queue.run_all();
+  report.events = events.size();
 
   report.avg_port_utilization = utilization(busy_in, busy_out, report.makespan);
-  report.events = queue.events_processed();
   if (obs::enabled()) {
     // Per-coflow service window on the simulated-time axis: first slice
     // start -> completion, one Perfetto track per coflow.

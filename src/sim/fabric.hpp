@@ -1,12 +1,15 @@
 // Event-driven OCS fabric: the paper's "trace-driven flow-level simulator"
-// as an explicit discrete-event machine (Sec. V-A Methodology).
+// (Sec. V-A Methodology).
 //
 // Where ocs/ replays schedules analytically, this module simulates the
 // switch: reconfiguration and drain instants are events, controllers are
 // consulted at decision points, per-flow completions and per-port busy
-// time are recorded.  The analytic executors are cross-validated against
-// it property-test-style (tests/sim/), and adaptive policies — which have
-// no precomputed schedule to replay — run only here.
+// time are recorded.  The all-stop fabric never has more than one event
+// pending (the next decision, or the hold before it), so it runs as a
+// plain loop; the replays sweep their events in time order.  The analytic
+// executors are cross-validated against it property-test-style
+// (tests/sim/), and adaptive policies — which have no precomputed
+// schedule to replay — run only here.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +32,21 @@ struct FlowCompletion {
 };
 
 struct SimulationReport {
+  /// All-stop fabric: the time of the last decision (the one at which the
+  /// controller stopped or the run ended).  Not-all-stop replay: the last
+  /// circuit's drain.
   Time cct = 0.0;
   Time transmission_time = 0.0;      ///< fabric-level transmitting time
   Time reconfiguration_time = 0.0;
   int reconfigurations = 0;
   bool satisfied = false;
-  std::vector<FlowCompletion> completions;  ///< ordered by completion time
+  /// Ordered by completion time; flows that complete at one instant keep
+  /// the order in which they drained (circuit order within a hold).
+  std::vector<FlowCompletion> completions;
   /// Mean over *active* ports of (port transmit-busy time / cct).
   double avg_port_utilization = 0.0;
+  /// All-stop fabric: decisions plus holds.  Not-all-stop replay: one drain
+  /// per served circuit.
   std::uint64_t events = 0;
 
   // Degraded-operation accounting (all zero on an ideal run).  The
@@ -75,7 +85,7 @@ struct SliceReplayReport {
   Time makespan = 0.0;
   int port_violations = 0;     ///< overlapping slices detected (0 = feasible)
   double avg_port_utilization = 0.0;
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;    ///< two per slice: its start and its end
 };
 
 SliceReplayReport simulate_slice_schedule(const SliceSchedule& schedule, int num_ports,

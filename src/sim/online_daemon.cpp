@@ -1,6 +1,7 @@
 #include "sim/online_daemon.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -18,6 +19,23 @@ namespace {
 // "RDCP" little-endian: Reco Daemon CheckPoint.
 constexpr std::uint32_t kDaemonMagic = 0x50434452u;
 constexpr std::uint32_t kDaemonVersion = 1;
+
+/// Event order: earlier time first, then earlier scheduling.  As a heap
+/// comparator ("runs later than") it keeps the next event on top.
+constexpr auto kRunsLater = [](const auto& a, const auto& b) {
+  return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+};
+
+/// A restored clock, plan base or last-activity time must be one a run can
+/// reach: finite and non-negative.
+Time checked_time(SnapshotReader& r, const char* what) {
+  const Time t = r.get_f64();
+  if (!std::isfinite(t) || t < 0.0) {
+    throw std::runtime_error(std::string("daemon checkpoint: ") + what +
+                             " is not a finite non-negative time");
+  }
+  return t;
+}
 }  // namespace
 
 VectorSource::VectorSource(const std::vector<Coflow>& coflows) : coflows_(&coflows) {
@@ -46,34 +64,28 @@ OnlineDaemon::OnlineDaemon(OnlinePolicyKind kind, const OnlineDaemonOptions& opt
 void OnlineDaemon::reserve(std::size_t expected_coflows) { core_.reserve(expected_coflows); }
 
 void OnlineDaemon::schedule_event(EventKind kind, Time at, std::uint64_t gen) {
-  const std::uint64_t token = next_token_++;
-  pending_events_.push_back({kind, at, gen, token});
-  queue_.schedule(at, [this, kind, gen, token] { dispatch(kind, gen, token); });
+  events_.push_back({kind, at, gen, next_seq_++});
+  std::push_heap(events_.begin(), events_.end(), kRunsLater);
 }
 
-void OnlineDaemon::drop_pending(std::uint64_t token) {
-  for (std::size_t i = 0; i < pending_events_.size(); ++i) {
-    if (pending_events_[i].token == token) {
-      pending_events_.erase(pending_events_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-void OnlineDaemon::dispatch(EventKind kind, std::uint64_t gen, std::uint64_t token) {
-  drop_pending(token);
-  switch (kind) {
+void OnlineDaemon::run_one() {
+  std::pop_heap(events_.begin(), events_.end(), kRunsLater);
+  const Event e = events_.back();
+  events_.pop_back();
+  now_ = e.at;
+  ++processed_;
+  switch (e.kind) {
     case EventKind::kArrival:
-      on_arrival(queue_.now());
+      on_arrival(now_);
       break;
     case EventKind::kReplan:
-      on_replan(queue_.now(), gen);
+      on_replan(now_, e.gen);
       break;
     case EventKind::kComplete:
-      on_complete(queue_.now(), gen);
+      on_complete(now_, e.gen);
       break;
     case EventKind::kFifoDone:
-      on_fifo_done(queue_.now(), gen);
+      on_fifo_done(now_, e.gen);
       break;
     case EventKind::kSample:
       on_sample();
@@ -86,13 +98,13 @@ void OnlineDaemon::dispatch(EventKind kind, std::uint64_t gen, std::uint64_t tok
 
 OnlineDaemonReport OnlineDaemon::run(CoflowSource& source) {
   source_ = &source;
-  last_activity_ = queue_.now();
+  last_activity_ = now_;
   if (sample_every_ > 0.0 && obs::enabled()) {
-    obs::sim_sampler().sample(queue_.now());  // delta base for the first window
+    obs::sim_sampler().sample(now_);  // delta base for the first window
     schedule_next_sample();
   }
   if (checkpoint_every_ > 0.0 && !checkpoint_path_.empty()) {
-    schedule_event(EventKind::kCheckpoint, queue_.now() + checkpoint_every_, gen_);
+    schedule_event(EventKind::kCheckpoint, now_ + checkpoint_every_, gen_);
   }
   schedule_next_arrival();
   return drive();
@@ -101,21 +113,21 @@ OnlineDaemonReport OnlineDaemon::run(CoflowSource& source) {
 OnlineDaemonReport OnlineDaemon::resume(CoflowSource& source, std::istream& checkpoint) {
   source_ = &source;
   load_checkpoint(source, checkpoint);
-  if (sample_every_ > 0.0 && obs::enabled() && !queue_.empty()) {
+  if (sample_every_ > 0.0 && obs::enabled() && !events_.empty()) {
     // Fresh process, fresh metrics registry: re-seed the sampler's delta
     // base, mirroring run()'s pre-roll sample.
-    obs::sim_sampler().sample(queue_.now());
+    obs::sim_sampler().sample(now_);
   }
   return drive();
 }
 
 OnlineDaemonReport OnlineDaemon::drive() {
   interrupted_ = false;
-  while (queue_.run_one()) {
-    if (queue_.empty()) break;
+  while (!events_.empty()) {
+    run_one();
+    if (events_.empty()) break;
     const bool stop_requested = stop_flag_ != nullptr && *stop_flag_ != 0;
-    const std::uint64_t scheduling_events =
-        queue_.events_processed() - sample_events_ - checkpoint_events_;
+    const std::uint64_t scheduling_events = processed_ - sample_events_ - checkpoint_events_;
     if (stop_requested ||
         (stop_after_events_ > 0 && scheduling_events >= stop_after_events_)) {
       interrupted_ = true;
@@ -127,7 +139,7 @@ OnlineDaemonReport OnlineDaemon::drive() {
   OnlineDaemonReport report;
   report.stats = core_.stats();
   report.digest = core_.digest();
-  report.events = queue_.events_processed() - sample_events_ - checkpoint_events_;
+  report.events = processed_ - sample_events_ - checkpoint_events_;
   report.makespan = last_activity_;
   const DecisionLatencyRecorder& lat = core_.latency();
   report.decisions = lat.count();
@@ -143,8 +155,8 @@ OnlineDaemonReport OnlineDaemon::drive() {
 void OnlineDaemon::save_checkpoint(std::ostream& out) const {
   SnapshotWriter w;
   core_.save(w);
-  w.put_f64(queue_.now());
-  w.put_u64(queue_.events_processed());
+  w.put_f64(now_);
+  w.put_u64(processed_);
   w.put_u64(gen_);
   w.put_f64(plan_base_);
   w.put_bool(running_);
@@ -153,15 +165,13 @@ void OnlineDaemon::save_checkpoint(std::ostream& out) const {
   w.put_f64(sample_every_);
   w.put_u64(sample_events_);
   w.put_u64(checkpoint_events_);
-  // Sorted by (at, token): re-scheduling in this order hands out fresh
-  // EventQueue sequence numbers that reproduce the saved tie-break order.
-  std::vector<PendingEvent> pending = pending_events_;
-  std::sort(pending.begin(), pending.end(), [](const PendingEvent& a, const PendingEvent& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.token < b.token;
-  });
+  // In run order, (at, seq): re-scheduling in this order hands out fresh
+  // sequence numbers that reproduce the saved tie-break order.
+  std::vector<Event> pending = events_;
+  std::sort(pending.begin(), pending.end(),
+            [](const Event& a, const Event& b) { return kRunsLater(b, a); });
   w.put_u64(pending.size());
-  for (const PendingEvent& e : pending) {
+  for (const Event& e : pending) {
     w.put_u8(static_cast<std::uint8_t>(e.kind));
     w.put_f64(e.at);
     w.put_u64(e.gen);
@@ -172,13 +182,13 @@ void OnlineDaemon::save_checkpoint(std::ostream& out) const {
 void OnlineDaemon::load_checkpoint(CoflowSource& source, std::istream& in) {
   SnapshotReader r(in, kDaemonMagic, kDaemonVersion, "daemon checkpoint");
   core_.load(r);
-  const Time now = r.get_f64();
-  const std::uint64_t processed = r.get_u64();
+  now_ = checked_time(r, "clock");
+  processed_ = r.get_u64();
   gen_ = r.get_u64();
-  plan_base_ = r.get_f64();
+  plan_base_ = checked_time(r, "plan base");
   running_ = r.get_bool();
   arrival_pending_ = r.get_bool();
-  last_activity_ = r.get_f64();
+  last_activity_ = checked_time(r, "last-activity time");
   const double saved_sample_every = r.get_f64();
   if (saved_sample_every != sample_every_) {
     throw std::runtime_error(
@@ -187,9 +197,8 @@ void OnlineDaemon::load_checkpoint(CoflowSource& source, std::istream& in) {
   sample_events_ = r.get_u64();
   checkpoint_events_ = r.get_u64();
   const std::uint64_t n_pending = r.get_u64();
-  queue_.restore(now, processed);
-  pending_events_.clear();
-  next_token_ = 0;
+  events_.clear();
+  next_seq_ = 0;
   const bool checkpointing = checkpoint_every_ > 0.0 && !checkpoint_path_.empty();
   bool checkpoint_chain_live = false;
   for (std::uint64_t k = 0; k < n_pending; ++k) {
@@ -200,6 +209,15 @@ void OnlineDaemon::load_checkpoint(CoflowSource& source, std::istream& in) {
     const auto kind = static_cast<EventKind>(raw_kind);
     const Time at = r.get_f64();
     const std::uint64_t gen = r.get_u64();
+    if (!std::isfinite(at) || at < now_ - kTimeEps) {
+      throw std::runtime_error(
+          "daemon checkpoint: pending event time is not finite or lies before the clock");
+    }
+    if (gen > gen_) {
+      // Once a later cut reached this generation, the event would fire as live.
+      throw std::runtime_error(
+          "daemon checkpoint: pending event generation is ahead of the daemon's");
+    }
     if (kind == EventKind::kCheckpoint) {
       // The periodic chain belongs to the process, not the run: keep the
       // saved tick only if this process is configured to checkpoint too
@@ -223,9 +241,8 @@ void OnlineDaemon::load_checkpoint(CoflowSource& source, std::istream& in) {
   // The periodic tick that wrote this checkpoint had not yet re-armed its
   // chain when save_checkpoint ran; restore the next tick at the same
   // instant the original run scheduled it.
-  if (!checkpoint_chain_live && checkpoint_every_ > 0.0 && !checkpoint_path_.empty() &&
-      !queue_.empty()) {
-    schedule_event(EventKind::kCheckpoint, queue_.now() + checkpoint_every_, gen_);
+  if (!checkpoint_chain_live && checkpointing && !events_.empty()) {
+    schedule_event(EventKind::kCheckpoint, now_ + checkpoint_every_, gen_);
   }
 }
 
@@ -265,7 +282,7 @@ void OnlineDaemon::schedule_next_arrival() {
   const Coflow* c = source_->peek();
   if (c == nullptr) return;
   arrival_pending_ = true;
-  schedule_event(EventKind::kArrival, std::max(c->arrival, queue_.now()), gen_);
+  schedule_event(EventKind::kArrival, std::max(c->arrival, now_), gen_);
 }
 
 void OnlineDaemon::on_arrival(Time now) {
@@ -337,23 +354,23 @@ void OnlineDaemon::on_fifo_done(Time now, std::uint64_t gen) {
 
 void OnlineDaemon::on_sample() {
   ++sample_events_;
-  if (obs::enabled()) obs::sim_sampler().sample(queue_.now());
-  // Any live run keeps >= 1 real event queued (an arrival, completion,
-  // replan, or fifo_done); an empty queue here means the stream drained, so
-  // this tick closed the final window and the chain ends with it.
-  if (!queue_.empty()) schedule_next_sample();
+  if (obs::enabled()) obs::sim_sampler().sample(now_);
+  // Any live run keeps >= 1 real event outstanding (an arrival, completion,
+  // replan, or fifo_done); none here means the stream drained, so this
+  // tick closed the final window and the chain ends with it.
+  if (!events_.empty()) schedule_next_sample();
 }
 
 void OnlineDaemon::on_checkpoint() {
   ++checkpoint_events_;  // counted before the write so the snapshot includes this tick
   write_checkpoint_file();
-  if (!queue_.empty()) {
-    schedule_event(EventKind::kCheckpoint, queue_.now() + checkpoint_every_, gen_);
+  if (!events_.empty()) {
+    schedule_event(EventKind::kCheckpoint, now_ + checkpoint_every_, gen_);
   }
 }
 
 void OnlineDaemon::schedule_next_sample() {
-  schedule_event(EventKind::kSample, queue_.now() + sample_every_, gen_);
+  schedule_event(EventKind::kSample, now_ + sample_every_, gen_);
 }
 
 void OnlineDaemon::start_if_idle(Time now) {

@@ -3,9 +3,9 @@
 // `schedule_online` below runs it over a materialized workload for the
 // benches, `reco_sim_cli online` and the tests.
 //
-// Coflow arrivals and epoch completions flow through the sim EventQueue;
-// every decision is delegated to the OnlineCore.  The clairvoyant batch
-// loop the daemon replaced is kept as a test oracle
+// Coflow arrivals and epoch completions are typed events in the daemon's
+// own heap; every decision is delegated to the OnlineCore.  The
+// clairvoyant batch loop the daemon replaced is kept as a test oracle
 // (tests/oracles/online_loop.hpp), and the daemon must emit byte-identical
 // schedules to it — that equivalence is pinned by tests.  What the daemon
 // does that the loop does not:
@@ -16,17 +16,18 @@
 //    place the cut; the daemon only learns of an arrival when its event
 //    fires, and cuts the running plan *then* — same kept prefix, no
 //    lookahead into the future;
-//  * zero steady-state allocation: small-buffer EventFn handlers, slot
-//    recycling in the core, and a bounded number of outstanding events;
-//  * deterministic checkpoint/restart (docs/RELIABILITY.md): every
-//    outstanding event is mirrored in a typed pending-event table, so the
-//    whole daemon — core slots, clock, dispatch counter, generation tags,
-//    and the event queue itself — serializes to a versioned snapshot, and
-//    a run resumed from it replays byte-identically (same digest, stats,
-//    makespan, event count) to the uninterrupted run.
+//  * zero steady-state allocation: an event is four plain fields, the core
+//    recycles its slots, and few events are outstanding at once;
+//  * deterministic checkpoint/restart (docs/RELIABILITY.md): the event heap
+//    holds exactly what a checkpoint records, so the whole daemon — core
+//    slots, clock, dispatch counter, generation tags and the outstanding
+//    events — serializes to a versioned snapshot, and a run resumed from
+//    it replays byte-identically (same digest, stats, makespan, event
+//    count) to the uninterrupted run.
 //
-// Event protocol (generation-tagged; a bumped generation orphans every
-// event scheduled under the old one):
+// Event protocol (events run in (time, scheduling order); generation-tagged:
+// a bumped generation orphans every event scheduled under the old one, and
+// an orphan is still dispatched and counted, then ignored):
 //
 //   arrival(t):  ingest every source coflow with arrival <= t + eps;
 //                drain-replan: cut the running plan at t, replan at
@@ -52,7 +53,6 @@
 #include "core/slice.hpp"
 #include "core/types.hpp"
 #include "sched/online_core.hpp"
-#include "sim/event_queue.hpp"
 
 namespace reco::sim {
 
@@ -99,7 +99,7 @@ class PullSource final : public CoflowSource {
 struct OnlineDaemonOptions {
   OnlineCoreOptions core;
   /// Simulated-time telemetry sampling period in seconds.  > 0 schedules a
-  /// recurring EventQueue event that snapshots the metrics registry into
+  /// recurring daemon event that snapshots the metrics registry into
   /// `obs::sim_sampler()` every `sample_every` sim-seconds (only while
   /// obs::enabled(); exact simulated-time windows, unlike the wall
   /// sampler).  Sampling is write-only: schedules, digest, makespan, and
@@ -118,7 +118,7 @@ struct OnlineDaemonOptions {
   /// Periodic checkpointing: every `checkpoint_every` sim-seconds (> 0,
   /// with a non-empty `checkpoint_path`) the daemon writes a checkpoint of
   /// itself to the path (atomically, via a .tmp sibling and rename).
-  /// Checkpoint ticks ride the EventQueue but never touch scheduling
+  /// Checkpoint ticks are daemon events but never touch scheduling
   /// state, so the run is byte-identical with them on or off.
   double checkpoint_every = 0.0;
   std::string checkpoint_path;
@@ -129,7 +129,7 @@ struct OnlineDaemonOptions {
 struct OnlineDaemonReport {
   OnlineCoreStats stats;
   std::uint64_t digest = 0;          ///< FNV-1a over every emitted slice
-  std::uint64_t events = 0;          ///< EventQueue dispatches (excluding sampler/checkpoint ticks)
+  std::uint64_t events = 0;          ///< event dispatches (excluding sampler/checkpoint ticks)
   Time makespan = 0.0;               ///< sim clock at the last scheduling event
   double decision_p50_us = 0.0;      ///< per-decision latency quantiles
   double decision_p99_us = 0.0;
@@ -175,18 +175,19 @@ class OnlineDaemon {
     kSample = 4,
     kCheckpoint = 5,
   };
-  /// Serializable mirror of one outstanding EventQueue entry.  `token`
-  /// reproduces insertion order among equal-time events across a restore.
-  struct PendingEvent {
+  /// One outstanding event.  `seq` is its scheduling order, which breaks
+  /// equal-time ties; it restarts at 0 on restore, and the checkpoint lists
+  /// events in (at, seq) order, so re-scheduling them keeps the tie order.
+  struct Event {
     EventKind kind;
     Time at;
     std::uint64_t gen;
-    std::uint64_t token;
+    std::uint64_t seq;
   };
 
   void schedule_event(EventKind kind, Time at, std::uint64_t gen);
-  void dispatch(EventKind kind, std::uint64_t gen, std::uint64_t token);
-  void drop_pending(std::uint64_t token);
+  /// Pop the earliest event, advance the clock to it and dispatch it.
+  void run_one();
 
   void on_arrival(Time now);
   void on_replan(Time now, std::uint64_t gen);
@@ -206,10 +207,14 @@ class OnlineDaemon {
   void start_if_idle(Time now);
 
   OnlineCore core_;
-  EventQueue queue_;
+  /// Outstanding events: a binary heap with the earliest (at, seq) on top.
+  std::vector<Event> events_;
+  std::uint64_t next_seq_ = 0;
+  Time now_ = 0.0;               ///< sim clock: time of the last dispatched event
+  std::uint64_t processed_ = 0;  ///< dispatches, sampler/checkpoint ticks included
   CoflowSource* source_ = nullptr;
-  /// Sim-sampler period (0 = off); ticks ride the EventQueue but never
-  /// touch scheduling state, so they cannot perturb the run.
+  /// Sim-sampler period (0 = off); ticks are events but never touch
+  /// scheduling state, so they cannot perturb the run.
   double sample_every_ = 0.0;
   std::uint64_t sample_events_ = 0;  ///< sampler dispatches, excluded from report
   const volatile std::sig_atomic_t* stop_flag_ = nullptr;
@@ -219,18 +224,14 @@ class OnlineDaemon {
   std::uint64_t checkpoint_events_ = 0;  ///< checkpoint dispatches, excluded from report
   std::uint64_t checkpoint_writes_ = 0;
   bool interrupted_ = false;
-  /// Typed mirror of every event currently in the queue (a handful at any
-  /// moment), in insertion order — the serializable half of the EventQueue.
-  std::vector<PendingEvent> pending_events_;
-  std::uint64_t next_token_ = 0;
   /// Sim clock at the most recent *scheduling* event — the report makespan
-  /// (queue_.now() may trail into pure sampler ticks after the last slice).
+  /// (now_ may trail into pure sampler ticks after the last slice).
   Time last_activity_ = 0.0;
   /// Bumped whenever a cut invalidates in-flight completion/replan events.
   std::uint64_t gen_ = 0;
   Time plan_base_ = 0.0;
   bool running_ = false;          ///< a plan/epoch/serve is outstanding
-  bool arrival_pending_ = false;  ///< an arrival event is in the queue
+  bool arrival_pending_ = false;  ///< an arrival event is outstanding
 };
 
 /// What `schedule_online` emitted, with CCTs indexed like its input.

@@ -417,6 +417,59 @@ TEST(DaemonCheckpoint, RejectsMismatchedPolicyOptionsAndDamage) {
             }).find("daemon checkpoint"),
             std::string::npos);
 
+  // Malformed times and generations, each re-digested so that only the
+  // field's own check can reject it.  The payload opens with the core's
+  // state; then come the clock, the dispatch count, the generation, the
+  // plan base, two flags and the last-activity time.  The pending events
+  // close it, so the last one's time and generation are its last 16 bytes.
+  SnapshotWriter core_state;
+  daemon.core().save(core_state);
+  const std::size_t clock_at = 24 + core_state.payload().size();
+  const std::size_t gen_at = clock_at + 16;
+  const std::size_t plan_base_at = clock_at + 24;
+  const std::size_t last_activity_at = clock_at + 34;
+  const std::size_t event_time_at = blob.size() - 16;
+  const std::size_t event_gen_at = blob.size() - 8;
+  const auto put_le = [](std::string& bytes, std::size_t at, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) bytes[at + b] = static_cast<char>((v >> (8 * b)) & 0xffu);
+  };
+  const auto patched = [&](std::size_t at, std::uint64_t v) {
+    std::string bytes = blob;
+    put_le(bytes, at, v);
+    put_le(bytes, 16, fnv1a64(bytes.data() + 24, bytes.size() - 24));
+    return bytes;
+  };
+  const auto rejection = [&](const std::string& bytes) {
+    return error_of([&] { resume_with(OnlinePolicyKind::kEpochRecoMul, {}, bytes, coflows); });
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    const std::string tag = "value " + std::to_string(bad);
+    EXPECT_NE(rejection(patched(clock_at, bits_of(bad))).find("daemon checkpoint: clock"),
+              std::string::npos)
+        << tag;
+    EXPECT_NE(rejection(patched(plan_base_at, bits_of(bad))).find("daemon checkpoint: plan base"),
+              std::string::npos)
+        << tag;
+    EXPECT_NE(rejection(patched(last_activity_at, bits_of(bad)))
+                  .find("daemon checkpoint: last-activity time"),
+              std::string::npos)
+        << tag;
+    // -1 lies before the clock, which is never negative.
+    EXPECT_NE(rejection(patched(event_time_at, bits_of(bad)))
+                  .find("daemon checkpoint: pending event time"),
+              std::string::npos)
+        << tag;
+  }
+  std::uint64_t saved_gen = 0;
+  for (int b = 0; b < 8; ++b) {
+    saved_gen |= std::uint64_t{static_cast<unsigned char>(blob[gen_at + b])} << (8 * b);
+  }
+  EXPECT_NE(rejection(patched(event_gen_at, saved_gen + 1))
+                .find("daemon checkpoint: pending event generation"),
+            std::string::npos);
+
   // The checkpoint itself is intact: the happy path still resumes.
   sim::VectorSource source(coflows);
   sim::OnlineDaemon fresh(OnlinePolicyKind::kEpochRecoMul);

@@ -79,6 +79,18 @@ TEST(SliceExecutor, InflationStretchesDurationByMidFlightBatchesOnly) {
   EXPECT_DOUBLE_EQ(real[2].duration(), 1.0);
 }
 
+TEST(SliceExecutor, ShortSliceOnABatchEndsAfterItStarts) {
+  // A kTimeEps slice that starts on a batch waits for that batch at its
+  // start, and is not halted by it again at its end.
+  for (const Time t : {0.0, 0.5, 1.0, 3.0}) {
+    const SliceSchedule pseudo{{t, t + kTimeEps, 0, 0, 0}, {t, t + 1.0, 1, 1, 1}};
+    const SliceSchedule real = inflate_pseudo_time(pseudo, 1e-3);
+    EXPECT_DOUBLE_EQ(real[0].start, t + 1e-3) << "t=" << t;
+    EXPECT_DOUBLE_EQ(real[0].end, (t + kTimeEps) + 1e-3) << "t=" << t;
+    EXPECT_TRUE(is_port_feasible(real)) << "t=" << t;
+  }
+}
+
 TEST(SliceExecutor, InflateInStartOrderCountsRealBatches) {
   // Batches at 0 and 2 on the pseudo axis; flow 0 is halted once.
   const SliceSchedule pseudo{{2, 3, 1, 1, 1}, {0, 3, 0, 0, 0}, {0, 1, 2, 2, 2}};

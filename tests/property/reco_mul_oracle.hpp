@@ -65,8 +65,12 @@ inline SliceSchedule inflate_pseudo_time(const SliceSchedule& pseudo, Time delta
   const std::vector<Time> batches = oracle::start_batches(pseudo);
   SliceSchedule real;
   for (const FlowSlice& s : pseudo) {
-    const Time start_shift = delta * static_cast<Time>(count_at_or_below(batches, s.start));
-    const Time end_shift = delta * static_cast<Time>(count_below(batches, s.end));
+    // A batch counted at the start counts at the end too, so a slice of at
+    // most 2 eps still ends at or after it starts.
+    const std::size_t at_start = count_at_or_below(batches, s.start);
+    const Time start_shift = delta * static_cast<Time>(at_start);
+    const Time end_shift =
+        delta * static_cast<Time>(std::max(at_start, count_below(batches, s.end)));
     real.push_back({s.start + start_shift, s.end + end_shift, s.src, s.dst, s.coflow});
   }
   return real;

@@ -121,8 +121,10 @@ TEST(RecoMulEquivalence, EpsilonEdgeInflation) {
   // Starts at t, t + 0.9 eps and t + 1.5 eps: the second joins t's batch,
   // the third opens a new one, yet t + 1.5 eps <= (t + 0.9 eps) + eps, so
   // the middle slice waits for both.  Ends sit at batch times and up to
-  // 1.5 eps either side.  delta down to eps scale makes real starts
-  // eps-close too.  Slice positions are shuffled so the sort is exercised.
+  // 1.5 eps either side, so some slices last under 2 eps, and each must
+  // still end at or after its start.  delta down to eps scale makes real
+  // starts eps-close too.  Slice positions are shuffled so the sort is
+  // exercised.
   Rng rng(168);
   for (const Time t : {0.25, 1.0, 3.0}) {
     const std::vector<Time> starts{0.0, t, t + 0.9 * kE, t + 1.5 * kE};
@@ -152,6 +154,7 @@ TEST(RecoMulEquivalence, EpsilonEdgeInflation) {
         const std::string where = "t=" + std::to_string(t) + " delta=" + std::to_string(delta) +
                                   " shuffle " + std::to_string(shuffle);
         const SliceSchedule want = oracle::inflate_pseudo_time(pseudo, delta);
+        for (const FlowSlice& s : want) EXPECT_GE(s.end, s.start) << where;
         EXPECT_TRUE(bit_identical(inflate_pseudo_time(pseudo, delta), want)) << where;
         const int count = inflate_in_start_order(pseudo, order, delta, batches, along_order);
         EXPECT_TRUE(bit_identical(along_order, want)) << where;

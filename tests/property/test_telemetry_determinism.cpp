@@ -96,7 +96,7 @@ TEST(TelemetryDeterminism, RecoMulPipelineIsByteIdentical) {
 }
 
 // PR-8 live telemetry: running the daemon with the sim-time sampler
-// ticking on its own event queue AND a live HTTP exporter scraping the
+// ticking as daemon events AND a live HTTP exporter scraping the
 // registry must not move a single byte of the schedule, the digest, the
 // makespan, or the reported event count.
 TEST(TelemetryDeterminism, OnlineDaemonIsByteIdenticalUnderLiveSampling) {

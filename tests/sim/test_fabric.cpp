@@ -30,6 +30,51 @@ TEST(Fabric, ReplayMatchesHandSchedule) {
   EXPECT_GT(r.events, 0u);
 }
 
+TEST(Fabric, SimultaneousCompletionsKeepCircuitOrder) {
+  // One hold drains 20 equal flows at one instant.  Above 16 elements an
+  // unstable sort is no longer an insertion sort, so only a stable one
+  // keeps them in the order they drained: the assignment's circuit order.
+  const int n = 20;
+  Matrix demand(n);
+  CircuitSchedule s;
+  s.assignments.push_back({{}, 1.0});
+  for (int i = 0; i < n; ++i) {
+    const Circuit c{i, (7 * i + 3) % n};
+    demand.at(c.in, c.out) = 1.0;
+    s.assignments[0].circuits.push_back(c);
+  }
+  ReplayController controller(s);
+  const SimulationReport all_stop = simulate_single_coflow(controller, demand, 0.5);
+  const SimulationReport not_all_stop = simulate_not_all_stop_replay(s, demand, 0.5);
+  for (const SimulationReport* r : {&all_stop, &not_all_stop}) {
+    ASSERT_EQ(r->completions.size(), static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+      EXPECT_EQ(r->completions[k].circuit, s.assignments[0].circuits[k]) << "completion " << k;
+      EXPECT_DOUBLE_EQ(r->completions[k].completed_at, 1.5) << "completion " << k;
+    }
+  }
+}
+
+// Pinned at the counts the callback event queue that these simulators
+// replaced dispatched: the all-stop fabric counts decisions plus holds,
+// the not-all-stop replay one drain per served circuit, and the slice
+// replay a start and an end per slice.
+TEST(Fabric, EventCountsArePinned) {
+  Rng rng(42);
+  const Matrix d = testing::random_demand(rng, 8, 0.6, 0.2, 6.0);
+  const Time delta = 0.1;
+  const CircuitSchedule s = reco_sin(d, delta);
+  ReplayController controller(s);
+  const SimulationReport all_stop = simulate_single_coflow(controller, d, delta);
+  EXPECT_EQ(all_stop.events, 37u);
+  EXPECT_EQ(all_stop.reconfigurations, 18);
+  const SimulationReport not_all_stop = simulate_not_all_stop_replay(s, d, delta);
+  EXPECT_EQ(not_all_stop.events, 87u);
+  EXPECT_EQ(not_all_stop.completions.size(), 32u);
+  const SliceSchedule slices{{0, 2, 0, 0, 0}, {2, 3, 0, 1, 1}, {1, 4, 1, 0, 1}};
+  EXPECT_EQ(simulate_slice_schedule(slices, 2, 2).events, 6u);
+}
+
 TEST(Fabric, UtilizationOnPerfectlyPackedSchedule) {
   Matrix demand(2);
   demand.at(0, 0) = 4.0;

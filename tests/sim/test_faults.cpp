@@ -209,6 +209,38 @@ TEST(Faults, ConservationHoldsUnderFaultSoup) {
   }
 }
 
+// The decision loop's fault paths in one run: port failures and repairs,
+// failed and partial setups, and recoveries.  The counts and times are
+// pinned at what the callback event queue that the fabric replaced
+// produced.
+TEST(Faults, FaultSoupRunIsPinned) {
+  const Time delta = 0.05;
+  const Matrix d = demand_under_test(611);
+  FaultConfig config;
+  config.timing.jitter_fraction = 0.3;
+  config.timing.retry_probability = 0.5;
+  config.timing.max_attempts = 2;
+  config.port_mtbf = 2.0;
+  config.port_mttr = 0.5;
+  config.setup_timeout_probability = 0.2;
+  config.crosspoint_failure_probability = 0.1;
+  config.seed = 11;
+  FaultInjector injector(config);
+  RecoveringController controller(reco_sin(d, delta), delta);
+  const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+  EXPECT_EQ(r.events, 50u);
+  EXPECT_EQ(r.reconfigurations, 28);
+  EXPECT_EQ(r.setup_failures, 10);
+  EXPECT_EQ(r.partial_setups, 5);
+  EXPECT_EQ(r.recoveries, 16);
+  EXPECT_EQ(r.port_failures, 70);
+  EXPECT_EQ(r.port_repairs, 70);
+  EXPECT_EQ(r.completions.size(), 24u);
+  EXPECT_EQ(r.cct, 30.387890571438597);
+  EXPECT_EQ(r.degraded_time, 21.863551539149853);
+  EXPECT_EQ(r.stranded_demand, 0.0);
+}
+
 TEST(Faults, FaultStreamIdenticalAcrossThreadCounts) {
   // The fault streams are consumed in simulation-event order only, so the
   // degraded timeline is bit-identical at any RECO_THREADS setting.

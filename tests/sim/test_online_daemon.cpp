@@ -130,6 +130,24 @@ TEST_P(DaemonPolicyTest, MatchesLoopDriverByteForByte) {
   }
 }
 
+// Two events on one instant run in the order they were scheduled.  B
+// arrives exactly when A's solo plan completes; B's arrival event was
+// scheduled when A was admitted, before A's plan scheduled its completion,
+// so the arrival runs first.  Under drain-replan it cuts the finished
+// plan, whose orphaned completion is still dispatched and counted: one
+// event more than if the completion ran first.
+TEST_P(DaemonPolicyTest, SameInstantEventsRunInSchedulingOrder) {
+  const OnlinePolicyKind kind = GetParam();
+  const Coflow a = one_flow(0, 0, 1, 0.0);
+  const Time done = run_daemon({a}, kind).makespan;  // A's completion event
+  ASSERT_GT(done, 0.0);
+  const std::vector<Coflow> coflows{a, one_flow(1, 1, 0, done)};
+  expect_matches_loop(coflows, kind, "arrival at a completion");
+  const OnlineDaemonReport r = run_daemon(coflows, kind);
+  EXPECT_EQ(r.stats.finished, 2u);
+  EXPECT_EQ(r.events, kind == OnlinePolicyKind::kDrainReplanRecoMul ? 5u : 4u);
+}
+
 TEST_P(DaemonPolicyTest, EmptySourceIsANoOp) {
   const std::vector<Coflow> none;
   const OnlineDaemonReport r = run_daemon(none, GetParam());
