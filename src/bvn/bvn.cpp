@@ -113,10 +113,6 @@ CircuitSchedule cover_decompose(SupportIndex m) {
   return schedule;
 }
 
-CircuitSchedule cover_decompose(Matrix m) {
-  return cover_decompose(SupportIndex(std::move(m)));
-}
-
 PeelCursor::PeelCursor(SupportIndex m, BvnPolicy policy)
     : m_(std::move(m)), halve_on_failure_(policy == BvnPolicy::kMaxMinAmortized) {
   if (!is_doubly_stochastic(m_, kTimeEps * std::max(1, m_.n()))) {

@@ -81,7 +81,6 @@ CircuitSchedule bvn_decompose(SupportIndex m, BvnPolicy policy);
 /// (>=) the input rather than equaling it.  Needs no Birkhoff structure;
 /// used to finish the tolerance-scale residue that floating-point slicing
 /// leaves behind, and usable on its own as a crude scheduler.
-CircuitSchedule cover_decompose(Matrix m);
 CircuitSchedule cover_decompose(SupportIndex m);
 
 }  // namespace reco

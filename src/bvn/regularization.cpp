@@ -59,9 +59,4 @@ SupportIndex regularize(SupportIndex demand, Time quantum) {
   return demand;
 }
 
-Time regularization_overhead(const Matrix& demand, Time quantum) {
-  const Matrix reg = regularize(demand, quantum);
-  return reg.total() - demand.total();
-}
-
 }  // namespace reco

@@ -23,8 +23,4 @@ Matrix regularize(const Matrix& demand, Time quantum);
 /// copy.
 SupportIndex regularize(SupportIndex demand, Time quantum);
 
-/// The total inflation added by regularization (sum of the per-entry
-/// round-ups); bounded by nnz(D) * quantum.
-Time regularization_overhead(const Matrix& demand, Time quantum);
-
 }  // namespace reco

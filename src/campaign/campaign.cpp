@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <ostream>
@@ -38,6 +39,34 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return splitmix64(a ^ splitmix64(b));
+}
+
+/// The fields a replication's digest covers, in the order the digest and
+/// the checkpoint both write them.
+void put_replication_fields(SnapshotWriter& w, const ReplicationResult& r) {
+  w.put_i32(r.cell);
+  w.put_i32(r.rep);
+  w.put_f64(r.cct);
+  w.put_f64(r.demand_total);
+  w.put_f64(r.stranded);
+  w.put_f64(r.degraded_time);
+  w.put_f64(r.delivered_fraction);
+  w.put_f64(r.recovery_latency);
+  w.put_i32(r.replans);
+  w.put_i32(r.port_failures);
+  w.put_i32(r.port_repairs);
+  w.put_i32(r.recoveries);
+  w.put_i32(r.setup_failures);
+  w.put_i32(r.partial_setups);
+  w.put_bool(r.satisfied);
+}
+
+/// FNV-1a over the replication's fields: what run_one stamps and what the
+/// checkpoint loader recomputes.
+std::uint64_t replication_digest(const ReplicationResult& r) {
+  SnapshotWriter w;
+  put_replication_fields(w, r);
+  return fnv1a64(w.payload().data(), w.payload().size());
 }
 
 /// %.17g — the shortest form that round-trips an IEEE double exactly.
@@ -180,24 +209,7 @@ ReplicationResult CampaignRunner::run_one(std::size_t index) const {
   r.setup_failures = sim.setup_failures;
   r.partial_setups = sim.partial_setups;
   r.satisfied = sim.satisfied;
-
-  SnapshotWriter w;
-  w.put_i32(r.cell);
-  w.put_i32(r.rep);
-  w.put_f64(r.cct);
-  w.put_f64(r.demand_total);
-  w.put_f64(r.stranded);
-  w.put_f64(r.degraded_time);
-  w.put_f64(r.delivered_fraction);
-  w.put_f64(r.recovery_latency);
-  w.put_i32(r.replans);
-  w.put_i32(r.port_failures);
-  w.put_i32(r.port_repairs);
-  w.put_i32(r.recoveries);
-  w.put_i32(r.setup_failures);
-  w.put_i32(r.partial_setups);
-  w.put_bool(r.satisfied);
-  r.digest = fnv1a64(w.payload().data(), w.payload().size());
+  r.digest = replication_digest(r);
   return r;
 }
 
@@ -278,21 +290,7 @@ void CampaignRunner::save_checkpoint(std::ostream& out) const {
   w.put_u64(config_fingerprint());
   w.put_u64(results_.size());
   for (const ReplicationResult& r : results_) {
-    w.put_i32(r.cell);
-    w.put_i32(r.rep);
-    w.put_f64(r.cct);
-    w.put_f64(r.demand_total);
-    w.put_f64(r.stranded);
-    w.put_f64(r.degraded_time);
-    w.put_f64(r.delivered_fraction);
-    w.put_f64(r.recovery_latency);
-    w.put_i32(r.replans);
-    w.put_i32(r.port_failures);
-    w.put_i32(r.port_repairs);
-    w.put_i32(r.recoveries);
-    w.put_i32(r.setup_failures);
-    w.put_i32(r.partial_setups);
-    w.put_bool(r.satisfied);
+    put_replication_fields(w, r);
     w.put_u64(r.digest);
   }
   w.finish(out, kCampaignMagic, kCampaignVersion);
@@ -332,6 +330,21 @@ void CampaignRunner::load_checkpoint(std::istream& in) {
     rr.partial_setups = r.get_i32();
     rr.satisfied = r.get_bool();
     rr.digest = r.get_u64();
+    const auto rejected = [k](const char* what) {
+      return std::runtime_error("campaign checkpoint: replication " + std::to_string(k) + " " +
+                                what);
+    };
+    for (const double v : {rr.cct, rr.demand_total, rr.stranded, rr.degraded_time,
+                           rr.delivered_fraction, rr.recovery_latency}) {
+      if (!std::isfinite(v) || v < 0.0) {
+        throw rejected("has a field that is not finite and non-negative");
+      }
+    }
+    for (const int v : {rr.replans, rr.port_failures, rr.port_repairs, rr.recoveries,
+                        rr.setup_failures, rr.partial_setups}) {
+      if (v < 0) throw rejected("has a negative count");
+    }
+    if (rr.digest != replication_digest(rr)) throw rejected("digest does not match its fields");
     loaded.push_back(rr);
   }
   r.expect_end();

@@ -31,23 +31,6 @@ bool CircuitSchedule::is_valid(int n_ports) const {
   return true;
 }
 
-Matrix CircuitSchedule::service_matrix(int n_ports) const {
-  Matrix service(n_ports);
-  for (const auto& a : assignments) {
-    for (const Circuit& c : a.circuits) {
-      service.at(c.in, c.out) += a.duration;
-    }
-  }
-  return service;
-}
-
-bool CircuitSchedule::satisfies(const Matrix& demand) const {
-  // Tolerance scales with schedule length: each assignment contributes one
-  // rounding step to the accumulated service.
-  const double eps = kTimeEps * std::max<std::size_t>(1, assignments.size());
-  return service_matrix(demand.n()).covers(demand, eps);
-}
-
 std::string CircuitSchedule::to_string() const {
   std::ostringstream out;
   int u = 0;

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/matrix.hpp"
 #include "core/types.hpp"
 
 namespace reco {
@@ -40,14 +39,6 @@ struct CircuitSchedule {
 
   /// True iff every assignment satisfies the port constraint.
   bool is_valid(int n_ports) const;
-
-  /// Demand matrix the schedule can serve at full utilization: entry (i,j)
-  /// accumulates the duration of every assignment containing circuit (i,j).
-  Matrix service_matrix(int n_ports) const;
-
-  /// True iff the schedule can fully serve `demand`, i.e. the service
-  /// matrix covers it entry-wise.
-  bool satisfies(const Matrix& demand) const;
 
   std::string to_string() const;
 };

@@ -2,25 +2,6 @@
 
 namespace reco {
 
-std::string_view to_string(TransmissionMode mode) {
-  switch (mode) {
-    case TransmissionMode::kS2S: return "S2S";
-    case TransmissionMode::kS2M: return "S2M";
-    case TransmissionMode::kM2S: return "M2S";
-    case TransmissionMode::kM2M: return "M2M";
-  }
-  return "?";
-}
-
-std::string_view to_string(DensityClass cls) {
-  switch (cls) {
-    case DensityClass::kSparse: return "sparse";
-    case DensityClass::kNormal: return "normal";
-    case DensityClass::kDense: return "dense";
-  }
-  return "?";
-}
-
 int Coflow::width_in() const {
   int w = 0;
   for (int i = 0; i < demand.n(); ++i) {
@@ -54,14 +35,6 @@ DensityClass classify_density(double ds) {
 
 DensityClass Coflow::density_class() const {
   return classify_density(demand.density());
-}
-
-std::vector<int> indices_of_class(const std::vector<Coflow>& coflows, DensityClass cls) {
-  std::vector<int> out;
-  for (int k = 0; k < static_cast<int>(coflows.size()); ++k) {
-    if (coflows[k].density_class() == cls) out.push_back(k);
-  }
-  return out;
 }
 
 }  // namespace reco

@@ -2,9 +2,6 @@
 // density / transmission-mode taxonomy (Sec. V-A, Tables I and II).
 #pragma once
 
-#include <string_view>
-#include <vector>
-
 #include "core/matrix.hpp"
 #include "core/types.hpp"
 
@@ -25,9 +22,6 @@ enum class DensityClass {
   kNormal,  ///< 0.05 < DS <= 0.5
   kDense,   ///< DS > 0.5
 };
-
-std::string_view to_string(TransmissionMode mode);
-std::string_view to_string(DensityClass cls);
 
 /// A coflow: all parallel flows of one application stage, abstracted as a
 /// demand matrix over the fabric ports (Sec. II-A).  Weight expresses
@@ -55,8 +49,5 @@ struct Coflow {
 
 /// Classify a density value per Table I thresholds.
 DensityClass classify_density(double ds);
-
-/// Convenience: ids of coflows in `coflows` belonging to class `cls`.
-std::vector<int> indices_of_class(const std::vector<Coflow>& coflows, DensityClass cls);
 
 }  // namespace reco

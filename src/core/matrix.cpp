@@ -1,7 +1,6 @@
 #include "core/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -93,47 +92,9 @@ int Matrix::tau() const {
   return t;
 }
 
-bool Matrix::is_doubly_stochastic(double eps) const {
-  if (n_ == 0) return true;
-  const Time target = row_sum(0);
-  for (int i = 0; i < n_; ++i) {
-    if (std::abs(row_sum(i) - target) > eps) return false;
-  }
-  for (int j = 0; j < n_; ++j) {
-    if (std::abs(col_sum(j) - target) > eps) return false;
-  }
-  return true;
-}
-
-bool Matrix::is_granular(double quantum, double eps) const {
-  if (quantum <= 0.0) return false;
-  for (double x : v_) {
-    if (x < -eps) return false;
-    const double k = std::round(x / quantum);
-    if (std::abs(x - k * quantum) > eps) return false;
-  }
-  return true;
-}
-
-bool Matrix::covers(const Matrix& other, double eps) const {
-  if (n_ != other.n_) return false;
-  for (std::size_t p = 0; p < v_.size(); ++p) {
-    if (v_[p] + eps < other.v_[p]) return false;
-  }
-  return true;
-}
-
 Matrix& Matrix::operator+=(const Matrix& other) {
   if (n_ != other.n_) throw std::invalid_argument("Matrix::+=: size mismatch");
   for (std::size_t p = 0; p < v_.size(); ++p) v_[p] += other.v_[p];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  if (n_ != other.n_) throw std::invalid_argument("Matrix::-=: size mismatch");
-  for (std::size_t p = 0; p < v_.size(); ++p) {
-    v_[p] = clamp_zero(v_[p] - other.v_[p]);
-  }
   return *this;
 }
 

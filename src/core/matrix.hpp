@@ -68,22 +68,8 @@ class Matrix {
   /// reconfiguration lower bound multiplier of Theorem 2.
   int tau() const;
 
-  /// True iff every row and column sums to the same value (within eps):
-  /// the "doubly stochastic" shape required by Birkhoff's theorem (the
-  /// common value need not be 1; the paper scales by the row sum rho).
-  bool is_doubly_stochastic(double eps = kTimeEps) const;
-
-  /// True iff every entry is a non-negative integer multiple of quantum
-  /// (within eps) — the post-regularization invariant of Reco-Sin.
-  bool is_granular(double quantum, double eps = kTimeEps) const;
-
-  /// True iff every entry of *this is >= the matching entry of other - eps.
-  bool covers(const Matrix& other, double eps = kTimeEps) const;
-
   /// Entry-wise: this += other (sizes must match).
   Matrix& operator+=(const Matrix& other);
-  /// Entry-wise: this -= other (sizes must match); snaps tiny residue to 0.
-  Matrix& operator-=(const Matrix& other);
 
   bool operator==(const Matrix& other) const = default;
 

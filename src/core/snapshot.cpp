@@ -42,11 +42,6 @@ void SnapshotWriter::put_u32(std::uint32_t v) { append_le(payload_, v, 4); }
 void SnapshotWriter::put_u64(std::uint64_t v) { append_le(payload_, v, 8); }
 void SnapshotWriter::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
-void SnapshotWriter::put_string(const std::string& s) {
-  put_u64(s.size());
-  payload_.append(s);
-}
-
 void SnapshotWriter::finish(std::ostream& out, std::uint32_t magic,
                             std::uint32_t version) const {
   std::string header;
@@ -110,12 +105,6 @@ std::uint32_t SnapshotReader::get_u32() {
 std::uint64_t SnapshotReader::get_u64() { return read_le(need(8), 8); }
 
 double SnapshotReader::get_f64() { return std::bit_cast<double>(get_u64()); }
-
-std::string SnapshotReader::get_string() {
-  const std::uint64_t size = get_u64();
-  if (payload_.size() - cursor_ < size) fail("read past end of payload");
-  return {need(size), size};
-}
 
 void SnapshotReader::expect_end() const {
   if (cursor_ != payload_.size()) {

@@ -51,8 +51,6 @@ class SnapshotWriter {
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   /// Bit-exact double: the value round-trips through its u64 bit pattern.
   void put_f64(double v);
-  /// Length-prefixed byte string.
-  void put_string(const std::string& s);
 
   const std::string& payload() const { return payload_; }
 
@@ -82,7 +80,6 @@ class SnapshotReader {
   std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   double get_f64();
-  std::string get_string();
 
   std::size_t remaining() const { return payload_.size() - cursor_; }
   /// Throws if any payload bytes were left unread (format drift witness).

@@ -83,16 +83,6 @@ SolveStatus run_phase(Tableau& tb, int cost_row, int usable_cols, long& iters_le
 
 }  // namespace
 
-std::string to_string(SolveStatus s) {
-  switch (s) {
-    case SolveStatus::kOptimal: return "optimal";
-    case SolveStatus::kInfeasible: return "infeasible";
-    case SolveStatus::kUnbounded: return "unbounded";
-    case SolveStatus::kIterLimit: return "iteration-limit";
-  }
-  return "?";
-}
-
 int Model::add_var(double cost) {
   objective.push_back(cost);
   return num_vars++;

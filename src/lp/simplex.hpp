@@ -8,7 +8,6 @@
 // the scaling notes.
 #pragma once
 
-#include <string>
 #include <vector>
 
 namespace reco::lp {
@@ -16,8 +15,6 @@ namespace reco::lp {
 enum class Sense { kLe, kGe, kEq };
 
 enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit };
-
-std::string to_string(SolveStatus s);
 
 /// A sparse constraint row: sum(coeff_i * x_{var_i}) <sense> rhs.
 struct Constraint {

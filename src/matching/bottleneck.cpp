@@ -9,11 +9,14 @@
 
 namespace reco {
 
-namespace {
-
-/// `values` holds the support's entries in any order.
-template <class Src>
-std::optional<BottleneckMatching> bottleneck_search(const Src& src, std::vector<double> values) {
+std::optional<BottleneckMatching> bottleneck_perfect_matching(const Matrix& m) {
+  std::vector<double> values;
+  for (int i = 0; i < m.n(); ++i) {
+    for (int j = 0; j < m.n(); ++j) {
+      const double x = m.at(i, j);
+      if (!approx_zero(x)) values.push_back(x);
+    }
+  }
   if (values.empty()) return std::nullopt;
   std::sort(values.begin(), values.end());
   // Dedup by exact value; the tolerance lives only in the edge test
@@ -26,19 +29,19 @@ std::optional<BottleneckMatching> bottleneck_search(const Src& src, std::vector<
   // threshold only removes edges, so feasibility is monotone.
   // Invariant: feasible at values[lo], infeasible at values[hi] (or past
   // the end).
-  if (!has_perfect_matching_at(src, values.front())) return std::nullopt;
+  if (!has_perfect_matching_at(m, values.front())) return std::nullopt;
   std::size_t lo = 0;
   std::size_t hi = values.size();
   while (lo + 1 < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    if (has_perfect_matching_at(src, values[mid])) {
+    if (has_perfect_matching_at(m, values[mid])) {
       lo = mid;
     } else {
       hi = mid;
     }
   }
 
-  const MatchingResult r = threshold_matching(src, values[lo]);
+  const MatchingResult r = threshold_matching(m, values[lo]);
   BottleneckMatching out;
   out.bottleneck = values[lo];
   out.pairs.reserve(r.match_left.size());
@@ -46,29 +49,6 @@ std::optional<BottleneckMatching> bottleneck_search(const Src& src, std::vector<
     out.pairs.emplace_back(i, r.match_left[i]);
   }
   return out;
-}
-
-}  // namespace
-
-std::optional<BottleneckMatching> bottleneck_perfect_matching(const Matrix& m) {
-  std::vector<double> values;
-  for (int i = 0; i < m.n(); ++i) {
-    for (int j = 0; j < m.n(); ++j) {
-      const double x = m.at(i, j);
-      if (!approx_zero(x)) values.push_back(x);
-    }
-  }
-  return bottleneck_search(m, std::move(values));
-}
-
-std::optional<BottleneckMatching> bottleneck_perfect_matching(const SupportIndex& idx) {
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(idx.nnz()));
-  for (int i = 0; i < idx.n(); ++i) {
-    const double* row = idx.matrix().row_data(i);
-    for (const int j : idx.row_support(i)) values.push_back(row[j]);
-  }
-  return bottleneck_search(idx, std::move(values));
 }
 
 }  // namespace reco

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/matrix.hpp"
-#include "core/support_index.hpp"
 
 namespace reco {
 
@@ -27,11 +26,5 @@ struct BottleneckMatching {
 /// Returns nullopt when no perfect matching exists on the nonzero support
 /// (never happens for doubly stochastic matrices, by Birkhoff's theorem).
 std::optional<BottleneckMatching> bottleneck_perfect_matching(const Matrix& m);
-
-/// Sparse-path variant: value collection and every feasibility probe walk
-/// the support index, so one call costs O(nnz * sqrt(N) * log(nnz)) instead
-/// of O(N^2 * sqrt(N) * log(N^2)).  Returns what the dense overload returns
-/// on the index's matrix.
-std::optional<BottleneckMatching> bottleneck_perfect_matching(const SupportIndex& idx);
 
 }  // namespace reco

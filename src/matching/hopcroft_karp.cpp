@@ -24,15 +24,6 @@ struct Csr {
   void end_row() { off.push_back(static_cast<int>(col.size())); }
 };
 
-Csr csr_of(int n_left, const std::vector<std::vector<int>>& adj) {
-  Csr g;
-  for (int u = 0; u < n_left; ++u) {
-    g.col.insert(g.col.end(), adj[u].begin(), adj[u].end());
-    g.end_row();
-  }
-  return g;
-}
-
 /// Entries >= threshold - kTimeEps, columns ascending.
 Csr csr_at(const Matrix& m, double threshold) {
   Csr g;
@@ -57,14 +48,6 @@ Csr csr_at(const SupportIndex& idx, double threshold) {
     g.end_row();
   }
   return g;
-}
-
-std::vector<std::vector<int>> lists_of(const Csr& g) {
-  std::vector<std::vector<int>> adj(g.rows());
-  for (int u = 0; u < g.rows(); ++u) {
-    adj[u].assign(g.col.begin() + g.off[u], g.col.begin() + g.off[u + 1]);
-  }
-  return adj;
 }
 
 /// Layered BFS from every free row.  Returns true iff some layer reaches a
@@ -135,16 +118,17 @@ bool dfs_augment(const Csr& g, int u0, MatchingResult& r, std::vector<int>& dist
   return false;
 }
 
-MatchingResult maximum_matching(int n_right, const Csr& g) {
-  const auto n_left = static_cast<std::size_t>(g.rows());
+/// The graph is square: as many columns as rows.
+MatchingResult maximum_matching(const Csr& g) {
+  const auto n = static_cast<std::size_t>(g.rows());
   MatchingResult r;
-  r.match_left.assign(n_left, -1);
-  r.match_right.assign(static_cast<std::size_t>(n_right), -1);
-  std::vector<int> dist(n_left);
-  std::vector<int> queue(n_left);
+  r.match_left.assign(n, -1);
+  r.match_right.assign(n, -1);
+  std::vector<int> dist(n);
+  std::vector<int> queue(n);
   // Each frame holds a distinct row (layers strictly increase downward).
-  std::vector<int> stack_u(n_left + 1);
-  std::vector<int> stack_e(n_left + 1);
+  std::vector<int> stack_u(n + 1);
+  std::vector<int> stack_e(n + 1);
   while (r.size < g.rows() && bfs_layers(g, r, dist, queue)) {
     for (int u = 0; u < g.rows(); ++u) {
       if (r.match_left[u] == -1 && dfs_augment(g, u, r, dist, stack_u, stack_e)) ++r.size;
@@ -155,32 +139,16 @@ MatchingResult maximum_matching(int n_right, const Csr& g) {
 
 }  // namespace
 
-MatchingResult hopcroft_karp(int n_left, int n_right, const std::vector<std::vector<int>>& adj) {
-  return maximum_matching(n_right, csr_of(n_left, adj));
-}
-
-std::vector<std::vector<int>> threshold_adjacency(const Matrix& m, double threshold) {
-  return lists_of(csr_at(m, threshold));
-}
-
-std::vector<std::vector<int>> threshold_adjacency(const SupportIndex& idx, double threshold) {
-  return lists_of(csr_at(idx, threshold));
-}
-
 MatchingResult threshold_matching(const Matrix& m, double threshold) {
-  return maximum_matching(m.n(), csr_at(m, threshold));
+  return maximum_matching(csr_at(m, threshold));
 }
 
 MatchingResult threshold_matching(const SupportIndex& idx, double threshold) {
-  return maximum_matching(idx.n(), csr_at(idx, threshold));
+  return maximum_matching(csr_at(idx, threshold));
 }
 
 bool has_perfect_matching_at(const Matrix& m, double threshold) {
   return threshold_matching(m, threshold).size == m.n();
-}
-
-bool has_perfect_matching_at(const SupportIndex& idx, double threshold) {
-  return threshold_matching(idx, threshold).size == idx.n();
 }
 
 }  // namespace reco

@@ -1,4 +1,4 @@
-// Hopcroft-Karp maximum bipartite matching, plus matrix-threshold helpers.
+// Hopcroft-Karp maximum bipartite matching on a matrix's threshold support.
 //
 // Circuit establishments in an OCS are matchings between ingress and egress
 // ports (Sec. II-A); every decomposition algorithm in this repo reduces to
@@ -12,7 +12,7 @@
 
 namespace reco {
 
-/// Result of a maximum-matching computation on an n_left x n_right graph.
+/// Result of a maximum-matching computation on an n x n bipartite graph.
 struct MatchingResult {
   /// match_left[i] = matched right vertex of i, or -1.
   std::vector<int> match_left;
@@ -26,24 +26,14 @@ struct MatchingResult {
   }
 };
 
-/// Maximum matching of the bipartite graph given by adjacency lists
-/// (adj[i] = right neighbours of left vertex i).  O(E * sqrt(V)).
-MatchingResult hopcroft_karp(int n_left, int n_right, const std::vector<std::vector<int>>& adj);
-
-/// Adjacency of the support {(i,j) : m(i,j) >= threshold - eps}.
-std::vector<std::vector<int>> threshold_adjacency(const Matrix& m, double threshold);
-
-/// Same adjacency built from the sparse support index in O(nnz) instead of
-/// O(N^2); lists come out ascending (the index keeps its support sorted),
-/// so the matching found downstream is identical to the dense build's.
-std::vector<std::vector<int>> threshold_adjacency(const SupportIndex& idx, double threshold);
-
-/// Maximum matching restricted to entries >= threshold.
+/// Maximum matching on the edges {(i,j) : m(i,j) >= threshold - kTimeEps}.
+/// O(E * sqrt(V)).  The SupportIndex overload builds the same edges from
+/// the support lists in O(nnz) instead of O(N^2); both probe each row's
+/// columns ascending, so they find the same matching.
 MatchingResult threshold_matching(const Matrix& m, double threshold);
 MatchingResult threshold_matching(const SupportIndex& idx, double threshold);
 
 /// True iff a perfect matching exists using only entries >= threshold.
 bool has_perfect_matching_at(const Matrix& m, double threshold);
-bool has_perfect_matching_at(const SupportIndex& idx, double threshold);
 
 }  // namespace reco

@@ -124,13 +124,4 @@ int IncrementalMatcher::rematch() {
   return size_;
 }
 
-std::vector<std::pair<int, int>> IncrementalMatcher::pairs() const {
-  std::vector<std::pair<int, int>> out;
-  out.reserve(size_);
-  for (int i = 0; i < n_; ++i) {
-    if (match_left_[i] != -1) out.emplace_back(i, match_left_[i]);
-  }
-  return out;
-}
-
 }  // namespace reco

@@ -81,9 +81,6 @@ class IncrementalMatcher {
   /// Matched column of row i, or -1.
   int matched_col(int i) const { return match_left_[i]; }
 
-  /// Snapshot as (row -> col) pairs.
-  std::vector<std::pair<int, int>> pairs() const;
-
  private:
   bool edge_present(int i, int j) const {
     const double v = index_->at(i, j);

@@ -63,11 +63,6 @@ void write_prometheus_text(std::ostream& out, const MetricsRegistry& registry) {
     out << "# TYPE " << name << " counter\n";
     write_prom_sample(out, name, "", c.value);
   }
-  for (const MetricSample& g : snap.gauges) {
-    const std::string name = prometheus_name(g.name);
-    out << "# TYPE " << name << " gauge\n";
-    write_prom_sample(out, name, "", g.value);
-  }
   for (const HistogramSnapshot& h : snap.histograms) {
     const std::string name = prometheus_name(h.name);
     out << "# TYPE " << name << " histogram\n";

@@ -33,7 +33,7 @@ namespace reco::obs {
 std::string prometheus_name(const std::string& name);
 
 /// Prometheus text-format exposition (version 0.0.4) of one registry
-/// snapshot: `# TYPE` lines, counters/gauges as plain samples, histograms
+/// snapshot: `# TYPE` lines, counters as plain samples, histograms
 /// as cumulative `_bucket{le="..."}` series ending in `le="+Inf"` plus
 /// `_sum` and `_count`.
 void write_prometheus_text(std::ostream& out, const MetricsRegistry& registry);

@@ -58,18 +58,6 @@ void write_event(std::ostream& out, const FlightEvent& e) {
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-std::size_t FlightRecorder::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  head_ = 0;
-}
-
 void FlightRecorder::record(const char* kind, double t, std::int64_t id, double value,
                             std::string note) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -149,21 +137,6 @@ std::size_t FlightRecorder::size() const {
 std::uint64_t FlightRecorder::total_events() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_;
-}
-
-void FlightRecorder::write_jsonl(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    write_event(out, ring_[(head_ + i) % ring_.size()]);
-  }
-}
-
-void FlightRecorder::save_jsonl(const std::string& path) const {
-  ensure_parent_directory(path);
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("save_jsonl: cannot open " + path);
-  write_jsonl(out);
-  if (!out) throw std::runtime_error("save_jsonl: write failed for " + path);
 }
 
 void FlightRecorder::clear() {

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -43,10 +42,6 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 1024);
 
-  /// Ring bound; resizing clears recorded events.
-  std::size_t capacity() const;
-  void set_capacity(std::size_t capacity);
-
   /// Push one event (overwrites the oldest once the ring is full).
   /// Callers gate on obs::enabled(); the recorder itself never checks.
   void record(const char* kind, double t, std::int64_t id = -1, double value = 0.0,
@@ -57,8 +52,10 @@ class FlightRecorder {
   bool armed() const;
   std::string armed_path() const;
 
-  /// Dump the ring (plus one trailing "trigger" event carrying `reason`)
-  /// to the armed path.  Overwrites: the file holds the latest incident.
+  /// Dump the ring oldest-to-newest, one JSON object per line
+  /// ({"seq":..,"t":..,"kind":"..","id":..,"value":..,"note":".."}), plus
+  /// one trailing "trigger" event carrying `reason`, to the armed path.
+  /// Overwrites: the file holds the latest incident.
   /// No-op when unarmed; I/O failure is reported on stderr, never thrown
   /// (trigger sites are failure paths already).
   void trigger(const char* reason);
@@ -67,18 +64,12 @@ class FlightRecorder {
   std::uint64_t total_events() const;
   std::uint64_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
 
-  /// Ring contents oldest-to-newest, one JSON object per line:
-  /// {"seq":..,"t":..,"kind":"..","id":..,"value":..,"note":".."}
-  void write_jsonl(std::ostream& out) const;
-  /// write_jsonl to `path` (creates parent dirs; throws on I/O failure).
-  void save_jsonl(const std::string& path) const;
-
   /// Drop all events (capacity and armed path are untouched).
   void clear();
 
  private:
   mutable std::mutex mu_;
-  std::size_t capacity_;
+  const std::size_t capacity_;
   std::vector<FlightEvent> ring_;  ///< circular once full
   std::size_t head_ = 0;           ///< next write position
   std::uint64_t total_ = 0;

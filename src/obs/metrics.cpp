@@ -58,15 +58,6 @@ double Histogram::min() const {
   return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
 }
 
-double Histogram::quantile(double q) const {
-  if (count() == 0) return 0.0;
-  std::vector<std::uint64_t> counts(bounds_.size() + 1);
-  for (std::size_t k = 0; k <= bounds_.size(); ++k) {
-    counts[k] = buckets_[k].load(std::memory_order_relaxed);
-  }
-  return quantile_from_buckets(bounds_, counts.data(), q, min(), max());
-}
-
 double Histogram::max() const {
   return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
 }
@@ -134,13 +125,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot.counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Slot& slot = find_or_create(name, Kind::kGauge);
-  if (!slot.gauge) slot.gauge = std::make_unique<Gauge>();
-  return *slot.gauge;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name, const std::vector<double>& bounds) {
   std::lock_guard<std::mutex> lock(mu_);
   Slot& slot = find_or_create(name, Kind::kHistogram);
@@ -152,7 +136,6 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, slot] : slots_) {
     if (slot.counter) slot.counter->reset();
-    if (slot.gauge) slot.gauge->reset();
     if (slot.histogram) slot.histogram->reset();
   }
 }
@@ -164,9 +147,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     switch (slot.kind) {
       case Kind::kCounter:
         out.push_back({name, "counter", "value", slot.counter->value()});
-        break;
-      case Kind::kGauge:
-        out.push_back({name, "gauge", "value", slot.gauge->value()});
         break;
       case Kind::kHistogram: {
         const Histogram& h = *slot.histogram;
@@ -193,9 +173,6 @@ RegistrySnapshot MetricsRegistry::structured_snapshot() const {
     switch (slot.kind) {
       case Kind::kCounter:
         out.counters.push_back({name, "counter", "value", slot.counter->value()});
-        break;
-      case Kind::kGauge:
-        out.gauges.push_back({name, "gauge", "value", slot.gauge->value()});
         break;
       case Kind::kHistogram: {
         const Histogram& h = *slot.histogram;

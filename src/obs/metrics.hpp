@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms
+// Metrics registry: named counters and fixed-bucket histograms
 // with cheap stable handles for hot paths.
 //
 // Design constraints, in priority order:
@@ -12,7 +12,7 @@
 //     fans out across the runtime ThreadPool); only registration and
 //     snapshotting take the registry mutex.
 //
-// Handles returned by `counter()` / `gauge()` / `histogram()` are valid
+// Handles returned by `counter()` / `histogram()` are valid
 // for the registry's lifetime: slots are heap-allocated once and never
 // moved, and `reset()` zeroes values without invalidating references.
 #pragma once
@@ -40,26 +40,10 @@ class Counter {
   std::atomic<double> v_{0.0};
 };
 
-/// Last-write-wins scalar, plus a monotone `set_max` for high-water marks.
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void set_max(double v) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (v > cur && !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
-
 /// Fixed-bucket histogram: bucket k counts observations with
 /// `x <= bound[k]` (first matching bucket); anything above the last bound
 /// lands in the overflow bucket.  Also tracks count / sum / min / max so a
-/// snapshot carries the mean and the range without a separate gauge.
+/// snapshot carries the mean and the range.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -77,11 +61,6 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double min() const;
   double max() const;
-  /// q-quantile (0 < q <= 1) by linear interpolation within the bucket
-  /// containing the target rank, clamped to the observed [min, max] —
-  /// the one place percentile math lives (the time-series sampler and the
-  /// decision-latency recorder both delegate here).  0 when empty.
-  double quantile(double q) const;
   void reset();
 
  private:
@@ -107,6 +86,8 @@ std::vector<double> pow2_buckets(double hi);
 /// `observed_max`.  The result is clamped to [observed_min, observed_max]
 /// when that interval is non-empty (pass +inf/-inf to skip clamping, e.g.
 /// for windowed deltas where the extremes are unknown).  0 on zero counts.
+/// The one place percentile math lives: the time-series sampler and the
+/// decision-latency recorder both delegate here.
 double quantile_from_buckets(const std::vector<double>& bounds, const std::uint64_t* counts,
                              double q, double observed_min, double observed_max);
 
@@ -114,7 +95,7 @@ double quantile_from_buckets(const std::vector<double>& bounds, const std::uint6
 /// sample per statistic (count, sum, min, max, le_<bound>..., overflow).
 struct MetricSample {
   std::string name;
-  std::string kind;   ///< "counter" | "gauge" | "histogram"
+  std::string kind;   ///< "counter" | "histogram"
   std::string field;  ///< "value" for scalars; statistic name for histograms
   double value = 0.0;
 };
@@ -137,7 +118,6 @@ struct HistogramSnapshot {
 /// Typed snapshot of the whole registry, each section sorted by name.
 struct RegistrySnapshot {
   std::vector<MetricSample> counters;  ///< kind == "counter"
-  std::vector<MetricSample> gauges;    ///< kind == "gauge"
   std::vector<HistogramSnapshot> histograms;
 };
 
@@ -147,7 +127,6 @@ class MetricsRegistry {
   /// lifetime.  A name registers as exactly one kind (first call wins;
   /// re-registering as a different kind throws std::logic_error).
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   /// `bounds` must be non-empty and ascending; only the first registration
   /// of a name defines the buckets.
   Histogram& histogram(const std::string& name, const std::vector<double>& bounds);
@@ -167,11 +146,10 @@ class MetricsRegistry {
   void write_csv(std::ostream& out) const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   struct Slot {
     Kind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

@@ -6,7 +6,7 @@
 //   if (reco::obs::enabled()) {          // one relaxed load + branch
 //     static auto& c = reco::obs::metrics().counter("bvn.rounds");
 //     c.inc();
-//     reco::obs::tracer().instant("round", "bvn");
+//     reco::obs::tracer().sim_instant("flow.complete", "sim.flow", t, track);
 //   }
 //
 // Telemetry is OFF by default; `init_from_env()` honours RECO_TRACE=1 and

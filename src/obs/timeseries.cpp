@@ -39,18 +39,6 @@ void write_json_string(std::ostream& out, const std::string& s) {
 TimeSeriesSampler::TimeSeriesSampler(std::string timeline, std::size_t capacity)
     : timeline_(std::move(timeline)), capacity_(std::max<std::size_t>(capacity, 1)) {}
 
-std::size_t TimeSeriesSampler::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-void TimeSeriesSampler::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = std::max<std::size_t>(capacity, 1);
-  ring_.clear();
-  head_ = 0;
-}
-
 void TimeSeriesSampler::sample(double t) {
   sync_trace_dropped();  // surface Tracer::dropped() before snapshotting
   const RegistrySnapshot cur = metrics().structured_snapshot();
@@ -61,7 +49,7 @@ void TimeSeriesSampler::sample(double t) {
   const bool windowed = has_prev_ && t > prev_t_;
   const double dt = windowed ? t - prev_t_ : 0.0;
   point.window = dt;
-  point.stats.reserve(cur.counters.size() + cur.gauges.size() + cur.histograms.size());
+  point.stats.reserve(cur.counters.size() + cur.histograms.size());
 
   // Sections are sorted by name (std::map iteration), so deltas against the
   // previous snapshot are a two-pointer merge; metrics registered since the
@@ -78,13 +66,6 @@ void TimeSeriesSampler::sample(double t) {
         w.rate = std::max(0.0, c.value - prev_.counters[p].value) / dt;
       }
     }
-    point.stats.push_back(std::move(w));
-  }
-  for (const MetricSample& g : cur.gauges) {
-    WindowStat w;
-    w.name = g.name;
-    w.kind = "gauge";
-    w.value = g.value;
     point.stats.push_back(std::move(w));
   }
   p = 0;

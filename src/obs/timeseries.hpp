@@ -32,14 +32,14 @@
 namespace reco::obs {
 
 /// One windowed statistic derived from two consecutive registry snapshots.
-/// Scalars carry `value` (cumulative level) and, for counters, `rate` =
-/// delta / window seconds.  Histograms carry the window's observation
-/// count and rate plus interpolated percentiles over the *bucket deltas*
-/// (see quantile_from_buckets) — i.e. p99 of the observations made during
-/// this window, not since process start.
+/// Counters carry `value` (cumulative level) and `rate` = delta / window
+/// seconds.  Histograms carry the window's observation count and rate plus
+/// interpolated percentiles over the *bucket deltas* (see
+/// quantile_from_buckets) — i.e. p99 of the observations made during this
+/// window, not since process start.
 struct WindowStat {
   std::string name;
-  std::string kind;  ///< "counter" | "gauge" | "histogram"
+  std::string kind;  ///< "counter" | "histogram"
   double value = 0.0;
   double rate = 0.0;
   std::uint64_t window_count = 0;  ///< histogram observations in the window
@@ -60,10 +60,6 @@ class TimeSeriesSampler {
   explicit TimeSeriesSampler(std::string timeline, std::size_t capacity = 512);
 
   const std::string& timeline() const { return timeline_; }
-
-  /// Ring bound; resizing clears recorded samples (not the delta base).
-  std::size_t capacity() const;
-  void set_capacity(std::size_t capacity);
 
   /// Snapshot the global registry at timeline instant `t`, derive window
   /// statistics against the previous sample, and push into the ring.
@@ -91,7 +87,7 @@ class TimeSeriesSampler {
 
   mutable std::mutex mu_;
   std::string timeline_;
-  std::size_t capacity_;
+  const std::size_t capacity_;
   std::vector<SamplePoint> ring_;  ///< circular once full
   std::size_t head_ = 0;           ///< next write position
   std::uint64_t total_ = 0;

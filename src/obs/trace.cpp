@@ -116,18 +116,6 @@ void Tracer::complete(std::string name, const char* cat, Clock::time_point start
   record(std::move(e));
 }
 
-void Tracer::instant(std::string name, const char* cat, std::initializer_list<TraceArg> args) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.cat = cat;
-  e.ph = 'i';
-  e.ts_us = to_us(Clock::now() - epoch_);
-  e.pid = kWallPid;
-  e.tid = wall_track_id();
-  e.args.assign(args);
-  record(std::move(e));
-}
-
 void Tracer::sim_span(std::string name, const char* cat, double t0_s, double t1_s, int track,
                       std::initializer_list<TraceArg> args) {
   TraceEvent e;

@@ -62,9 +62,6 @@ class Tracer {
   void complete(std::string name, const char* cat, Clock::time_point start,
                 Clock::time_point end, const TraceArg* args, int num_args);
 
-  /// Wall-clock instant on the calling thread's track.
-  void instant(std::string name, const char* cat, std::initializer_list<TraceArg> args = {});
-
   /// Simulated-time span [t0, t1] (seconds) on track `track` of the sim pid.
   void sim_span(std::string name, const char* cat, double t0_s, double t1_s, int track,
                 std::initializer_list<TraceArg> args = {});

@@ -103,12 +103,4 @@ SliceSchedule realize_not_all_stop(const SliceSchedule& pseudo, Time delta) {
   return real;
 }
 
-MultiExecutionStats analyze_schedule(const SliceSchedule& schedule, int num_coflows) {
-  MultiExecutionStats stats;
-  stats.cct = completion_times(schedule, num_coflows);
-  stats.reconfigurations = count_reconfigurations(schedule);
-  stats.makespan = makespan(schedule);
-  return stats;
-}
-
 }  // namespace reco

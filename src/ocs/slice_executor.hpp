@@ -42,15 +42,6 @@ int inflate_in_start_order(const SliceSchedule& pseudo, const std::vector<std::s
 /// distinct start batch (Alg. 2's eta over the full horizon).
 int count_reconfigurations(const SliceSchedule& schedule);
 
-/// Aggregate stats of a real-time multi-coflow schedule.
-struct MultiExecutionStats {
-  std::vector<Time> cct;  ///< per-coflow completion times (index = coflow id)
-  int reconfigurations = 0;
-  Time makespan = 0.0;
-};
-
-MultiExecutionStats analyze_schedule(const SliceSchedule& schedule, int num_coflows);
-
 /// Not-all-stop realization of a pseudo-time schedule (Sec. VI): each
 /// circuit pays its own per-port setup delta and nothing halts anybody
 /// else.  Slices are realized in pseudo-start order, equal starts by index

@@ -44,15 +44,6 @@ double elapsed_us(LatencyClock::time_point since) {
 
 }  // namespace
 
-const char* to_string(OnlinePolicyKind kind) {
-  switch (kind) {
-    case OnlinePolicyKind::kEpochRecoMul: return "epoch-reco-mul";
-    case OnlinePolicyKind::kFifoRecoSin: return "fifo-reco-sin";
-    case OnlinePolicyKind::kDrainReplanRecoMul: return "drain-replan-reco-mul";
-  }
-  return "unknown";
-}
-
 void DecisionLatencyRecorder::record_us(double us) {
   if (us < 0.0) us = 0.0;
   std::size_t k = 0;

@@ -52,8 +52,6 @@ enum class OnlinePolicyKind {
   kDrainReplanRecoMul,
 };
 
-const char* to_string(OnlinePolicyKind kind);
-
 /// Fixed power-of-two-bucket latency sketch: allocation-free recording
 /// (plain array increments).  Kept separate from the obs registry so
 /// decision latency is first-class in the daemon report even when

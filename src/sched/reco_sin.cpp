@@ -87,14 +87,4 @@ std::optional<CircuitAssignment> SurvivingCursor::next() {
   return std::nullopt;
 }
 
-CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<char>& failed_in,
-                                   const std::vector<char>& failed_out, Time delta) {
-  SurvivingCursor cursor(residual, failed_in, failed_out, delta);
-  CircuitSchedule plan;
-  while (std::optional<CircuitAssignment> a = cursor.next()) {
-    plan.assignments.push_back(std::move(*a));
-  }
-  return plan;
-}
-
 }  // namespace reco

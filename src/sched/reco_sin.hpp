@@ -66,8 +66,4 @@ class SurvivingCursor {
   std::optional<RecoSinCursor> plan_;  ///< emplaced inside the constructor's span
 };
 
-/// The whole recovery plan: SurvivingCursor drained.
-CircuitSchedule reco_sin_surviving(const Matrix& residual, const std::vector<char>& failed_in,
-                                   const std::vector<char>& failed_out, Time delta);
-
 }  // namespace reco

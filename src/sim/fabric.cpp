@@ -1,9 +1,7 @@
 #include "sim/fabric.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
-#include <string>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
@@ -39,12 +37,10 @@ void sort_by_completion(std::vector<FlowCompletion>& completions) {
                    });
 }
 
-}  // namespace
-
-namespace {
 /// Sim-pid track carrying fabric-level circuit events (coflow tracks are
 /// the non-negative ids, so the fabric track sits below them).
 constexpr int kFabricTrack = -1;
+
 }  // namespace
 
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
@@ -305,161 +301,6 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
     obs::metrics().counter("faults.degraded_time").inc(report.degraded_time);
     span.arg("reconfigurations", report.reconfigurations);
     span.arg("events", static_cast<double>(report.events));
-  }
-  return report;
-}
-
-SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
-                                              const Matrix& demand, Time delta,
-                                              const FaultModel& faults) {
-  obs::ScopedSpan span("sim.not_all_stop_replay", "sim");
-  FaultInjector injector(faults);  // validates; default = ideal switch
-  SimulationReport report;
-  const int n = demand.n();
-  injector.bind_ports(n);
-  Matrix residual = demand;
-  std::vector<Time> busy_in(n, 0.0);
-  std::vector<Time> busy_out(n, 0.0);
-  std::vector<Time> free_in(n, 0.0);
-  std::vector<Time> free_out(n, 0.0);
-  std::vector<int> peer_of_in(n, -1);
-  std::vector<int> peer_of_out(n, -1);
-  Time cct = 0.0;
-
-  // Per-circuit timing is decided up front (ports are independent in the
-  // not-all-stop model): each served circuit is one drain event, and a
-  // stable sort puts the completions in time order, circuit order breaking
-  // ties.  Setup faults are sampled in this same deterministic order.
-  for (const CircuitAssignment& a : schedule.assignments) {
-    for (const Circuit& c : a.circuits) {
-      const Time rem = residual.at(c.in, c.out);
-      if (rem < kMinServiceQuantum) continue;
-      Time ready = std::max(free_in[c.in], free_out[c.out]);
-      const bool changed = peer_of_in[c.in] != c.out || peer_of_out[c.out] != c.in;
-      if (changed) {
-        const SetupOutcome outcome = injector.sample_setup(delta, {});
-        ++report.reconfigurations;
-        report.reconfiguration_time += outcome.setup_time;
-        if (!outcome.established) {
-          // Setup budget exhausted: the circuit never comes up.  The ports
-          // burn the attempt time and keep their previous peers.
-          ++report.setup_failures;
-          free_in[c.in] = std::max(free_in[c.in], ready + outcome.setup_time);
-          free_out[c.out] = std::max(free_out[c.out], ready + outcome.setup_time);
-          if (obs::enabled()) obs::metrics().counter("faults.setup_failures").inc();
-          continue;
-        }
-        ready += outcome.setup_time;
-      }
-      const Time hold = std::min(a.duration, rem);
-      const Time end = ready + hold;
-      residual.at(c.in, c.out) = clamp_zero(rem - hold);
-      report.transmission_time += hold;
-      report.delivered_demand += hold;
-      busy_in[c.in] += hold;
-      busy_out[c.out] += hold;
-      free_in[c.in] = end;
-      free_out[c.out] = end;
-      peer_of_in[c.in] = c.out;
-      peer_of_out[c.out] = c.in;
-      cct = std::max(cct, end);
-      ++report.events;
-      if (residual.at(c.in, c.out) < kMinServiceQuantum) report.completions.push_back({c, end});
-    }
-  }
-  sort_by_completion(report.completions);
-
-  report.cct = cct;
-  report.satisfied = residual.max_entry() < kMinServiceQuantum;
-  report.stranded_demand = residual.total();
-  report.avg_port_utilization = utilization(busy_in, busy_out, report.cct);
-  if (obs::enabled()) {
-    obs::metrics().counter("sim.reconfigurations").inc(report.reconfigurations);
-    obs::metrics().counter("sim.reconfiguration_time").inc(report.reconfiguration_time);
-    obs::metrics().counter("sim.transmission_time").inc(report.transmission_time);
-    obs::metrics().counter("sim.events").inc(static_cast<double>(report.events));
-    span.arg("reconfigurations", report.reconfigurations);
-    span.arg("events", static_cast<double>(report.events));
-  }
-  return report;
-}
-
-SliceReplayReport simulate_slice_schedule(const SliceSchedule& schedule, int num_ports,
-                                          int num_coflows) {
-  obs::ScopedSpan span("sim.slice_replay", "sim");
-  span.arg("slices", static_cast<double>(schedule.size()));
-  span.arg("coflows", num_coflows);
-  SliceReplayReport report;
-  report.cct.assign(num_coflows, 0.0);
-  std::vector<Time> busy_in(num_ports, 0.0);
-  std::vector<Time> busy_out(num_ports, 0.0);
-  // Runtime occupancy: which slice currently owns each port.
-  std::vector<int> in_owner(num_ports, -1);
-  std::vector<int> out_owner(num_ports, -1);
-
-  // Two events per slice, swept in time order: index k < F ends slice k,
-  // and index F + k starts it.  The sort is stable, so at equal times ends
-  // run before starts and a port hand-off (A ends exactly when B starts)
-  // is not a violation.
-  const std::size_t num_slices = schedule.size();
-  std::vector<std::size_t> events(2 * num_slices);
-  std::iota(events.begin(), events.end(), std::size_t{0});
-  const auto event_time = [&](std::size_t k) {
-    return k < num_slices ? schedule[k].end : schedule[k - num_slices].start;
-  };
-  std::stable_sort(events.begin(), events.end(),
-                   [&](std::size_t a, std::size_t b) { return event_time(a) < event_time(b); });
-  for (const std::size_t k : events) {
-    const Time now = event_time(k);
-    if (k < num_slices) {
-      const FlowSlice& slice = schedule[k];
-      if (in_owner[slice.src] == static_cast<int>(k)) in_owner[slice.src] = -1;
-      if (out_owner[slice.dst] == static_cast<int>(k)) out_owner[slice.dst] = -1;
-      busy_in[slice.src] += slice.duration();
-      busy_out[slice.dst] += slice.duration();
-      if (slice.coflow >= 0 && slice.coflow < num_coflows) {
-        report.cct[slice.coflow] = std::max(report.cct[slice.coflow], now);
-      }
-      report.makespan = std::max(report.makespan, now);
-      continue;
-    }
-    const std::size_t f = k - num_slices;
-    const FlowSlice& slice = schedule[f];
-    // A port still owned by a slice whose end is due within tolerance of
-    // "now" is a hand-off racing float round-off, not a violation.
-    const auto is_conflict = [&](int owner) {
-      return owner != -1 && schedule[owner].end > now + kTimeEps;
-    };
-    if (is_conflict(in_owner[slice.src]) || is_conflict(out_owner[slice.dst])) {
-      ++report.port_violations;
-    }
-    in_owner[slice.src] = static_cast<int>(f);
-    out_owner[slice.dst] = static_cast<int>(f);
-  }
-  report.events = events.size();
-
-  report.avg_port_utilization = utilization(busy_in, busy_out, report.makespan);
-  if (obs::enabled()) {
-    // Per-coflow service window on the simulated-time axis: first slice
-    // start -> completion, one Perfetto track per coflow.
-    std::vector<Time> first_start(num_coflows, -1.0);
-    for (const FlowSlice& s : schedule) {
-      if (s.coflow < 0 || s.coflow >= num_coflows) continue;
-      if (first_start[s.coflow] < 0.0 || s.start < first_start[s.coflow]) {
-        first_start[s.coflow] = s.start;
-      }
-    }
-    for (int k = 0; k < num_coflows; ++k) {
-      if (first_start[k] < 0.0) continue;  // coflow owns no slice
-      obs::tracer().name_sim_track(k, "coflow " + std::to_string(k));
-      obs::tracer().sim_span("coflow " + std::to_string(k), "sim.coflow", first_start[k],
-                             report.cct[k], k, {{"cct", report.cct[k]}});
-      obs::tracer().sim_instant("coflow.finish", "sim.coflow", report.cct[k], k);
-    }
-    obs::metrics().counter("sim.events").inc(static_cast<double>(report.events));
-    obs::metrics().counter("sim.port_violations").inc(static_cast<double>(report.port_violations));
-    span.arg("events", static_cast<double>(report.events));
-    span.arg("violations", static_cast<double>(report.port_violations));
   }
   return report;
 }

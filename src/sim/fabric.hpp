@@ -6,19 +6,18 @@
 // consulted at decision points, per-flow completions and per-port busy
 // time are recorded.  The all-stop fabric never has more than one event
 // pending (the next decision, or the hold before it), so it runs as a
-// plain loop; the replays sweep their events in time order.  The analytic
-// executors are cross-validated against it property-test-style
-// (tests/sim/), and adaptive policies — which have no precomputed
-// schedule to replay — run only here.
+// plain loop.  The analytic executors are cross-validated against it
+// property-test-style (tests/sim/), beside the not-all-stop and slice
+// replays the tests keep as oracles (tests/oracles/fabric_replay.hpp), and
+// adaptive policies — which have no precomputed schedule to replay — run
+// only here.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
-#include "core/slice.hpp"
 #include "core/types.hpp"
 #include "sim/controller.hpp"
 #include "sim/faults.hpp"
@@ -32,9 +31,8 @@ struct FlowCompletion {
 };
 
 struct SimulationReport {
-  /// All-stop fabric: the time of the last decision (the one at which the
-  /// controller stopped or the run ended).  Not-all-stop replay: the last
-  /// circuit's drain.
+  /// The time of the last decision (the one at which the controller
+  /// stopped or the run ended).
   Time cct = 0.0;
   Time transmission_time = 0.0;      ///< fabric-level transmitting time
   Time reconfiguration_time = 0.0;
@@ -45,8 +43,7 @@ struct SimulationReport {
   std::vector<FlowCompletion> completions;
   /// Mean over *active* ports of (port transmit-busy time / cct).
   double avg_port_utilization = 0.0;
-  /// All-stop fabric: decisions plus holds.  Not-all-stop replay: one drain
-  /// per served circuit.
+  /// Decisions plus holds.
   std::uint64_t events = 0;
 
   // Degraded-operation accounting (all zero on an ideal run).  The
@@ -70,25 +67,5 @@ SimulationReport simulate_single_coflow(CircuitController& controller, const Mat
                                         Time delta, const FaultModel& faults = {});
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
                                         Time delta, FaultInjector& injector);
-
-/// Event-driven replay of a precomputed schedule on a not-all-stop OCS
-/// (per-port reconfiguration; unchanged circuits keep transmitting).
-/// Accepts the same timing fault model as the all-stop path so the two are
-/// symmetric; the default is the ideal switch.
-SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
-                                              const Matrix& demand, Time delta,
-                                              const FaultModel& faults = {});
-
-/// Multi-coflow slice replay with runtime port-constraint enforcement.
-struct SliceReplayReport {
-  std::vector<Time> cct;       ///< per coflow id
-  Time makespan = 0.0;
-  int port_violations = 0;     ///< overlapping slices detected (0 = feasible)
-  double avg_port_utilization = 0.0;
-  std::uint64_t events = 0;    ///< two per slice: its start and its end
-};
-
-SliceReplayReport simulate_slice_schedule(const SliceSchedule& schedule, int num_ports,
-                                          int num_coflows);
 
 }  // namespace reco::sim

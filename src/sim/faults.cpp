@@ -114,9 +114,6 @@ void FaultInjector::push_fault(const PortFault& fault) {
 void FaultInjector::bind_ports(int num_ports) {
   if (bound_) return;
   bound_ = true;
-  num_ports_ = num_ports;
-  ingress_down_.assign(num_ports, 0);
-  egress_down_.assign(num_ports, 0);
   for (const PortFault& f : config_.port_faults) {
     if (f.port >= num_ports) {
       throw std::invalid_argument("fault trace references port " + std::to_string(f.port) +
@@ -138,26 +135,11 @@ void FaultInjector::bind_ports(int num_ports) {
   });
 }
 
-void FaultInjector::apply(const PortTransition& t) {
-  const int d = t.up ? -1 : 1;
-  const bool was_down = ingress_down_[t.port] > 0 || egress_down_[t.port] > 0;
-  if (t.side == PortSide::kIngress || t.side == PortSide::kBoth) {
-    ingress_down_[t.port] = std::max(0, ingress_down_[t.port] + d);
-  }
-  if (t.side == PortSide::kEgress || t.side == PortSide::kBoth) {
-    egress_down_[t.port] = std::max(0, egress_down_[t.port] + d);
-  }
-  const bool now_down = ingress_down_[t.port] > 0 || egress_down_[t.port] > 0;
-  if (!was_down && now_down) ++ports_down_;
-  if (was_down && !now_down) --ports_down_;
-}
-
 std::vector<PortTransition> FaultInjector::advance_to(Time now) {
   std::vector<PortTransition> out;
   while (!pending_.empty() && pending_.front().t.at <= now + kTimeEps) {
     const Pending p = pending_.front();
     pending_.erase(pending_.begin());
-    apply(p.t);
     out.push_back(p.t);
     if (p.random) {
       // Continue the port's renewal process: failure -> repair (if MTTR is
@@ -195,16 +177,6 @@ std::optional<Time> FaultInjector::next_repair() const {
     if (p.t.up) return p.t.at;
   }
   return std::nullopt;
-}
-
-bool FaultInjector::ingress_up(PortId port) const {
-  if (port < 0 || port >= static_cast<PortId>(ingress_down_.size())) return true;
-  return ingress_down_[port] == 0;
-}
-
-bool FaultInjector::egress_up(PortId port) const {
-  if (port < 0 || port >= static_cast<PortId>(egress_down_.size())) return true;
-  return egress_down_[port] == 0;
 }
 
 SetupOutcome FaultInjector::sample_setup(Time delta, const std::vector<Circuit>& requested) {
@@ -256,77 +228,6 @@ SetupOutcome FaultInjector::sample_setup(Time delta, const std::vector<Circuit>&
     out.established_circuits = requested;
   }
   return out;
-}
-
-namespace {
-
-void save_rng(SnapshotWriter& out, const Rng& rng) {
-  const RngState st = rng.state();
-  for (int k = 0; k < 4; ++k) out.put_u64(st.s[k]);
-  out.put_bool(st.have_spare);
-  out.put_u64(st.spare_bits);
-}
-
-void load_rng(SnapshotReader& in, Rng& rng) {
-  RngState st;
-  for (int k = 0; k < 4; ++k) st.s[k] = in.get_u64();
-  st.have_spare = in.get_bool();
-  st.spare_bits = in.get_u64();
-  rng.set_state(st);
-}
-
-}  // namespace
-
-void FaultInjector::save_state(SnapshotWriter& out) const {
-  save_rng(out, setup_rng_);
-  save_rng(out, port_rng_);
-  out.put_i32(num_ports_);
-  out.put_bool(bound_);
-  out.put_u64(pending_.size());
-  for (const Pending& p : pending_) {
-    out.put_f64(p.t.at);
-    out.put_i32(p.t.port);
-    out.put_u8(static_cast<std::uint8_t>(p.t.side));
-    out.put_bool(p.t.up);
-    out.put_u64(p.seq);
-    out.put_bool(p.random);
-  }
-  out.put_u64(next_seq_);
-  out.put_u64(ingress_down_.size());
-  for (const int d : ingress_down_) out.put_i32(d);
-  out.put_u64(egress_down_.size());
-  for (const int d : egress_down_) out.put_i32(d);
-  out.put_i32(ports_down_);
-}
-
-void FaultInjector::load_state(SnapshotReader& in) {
-  load_rng(in, setup_rng_);
-  load_rng(in, port_rng_);
-  num_ports_ = in.get_i32();
-  bound_ = in.get_bool();
-  pending_.clear();
-  const std::uint64_t pending = in.get_u64();
-  pending_.reserve(pending);
-  for (std::uint64_t k = 0; k < pending; ++k) {
-    Pending p;
-    p.t.at = in.get_f64();
-    p.t.port = in.get_i32();
-    const std::uint8_t side = in.get_u8();
-    if (side > static_cast<std::uint8_t>(PortSide::kBoth)) {
-      throw std::runtime_error("FaultInjector::load_state: bad port side");
-    }
-    p.t.side = static_cast<PortSide>(side);
-    p.t.up = in.get_bool();
-    p.seq = in.get_u64();
-    p.random = in.get_bool();
-    pending_.push_back(p);
-  }
-  next_seq_ = in.get_u64();
-  ingress_down_.resize(in.get_u64());
-  for (int& d : ingress_down_) d = in.get_i32();
-  egress_down_.resize(in.get_u64());
-  for (int& d : egress_down_) d = in.get_i32();
-  ports_down_ = in.get_i32();
 }
 
 std::vector<PortFault> parse_fault_trace(std::istream& in, int num_ports) {

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/circuit.hpp"
-#include "core/snapshot.hpp"
 #include "core/types.hpp"
 #include "trace/rng.hpp"
 
@@ -133,22 +132,14 @@ class FaultInjector {
   /// Called by the simulators at start; idempotent (first call wins).
   void bind_ports(int num_ports);
 
-  /// Pop every port transition with `at <= now`, in time order, updating
-  /// the up/down state.  The fabric applies these to its masks and
-  /// notifies the controller.
+  /// Pop every port transition with `at <= now`, in time order.  The
+  /// fabric applies these to its own port masks and notifies the
+  /// controller.
   std::vector<PortTransition> advance_to(Time now);
 
   /// Earliest pending transition of any kind / of repairs only.
   std::optional<Time> next_transition() const;
   std::optional<Time> next_repair() const;
-
-  /// Current port state (after the last advance_to).
-  bool ingress_up(PortId port) const;
-  bool egress_up(PortId port) const;
-  bool circuit_ports_up(const Circuit& c) const {
-    return ingress_up(c.in) && egress_up(c.out);
-  }
-  int ports_down() const { return ports_down_; }
 
   /// Sample one establishment of `requested` taking nominal time `delta`.
   /// Consumes: per attempt, one jitter draw (iff jitter_fraction > 0), one
@@ -160,24 +151,12 @@ class FaultInjector {
 
   const FaultConfig& config() const { return config_; }
 
-  /// Serialize the mutable mid-run state: both RNG stream positions, the
-  /// pending renewal-process transitions, and the port up/down counters.
-  /// The FaultConfig itself is NOT serialized — load_state requires an
-  /// injector constructed from the same config (the checkpoint modules
-  /// store a config fingerprint alongside and verify it), after which the
-  /// restored injector replays the exact fault timeline the saved one
-  /// would have produced.
-  void save_state(SnapshotWriter& out) const;
-  void load_state(SnapshotReader& in);
-
  private:
   void push_fault(const PortFault& fault);
-  void apply(const PortTransition& t);
 
   FaultConfig config_;
   Rng setup_rng_;
   Rng port_rng_;
-  int num_ports_ = 0;
   bool bound_ = false;
   // Pending transitions, kept sorted by (at, seq) — fault counts are tens
   // to thousands per run, a sorted vector beats a heap's constant here.
@@ -188,11 +167,6 @@ class FaultInjector {
   };
   std::vector<Pending> pending_;
   std::uint64_t next_seq_ = 0;
-  // Down-counters instead of booleans: overlapping scripted faults on the
-  // same port stack, and the port is up only when every fault cleared.
-  std::vector<int> ingress_down_;
-  std::vector<int> egress_down_;
-  int ports_down_ = 0;
 };
 
 /// Parse a scripted fault trace, one fault per line:

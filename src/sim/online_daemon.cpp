@@ -196,6 +196,12 @@ void OnlineDaemon::load_checkpoint(CoflowSource& source, std::istream& in) {
   }
   sample_events_ = r.get_u64();
   checkpoint_events_ = r.get_u64();
+  // Both kinds of tick are among the dispatched events, and the report's
+  // event count subtracts them from it.
+  if (sample_events_ > processed_ || checkpoint_events_ > processed_ - sample_events_) {
+    throw std::runtime_error(
+        "daemon checkpoint: sampler and checkpoint ticks exceed the dispatch count");
+  }
   const std::uint64_t n_pending = r.get_u64();
   events_.clear();
   next_seq_ = 0;

@@ -1,10 +1,7 @@
 #include "stats/report.hpp"
 
-#include "stats/csv.hpp"
-
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -56,15 +53,6 @@ std::string ReportTable::to_string() const {
 }
 
 void ReportTable::print() const { std::fputs(to_string().c_str(), stdout); }
-
-void ReportTable::save_csv(const std::string& path) const {
-  ensure_parent_directory(path);
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("ReportTable::save_csv: cannot open " + path);
-  out << "# " << title_ << '\n';
-  write_csv(out, header_, rows_);
-  if (!out) throw std::runtime_error("ReportTable::save_csv: write failed for " + path);
-}
 
 std::string fmt_double(double x, int precision) {
   std::ostringstream out;

@@ -28,9 +28,6 @@ class ReportTable {
   /// Shorthand: render and print to stdout.
   void print() const;
 
-  /// Export the same header + rows as CSV (title becomes a `# comment`).
-  void save_csv(const std::string& path) const;
-
  private:
   std::string title_;
   std::vector<std::string> header_;

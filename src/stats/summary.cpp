@@ -28,31 +28,9 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  std::vector<std::pair<double, double>> cdf;
-  cdf.reserve(xs.size());
-  const double inv = xs.empty() ? 0.0 : 1.0 / static_cast<double>(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    cdf.emplace_back(xs[i], static_cast<double>(i + 1) * inv);
-  }
-  return cdf;
-}
-
 double normalized_ratio(const std::vector<double>& numer, const std::vector<double>& denom) {
   const double d = mean(denom);
   return d > 0.0 ? mean(numer) / d : 0.0;
-}
-
-std::vector<double> elementwise_ratio(const std::vector<double>& numer,
-                                      const std::vector<double>& denom) {
-  std::vector<double> out;
-  const std::size_t n = std::min(numer.size(), denom.size());
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (denom[i] > 0.0) out.push_back(numer[i] / denom[i]);
-  }
-  return out;
 }
 
 }  // namespace reco

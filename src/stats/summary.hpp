@@ -1,9 +1,7 @@
 // Descriptive statistics used by every experiment: means, percentiles
-// (the paper reports avg and 95-percentile), CDFs, and normalized ratios.
+// (the paper reports avg and 95-percentile) and normalized ratios.
 #pragma once
 
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace reco {
@@ -18,16 +16,9 @@ double percentile(std::vector<double> xs, double p);
 /// percentile() of samples already sorted ascending, without a copy.
 double percentile_sorted(const std::vector<double>& sorted, double p);
 
-/// Empirical CDF points (x, F(x)), one per sample, x ascending.
-std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> xs);
-
 /// The paper's headline metric:  mean(numer) / mean(denom), i.e. "how many
 /// times slower than the reference is this scheme, on average".  Returns 0
 /// when the reference mean is 0.
 double normalized_ratio(const std::vector<double>& numer, const std::vector<double>& denom);
-
-/// Element-wise ratio numer[i] / denom[i] (skipping zero denominators).
-std::vector<double> elementwise_ratio(const std::vector<double>& numer,
-                                      const std::vector<double>& denom);
 
 }  // namespace reco

@@ -1,6 +1,5 @@
 #include "trace/rng.hpp"
 
-#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -72,20 +71,6 @@ double Rng::pareto(double xm, double alpha) {
   double u = uniform();
   if (u <= 0.0) u = 0x1.0p-53;
   return xm / std::pow(u, 1.0 / alpha);
-}
-
-RngState Rng::state() const {
-  RngState st;
-  for (int k = 0; k < 4; ++k) st.s[k] = s_[k];
-  st.have_spare = have_spare_;
-  st.spare_bits = std::bit_cast<std::uint64_t>(spare_);
-  return st;
-}
-
-void Rng::set_state(const RngState& state) {
-  for (int k = 0; k < 4; ++k) s_[k] = state.s[k];
-  have_spare_ = state.have_spare;
-  spare_ = std::bit_cast<double>(state.spare_bits);
 }
 
 void Rng::sample_distinct(int n, int k, int* out) {

@@ -11,15 +11,6 @@
 
 namespace reco {
 
-/// Full internal state of an Rng — the checkpointable description of a
-/// stream position (sim/ checkpointing serializes these so a resumed run
-/// continues the exact draw sequence of the uninterrupted one).
-struct RngState {
-  std::uint64_t s[4] = {};
-  bool have_spare = false;   ///< Box-Muller spare normal is banked
-  std::uint64_t spare_bits = 0;  ///< bit pattern of the banked spare
-};
-
 /// xoshiro256** seeded via splitmix64.  Small, fast, well-studied.
 class Rng {
  public:
@@ -46,10 +37,6 @@ class Rng {
 
   /// Fisher-Yates: k distinct values from {0, ..., n-1}, in random order.
   void sample_distinct(int n, int k, int* out);
-
-  /// Snapshot / restore the full stream position (bit-exact).
-  RngState state() const;
-  void set_state(const RngState& state);
 
  private:
   std::uint64_t s_[4];

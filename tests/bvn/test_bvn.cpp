@@ -9,6 +9,7 @@
 #include "bvn/stuffing.hpp"
 #include "core/support_index.hpp"
 #include "matching/bottleneck.hpp"
+#include "oracles/schedule_checks.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -34,7 +35,7 @@ TEST_P(BvnPolicyTest, ReconstructsTheMatrixExactly) {
     const Matrix m = testing::random_doubly_stochastic(rng, 7, 5, 0.5, 3.0);
     const CircuitSchedule s = bvn_decompose(m, GetParam());
     EXPECT_TRUE(s.is_valid(7)) << "trial " << trial;
-    const Matrix service = s.service_matrix(7);
+    const Matrix service = oracle::service_matrix(s, 7);
     for (int i = 0; i < 7; ++i) {
       for (int j = 0; j < 7; ++j) {
         EXPECT_NEAR(service.at(i, j), m.at(i, j), 1e-7) << "trial " << trial;
@@ -133,7 +134,7 @@ TEST(Bvn, MaxMinAmortizedCoefficientWithinTwiceOfExact) {
     const CircuitSchedule s = bvn_decompose(inputs[k], BvnPolicy::kMaxMinAmortized);
     SupportIndex residual(inputs[k]);
     for (std::size_t r = 0; r < s.assignments.size(); ++r) {
-      const std::optional<BottleneckMatching> exact = bottleneck_perfect_matching(residual);
+      const std::optional<BottleneckMatching> exact = bottleneck_perfect_matching(residual.matrix());
       if (!exact) break;
       const CircuitAssignment& a = s.assignments[r];
       ASSERT_GE(a.duration, exact->bottleneck / 2.0 - 1e-9) << "input " << k << " round " << r;
@@ -157,7 +158,7 @@ TEST(Bvn, MaxMinAmortizedHandlesToleranceScaleMatrix) {
   Matrix m(3);
   m.at(0, 1) = m.at(1, 2) = m.at(2, 0) = crumb;
   ASSERT_GT(m.nnz(), 0);
-  ASSERT_TRUE(m.is_doubly_stochastic(kTimeEps * 3));
+  ASSERT_TRUE(oracle::is_doubly_stochastic(m, kTimeEps * 3));
   const CircuitSchedule s = bvn_decompose(m, BvnPolicy::kMaxMinAmortized);
   EXPECT_TRUE(s.is_valid(3));
   double served = 0.0;
@@ -174,7 +175,7 @@ TEST(Bvn, HandlesStuffedRealDemands) {
     const Matrix demand = testing::random_demand(rng, 9, 0.4, 0.2, 6.0);
     const Matrix stuffed = stuff(demand);
     const CircuitSchedule s = bvn_decompose(stuffed, BvnPolicy::kFirstMatching);
-    EXPECT_TRUE(s.satisfies(demand)) << "trial " << trial;
+    EXPECT_TRUE(oracle::satisfies(s, demand)) << "trial " << trial;
   }
 }
 

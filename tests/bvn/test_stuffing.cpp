@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "bvn/regularization.hpp"
+#include "oracles/schedule_checks.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -14,20 +15,20 @@ namespace {
 TEST(Stuffing, MakesDoublyStochasticAtRho) {
   const Matrix m = Matrix::from_rows({{1, 2, 3}, {0, 0, 4}, {5, 0, 0}});
   const Matrix s = stuff(m);
-  EXPECT_TRUE(s.is_doubly_stochastic(1e-9));
+  EXPECT_TRUE(oracle::is_doubly_stochastic(s, 1e-9));
   EXPECT_DOUBLE_EQ(s.row_sum(0), m.rho());
 }
 
 TEST(Stuffing, OnlyAddsDemand) {
   const Matrix m = Matrix::from_rows({{1, 2}, {3, 0}});
   const Matrix s = stuff(m);
-  EXPECT_TRUE(s.covers(m));
+  EXPECT_TRUE(oracle::covers(s, m));
 }
 
 TEST(Stuffing, RespectsExplicitTarget) {
   const Matrix m = Matrix::from_rows({{1, 0}, {0, 1}});
   const Matrix s = stuff(m, 10.0);
-  EXPECT_TRUE(s.is_doubly_stochastic(1e-9));
+  EXPECT_TRUE(oracle::is_doubly_stochastic(s, 1e-9));
   EXPECT_DOUBLE_EQ(s.row_sum(0), 10.0);
 }
 
@@ -47,7 +48,7 @@ TEST(Stuffing, GranularTargetIsQuantumMultiple) {
   const Matrix m = Matrix::from_rows({{250, 0}, {0, 100}});
   const Matrix s = stuff_granular(m, 100.0);
   EXPECT_DOUBLE_EQ(s.row_sum(0), 300.0);
-  EXPECT_TRUE(s.is_doubly_stochastic(1e-9));
+  EXPECT_TRUE(oracle::is_doubly_stochastic(s, 1e-9));
 }
 
 TEST(Stuffing, GranularOnRegularizedStaysGranular) {
@@ -56,8 +57,8 @@ TEST(Stuffing, GranularOnRegularizedStaysGranular) {
   const Matrix m = Matrix::from_rows({{104, 9, 0}, {3, 0, 107}, {0, 101, 55}});
   const double delta = 100.0;
   const Matrix s = stuff_granular(regularize(m, delta), delta);
-  EXPECT_TRUE(s.is_granular(delta, 1e-9));
-  EXPECT_TRUE(s.is_doubly_stochastic(1e-9));
+  EXPECT_TRUE(oracle::is_granular(s, delta, 1e-9));
+  EXPECT_TRUE(oracle::is_doubly_stochastic(s, 1e-9));
 }
 
 TEST(Stuffing, RejectsNonPositiveQuantum) {
@@ -84,8 +85,8 @@ TEST(Stuffing, RepairsResidualSlackFromToleranceCrumbs) {
   ASSERT_DOUBLE_EQ(d.rho(), 1.0);
 
   const Matrix s = stuff(d);
-  EXPECT_TRUE(s.is_doubly_stochastic(kTimeEps));
-  EXPECT_TRUE(s.covers(d));
+  EXPECT_TRUE(oracle::is_doubly_stochastic(s, kTimeEps));
+  EXPECT_TRUE(oracle::covers(s, d));
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(s.row_sum(i), 1.0, kTimeEps) << "row " << i;
     EXPECT_NEAR(s.col_sum(i), 1.0, kTimeEps) << "col " << i;
@@ -97,8 +98,8 @@ TEST(StuffingProperty, RandomMatricesStuffCorrectly) {
   for (int trial = 0; trial < 50; ++trial) {
     const Matrix m = testing::random_demand(rng, 10, 0.4, 0.1, 4.0);
     const Matrix s = stuff(m);
-    EXPECT_TRUE(s.is_doubly_stochastic(1e-7)) << "trial " << trial;
-    EXPECT_TRUE(s.covers(m)) << "trial " << trial;
+    EXPECT_TRUE(oracle::is_doubly_stochastic(s, 1e-7)) << "trial " << trial;
+    EXPECT_TRUE(oracle::covers(s, m)) << "trial " << trial;
   }
 }
 
@@ -108,8 +109,8 @@ TEST(StuffingProperty, GranularInvariantHoldsOnMicrosecondScale) {
   for (int trial = 0; trial < 30; ++trial) {
     const Matrix m = testing::random_demand(rng, 8, 0.6, 4 * delta, 200 * delta);
     const Matrix s = stuff_granular(regularize(m, delta), delta);
-    EXPECT_TRUE(s.is_granular(delta, 1e-9)) << "trial " << trial;
-    EXPECT_TRUE(s.is_doubly_stochastic(1e-9)) << "trial " << trial;
+    EXPECT_TRUE(oracle::is_granular(s, delta, 1e-9)) << "trial " << trial;
+    EXPECT_TRUE(oracle::is_doubly_stochastic(s, 1e-9)) << "trial " << trial;
   }
 }
 

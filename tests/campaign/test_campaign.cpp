@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "core/snapshot.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace reco::campaign {
@@ -267,6 +271,54 @@ TEST(Campaign, CheckpointRejectsWrongConfigAndDamage) {
   EXPECT_THROW(load_into(small_config(), corrupted), std::runtime_error);
   EXPECT_THROW(load_into(small_config(), blob.substr(0, 30)), std::runtime_error);
   EXPECT_THROW(load_into(small_config(), "not a campaign checkpoint"), std::runtime_error);
+}
+
+TEST(Campaign, CheckpointVerifiesEachReplicationDigest) {
+  // A checkpoint whose replication fields changed under an intact file
+  // digest must not resume: the report chains the per-replication digests,
+  // so it would print the honest campaign digest over different numbers.
+  CampaignRunner runner(small_config());
+  runner.run(5);
+  std::ostringstream checkpoint;
+  runner.save_checkpoint(checkpoint);
+  const std::string blob = checkpoint.str();
+
+  // After the 24-byte header and the fingerprint and count (16 bytes), each
+  // replication takes 89 bytes: cell and rep, six doubles (cct first), six
+  // counts (replans first), the satisfied flag and the digest.
+  constexpr std::size_t kRecord = 4 + 4 + 6 * 8 + 6 * 4 + 1 + 8;
+  const std::size_t cct_at = 24 + 16 + 2 * kRecord + 8;
+  const std::size_t replans_at = 24 + 16 + 2 * kRecord + 8 + 6 * 8;
+  const auto patched = [&](std::size_t at, std::uint64_t v, int width) {
+    std::string bytes = blob;
+    for (int b = 0; b < width; ++b) bytes[at + b] = static_cast<char>((v >> (8 * b)) & 0xffu);
+    const std::uint64_t digest = fnv1a64(bytes.data() + 24, bytes.size() - 24);
+    for (int b = 0; b < 8; ++b) bytes[16 + b] = static_cast<char>((digest >> (8 * b)) & 0xffu);
+    return bytes;
+  };
+  const auto rejection = [&](const std::string& bytes) {
+    CampaignRunner fresh(small_config());
+    std::istringstream in(bytes);
+    try {
+      fresh.load_checkpoint(in);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const double cct = runner.report().replications[2].cct;
+  ASSERT_GT(cct, 0.0);
+  const std::string which = "campaign checkpoint: replication 2 ";
+  EXPECT_NE(rejection(patched(cct_at, std::bit_cast<std::uint64_t>(
+                                          std::numeric_limits<double>::quiet_NaN()), 8))
+                .find(which + "has a field that is not finite and non-negative"),
+            std::string::npos);
+  EXPECT_NE(rejection(patched(cct_at, std::bit_cast<std::uint64_t>(cct * 2.0), 8))
+                .find(which + "digest does not match its fields"),
+            std::string::npos);
+  EXPECT_NE(rejection(patched(replans_at, 0xffffffffu, 4)).find(which + "has a negative count"),
+            std::string::npos);
+  EXPECT_EQ(rejection(blob), "");
 }
 
 TEST(Campaign, PoliciesActuallyDiffer) {

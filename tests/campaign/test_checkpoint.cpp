@@ -1,25 +1,26 @@
 // Deterministic checkpoint/restart (docs/RELIABILITY.md): the snapshot
-// substrate, per-component round-trips (Rng, SupportIndex, FaultInjector),
-// and the tentpole property — a daemon run killed at an arbitrary event
-// and resumed from its checkpoint is byte-identical (schedule digest,
-// stats, makespan, event count) to the uninterrupted run, across seeds,
-// policies, interruption points, and thread counts.
+// substrate, the SupportIndex round-trip, and the resume property — a
+// daemon run killed at an arbitrary event and resumed from its checkpoint
+// is byte-identical (schedule digest, stats, makespan, event count) to the
+// uninterrupted run, across seeds, policies, interruption points, and
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/snapshot.hpp"
 #include "core/support_index.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sim/faults.hpp"
 #include "sim/online_daemon.hpp"
 #include "trace/generator.hpp"
 #include "trace/rng.hpp"
@@ -55,7 +56,6 @@ TEST(Snapshot, RoundTripsEveryFieldType) {
   w.put_f64(3.141592653589793);
   w.put_f64(-0.0);       // sign bit survives
   w.put_f64(5e-324);     // smallest denormal survives
-  w.put_string(std::string("a\0b", 3));  // embedded NUL survives
   std::ostringstream out;
   w.finish(out, kTestMagic, 3);
 
@@ -70,7 +70,6 @@ TEST(Snapshot, RoundTripsEveryFieldType) {
   EXPECT_EQ(bits_of(r.get_f64()), bits_of(3.141592653589793));
   EXPECT_EQ(bits_of(r.get_f64()), bits_of(-0.0));
   EXPECT_EQ(bits_of(r.get_f64()), bits_of(5e-324));
-  EXPECT_EQ(r.get_string(), std::string("a\0b", 3));
   EXPECT_EQ(r.remaining(), 0u);
   r.expect_end();
 }
@@ -107,41 +106,6 @@ TEST(Snapshot, RejectsDamagedFilesWithClearErrors) {
   SnapshotReader r(in, kTestMagic, 1, "test snapshot");
   (void)r.get_u64();
   EXPECT_THROW(r.expect_end(), std::runtime_error);
-}
-
-TEST(Snapshot, RngStateRoundTripReplaysTheStream) {
-  Rng original(987654321u);
-  // Warm the stream, including the Box-Muller spare path.
-  for (int i = 0; i < 23; ++i) (void)original.uniform();
-  (void)original.normal();
-
-  SnapshotWriter w;
-  const RngState state = original.state();
-  w.put_u64(state.s[0]);
-  w.put_u64(state.s[1]);
-  w.put_u64(state.s[2]);
-  w.put_u64(state.s[3]);
-  w.put_bool(state.have_spare);
-  w.put_u64(state.spare_bits);
-  std::ostringstream out;
-  w.finish(out, kTestMagic, 1);
-
-  std::istringstream in(out.str());
-  SnapshotReader r(in, kTestMagic, 1, "test snapshot");
-  RngState restored_state;
-  restored_state.s[0] = r.get_u64();
-  restored_state.s[1] = r.get_u64();
-  restored_state.s[2] = r.get_u64();
-  restored_state.s[3] = r.get_u64();
-  restored_state.have_spare = r.get_bool();
-  restored_state.spare_bits = r.get_u64();
-  Rng restored(1);  // seed is irrelevant once state is set
-  restored.set_state(restored_state);
-
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(bits_of(restored.uniform()), bits_of(original.uniform())) << "draw " << i;
-  }
-  EXPECT_EQ(bits_of(restored.normal()), bits_of(original.normal()));
 }
 
 TEST(Snapshot, SupportIndexRoundTripIsBitExact) {
@@ -214,52 +178,6 @@ TEST(Snapshot, SupportIndexLoaderRejectsMalformedEntries) {
   // What the saver writes still loads: ascending entries, any sign, down to
   // exactly kTimeEps in magnitude.
   EXPECT_EQ(error_of([&] { load({{0, 0, kTimeEps}, {0, 1, -2.0}, {1, 0, 3.5}}); }), "");
-}
-
-TEST(Snapshot, FaultInjectorMidRunSaveLoadReplaysTheTimeline) {
-  sim::FaultConfig config;
-  config.port_mtbf = 0.4;
-  config.port_mttr = 0.15;
-  config.setup_timeout_probability = 0.2;
-  config.crosspoint_failure_probability = 0.1;
-  config.seed = 4242;
-  sim::FaultInjector original(config);
-  original.bind_ports(10);
-  (void)original.advance_to(1.0);  // consume part of the renewal process
-
-  SnapshotWriter w;
-  original.save_state(w);
-  std::ostringstream out;
-  w.finish(out, kTestMagic, 1);
-
-  sim::FaultInjector restored(config);
-  restored.bind_ports(10);
-  std::istringstream in(out.str());
-  SnapshotReader r(in, kTestMagic, 1, "test snapshot");
-  restored.load_state(r);
-  r.expect_end();
-
-  // Both injectors now replay the identical future: transitions and setup
-  // outcomes must match draw for draw.
-  const std::vector<Circuit> requested = {{0, 1}, {2, 3}, {4, 5}};
-  for (int step = 1; step <= 8; ++step) {
-    const Time t = 1.0 + 0.5 * step;
-    const auto ta = original.advance_to(t);
-    const auto tb = restored.advance_to(t);
-    ASSERT_EQ(ta.size(), tb.size()) << "step " << step;
-    for (std::size_t k = 0; k < ta.size(); ++k) {
-      EXPECT_EQ(bits_of(ta[k].at), bits_of(tb[k].at));
-      EXPECT_EQ(ta[k].port, tb[k].port);
-      EXPECT_EQ(ta[k].up, tb[k].up);
-    }
-    const sim::SetupOutcome sa = original.sample_setup(0.01, requested);
-    const sim::SetupOutcome sb = restored.sample_setup(0.01, requested);
-    EXPECT_EQ(bits_of(sa.setup_time), bits_of(sb.setup_time));
-    EXPECT_EQ(sa.attempts, sb.attempts);
-    EXPECT_EQ(sa.established, sb.established);
-    EXPECT_EQ(sa.established_circuits.size(), sb.established_circuits.size());
-  }
-  EXPECT_EQ(original.ports_down(), restored.ports_down());
 }
 
 // ---------------------------------------------------------------------------
@@ -417,27 +335,42 @@ TEST(DaemonCheckpoint, RejectsMismatchedPolicyOptionsAndDamage) {
             }).find("daemon checkpoint"),
             std::string::npos);
 
-  // Malformed times and generations, each re-digested so that only the
-  // field's own check can reject it.  The payload opens with the core's
-  // state; then come the clock, the dispatch count, the generation, the
-  // plan base, two flags and the last-activity time.  The pending events
-  // close it, so the last one's time and generation are its last 16 bytes.
+  // Malformed times, generations and tick counts, each re-digested so that
+  // only the field's own check can reject it.  The payload opens with the
+  // core's state; then come the clock, the dispatch count, the generation,
+  // the plan base, two flags, the last-activity time, the sampler period
+  // and the sampler and checkpoint tick counts.  The pending events close
+  // it, so the last one's time and generation are its last 16 bytes.
   SnapshotWriter core_state;
   daemon.core().save(core_state);
   const std::size_t clock_at = 24 + core_state.payload().size();
+  const std::size_t processed_at = clock_at + 8;
   const std::size_t gen_at = clock_at + 16;
   const std::size_t plan_base_at = clock_at + 24;
   const std::size_t last_activity_at = clock_at + 34;
+  const std::size_t sample_ticks_at = clock_at + 50;
+  const std::size_t checkpoint_ticks_at = clock_at + 58;
   const std::size_t event_time_at = blob.size() - 16;
   const std::size_t event_gen_at = blob.size() - 8;
   const auto put_le = [](std::string& bytes, std::size_t at, std::uint64_t v) {
     for (int b = 0; b < 8; ++b) bytes[at + b] = static_cast<char>((v >> (8 * b)) & 0xffu);
   };
+  const auto get_le = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int b = 0; b < 8; ++b) {
+      v |= std::uint64_t{static_cast<unsigned char>(blob[at + b])} << (8 * b);
+    }
+    return v;
+  };
+  const auto patched_fields =
+      [&](std::initializer_list<std::pair<std::size_t, std::uint64_t>> fields) {
+        std::string bytes = blob;
+        for (const auto& [at, v] : fields) put_le(bytes, at, v);
+        put_le(bytes, 16, fnv1a64(bytes.data() + 24, bytes.size() - 24));
+        return bytes;
+      };
   const auto patched = [&](std::size_t at, std::uint64_t v) {
-    std::string bytes = blob;
-    put_le(bytes, at, v);
-    put_le(bytes, 16, fnv1a64(bytes.data() + 24, bytes.size() - 24));
-    return bytes;
+    return patched_fields({{at, v}});
   };
   const auto rejection = [&](const std::string& bytes) {
     return error_of([&] { resume_with(OnlinePolicyKind::kEpochRecoMul, {}, bytes, coflows); });
@@ -462,12 +395,23 @@ TEST(DaemonCheckpoint, RejectsMismatchedPolicyOptionsAndDamage) {
               std::string::npos)
         << tag;
   }
-  std::uint64_t saved_gen = 0;
-  for (int b = 0; b < 8; ++b) {
-    saved_gen |= std::uint64_t{static_cast<unsigned char>(blob[gen_at + b])} << (8 * b);
-  }
-  EXPECT_NE(rejection(patched(event_gen_at, saved_gen + 1))
+  EXPECT_NE(rejection(patched(event_gen_at, get_le(gen_at) + 1))
                 .find("daemon checkpoint: pending event generation"),
+            std::string::npos);
+  // Sampler and checkpoint ticks are dispatched events, so together they
+  // cannot outnumber the dispatch count (the report subtracts both from
+  // it).  The last case wraps a sum of the two to zero.
+  const std::uint64_t processed = get_le(processed_at);
+  const std::string ticks = "daemon checkpoint: sampler and checkpoint ticks";
+  EXPECT_NE(rejection(patched(sample_ticks_at, processed + 1)).find(ticks), std::string::npos);
+  EXPECT_NE(rejection(patched(checkpoint_ticks_at, processed + 1)).find(ticks),
+            std::string::npos);
+  EXPECT_NE(rejection(patched_fields({{sample_ticks_at, processed}, {checkpoint_ticks_at, 1}}))
+                .find(ticks),
+            std::string::npos);
+  EXPECT_NE(rejection(patched_fields({{sample_ticks_at, 1},
+                                      {checkpoint_ticks_at, ~std::uint64_t{0}}}))
+                .find(ticks),
             std::string::npos);
 
   // The checkpoint itself is intact: the happy path still resumes.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/schedule_checks.hpp"
+
 namespace reco {
 namespace {
 
@@ -53,7 +55,7 @@ TEST(CircuitSchedule, ServiceMatrixAccumulates) {
   CircuitSchedule s;
   s.assignments.push_back({{{0, 1}, {1, 0}}, 2.0});
   s.assignments.push_back({{{0, 1}}, 3.0});
-  const Matrix service = s.service_matrix(2);
+  const Matrix service = oracle::service_matrix(s, 2);
   EXPECT_DOUBLE_EQ(service.at(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(service.at(1, 0), 2.0);
   EXPECT_DOUBLE_EQ(service.at(0, 0), 0.0);
@@ -62,9 +64,9 @@ TEST(CircuitSchedule, ServiceMatrixAccumulates) {
 TEST(CircuitSchedule, SatisfiesDemand) {
   CircuitSchedule s;
   s.assignments.push_back({{{0, 1}, {1, 0}}, 2.0});
-  EXPECT_TRUE(s.satisfies(Matrix::from_rows({{0, 2}, {2, 0}})));
-  EXPECT_TRUE(s.satisfies(Matrix::from_rows({{0, 1}, {2, 0}})));   // over-service ok
-  EXPECT_FALSE(s.satisfies(Matrix::from_rows({{0, 3}, {2, 0}})));  // under-service
+  EXPECT_TRUE(oracle::satisfies(s, Matrix::from_rows({{0, 2}, {2, 0}})));
+  EXPECT_TRUE(oracle::satisfies(s, Matrix::from_rows({{0, 1}, {2, 0}})));   // over-service ok
+  EXPECT_FALSE(oracle::satisfies(s, Matrix::from_rows({{0, 3}, {2, 0}})));  // under-service
 }
 
 TEST(CircuitSchedule, ToStringMentionsCircuits) {

@@ -58,23 +58,5 @@ TEST(Coflow, VolumeAndBottleneck) {
   EXPECT_DOUBLE_EQ(c.bottleneck(), 4.0);  // row 0 sum
 }
 
-TEST(Coflow, EnumToString) {
-  EXPECT_EQ(to_string(TransmissionMode::kM2M), "M2M");
-  EXPECT_EQ(to_string(DensityClass::kSparse), "sparse");
-}
-
-TEST(Coflow, IndicesOfClass) {
-  std::vector<Coflow> coflows;
-  Matrix dense(2);
-  dense.at(0, 0) = dense.at(0, 1) = dense.at(1, 0) = 1.0;  // DS = 0.75
-  Matrix sparse(10);
-  sparse.at(0, 0) = 1.0;  // DS = 0.01
-  coflows.push_back(make(dense));
-  coflows.push_back(make(sparse));
-  EXPECT_EQ(indices_of_class(coflows, DensityClass::kDense), (std::vector<int>{0}));
-  EXPECT_EQ(indices_of_class(coflows, DensityClass::kSparse), (std::vector<int>{1}));
-  EXPECT_TRUE(indices_of_class(coflows, DensityClass::kNormal).empty());
-}
-
 }  // namespace
 }  // namespace reco

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "oracles/schedule_checks.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -80,24 +81,24 @@ TEST(Matrix, MaxEntryMinNonzero) {
 
 TEST(Matrix, DoublyStochasticCheck) {
   const Matrix ds = Matrix::from_rows({{1, 2}, {2, 1}});
-  EXPECT_TRUE(ds.is_doubly_stochastic());
+  EXPECT_TRUE(oracle::is_doubly_stochastic(ds));
   const Matrix not_ds = Matrix::from_rows({{1, 2}, {1, 2}});
-  EXPECT_FALSE(not_ds.is_doubly_stochastic());
+  EXPECT_FALSE(oracle::is_doubly_stochastic(not_ds));
 }
 
 TEST(Matrix, GranularCheck) {
   const Matrix g = Matrix::from_rows({{100, 200}, {0, 300}});
-  EXPECT_TRUE(g.is_granular(100.0));
-  EXPECT_FALSE(g.is_granular(70.0));
-  EXPECT_FALSE(g.is_granular(0.0));
+  EXPECT_TRUE(oracle::is_granular(g, 100.0));
+  EXPECT_FALSE(oracle::is_granular(g, 70.0));
+  EXPECT_FALSE(oracle::is_granular(g, 0.0));
 }
 
 TEST(Matrix, CoversIsEntrywise) {
   const Matrix big = Matrix::from_rows({{2, 2}, {2, 2}});
   const Matrix small = Matrix::from_rows({{1, 2}, {0, 2}});
-  EXPECT_TRUE(big.covers(small));
-  EXPECT_FALSE(small.covers(big));
-  EXPECT_FALSE(big.covers(Matrix(3)));  // size mismatch
+  EXPECT_TRUE(oracle::covers(big, small));
+  EXPECT_FALSE(oracle::covers(small, big));
+  EXPECT_FALSE(oracle::covers(big, Matrix(3)));  // size mismatch
 }
 
 TEST(Matrix, PlusMinus) {
@@ -105,16 +106,12 @@ TEST(Matrix, PlusMinus) {
   const Matrix b = Matrix::from_rows({{1, 1}, {1, 1}});
   a += b;
   EXPECT_DOUBLE_EQ(a.at(1, 1), 5.0);
-  a -= b;
-  a -= Matrix::from_rows({{1, 2}, {3, 4}});
-  EXPECT_EQ(a.nnz(), 0);  // subtraction snaps round-off to zero
 }
 
 TEST(Matrix, ArithmeticSizeMismatchThrows) {
   Matrix a(2);
   const Matrix b(3);
   EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW(a -= b, std::invalid_argument);
 }
 
 TEST(Matrix, ToStringContainsEntries) {
@@ -128,7 +125,7 @@ TEST(MatrixProperty, RandomDoublyStochasticHasEqualSums) {
   Rng rng(1);
   for (int trial = 0; trial < 20; ++trial) {
     const Matrix m = testing::random_doubly_stochastic(rng, 6, 4, 0.5, 3.0);
-    EXPECT_TRUE(m.is_doubly_stochastic(1e-9));
+    EXPECT_TRUE(oracle::is_doubly_stochastic(m, 1e-9));
     EXPECT_NEAR(m.row_sum(0) * 6, m.total(), 1e-6);
   }
 }

@@ -187,7 +187,7 @@ ConstReads read_all(const SupportIndex& idx) {
   for (const double threshold : {kTimeEps, 2.0, 5.0, 9.0}) {
     r.matchings.push_back(threshold_matching(idx, threshold));
   }
-  r.bottleneck = bottleneck_perfect_matching(idx);
+  r.bottleneck = bottleneck_perfect_matching(idx.matrix());
   r.max_entry = idx.max_entry();
   for (int i = 0; i < idx.n(); ++i) r.row_sums.push_back(idx.row_sum_exact(i));
   r.col_sums.resize(idx.n());

@@ -131,13 +131,6 @@ TEST(Simplex, RandomLpsSatisfyConstraints) {
   }
 }
 
-TEST(Simplex, ToStringCoverage) {
-  EXPECT_EQ(to_string(SolveStatus::kOptimal), "optimal");
-  EXPECT_EQ(to_string(SolveStatus::kInfeasible), "infeasible");
-  EXPECT_EQ(to_string(SolveStatus::kUnbounded), "unbounded");
-  EXPECT_EQ(to_string(SolveStatus::kIterLimit), "iteration-limit");
-}
-
 TEST(Simplex, BadVarIndexThrows) {
   Model m;
   m.add_var(1.0);

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/support_index.hpp"
 #include "oracles/dense_reference.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
@@ -115,13 +114,6 @@ TEST(MatchingEngine, EpsilonDedupChainRegression) {
   ASSERT_TRUE(ref.has_value());
   EXPECT_DOUBLE_EQ(ref->bottleneck, mid);
   EXPECT_EQ(dense->pairs, ref->pairs);
-
-  // Sparse overloads agree.
-  const SupportIndex idx(m);
-  const auto sparse = bottleneck_perfect_matching(idx);
-  ASSERT_TRUE(sparse.has_value());
-  EXPECT_DOUBLE_EQ(sparse->bottleneck, mid);
-  EXPECT_EQ(sparse->pairs, dense->pairs);
 }
 
 TEST(MatchingEngine, PathShapedStressN512DeepAugmentingPath) {
@@ -148,12 +140,6 @@ TEST(MatchingEngine, PathShapedStressN512DeepAugmentingPath) {
   ASSERT_EQ(dense->pairs.size(), static_cast<std::size_t>(n));
   EXPECT_EQ(dense->pairs[n - 1].second, 0);
   for (int i = 0; i < n - 1; ++i) EXPECT_EQ(dense->pairs[i].second, i + 1);
-
-  // Sparse overload walks the same deep path.
-  const auto sparse = bottleneck_perfect_matching(SupportIndex(m));
-  ASSERT_TRUE(sparse.has_value());
-  EXPECT_DOUBLE_EQ(sparse->bottleneck, 1.0);
-  EXPECT_EQ(sparse->pairs, dense->pairs);
 }
 
 }  // namespace

@@ -29,14 +29,25 @@ int brute_force_max_matching(int n, const std::vector<std::vector<int>>& adj) {
   return best;
 }
 
+/// The n x n 0/1 matrix whose support is `adj` (adj[i] = the columns of
+/// row i; missing rows are empty), so threshold_matching at 1.0 matches on
+/// exactly those edges.
+Matrix zero_one(int n, const std::vector<std::vector<int>>& adj) {
+  Matrix m(n);
+  for (int i = 0; i < static_cast<int>(adj.size()); ++i) {
+    for (int j : adj[i]) m.at(i, j) = 1.0;
+  }
+  return m;
+}
+
 TEST(HopcroftKarp, EmptyGraph) {
-  const MatchingResult r = hopcroft_karp(3, 3, {{}, {}, {}});
+  const MatchingResult r = threshold_matching(zero_one(3, {{}, {}, {}}), 1.0);
   EXPECT_EQ(r.size, 0);
   EXPECT_FALSE(r.is_perfect());
 }
 
 TEST(HopcroftKarp, PerfectOnIdentity) {
-  const MatchingResult r = hopcroft_karp(3, 3, {{0}, {1}, {2}});
+  const MatchingResult r = threshold_matching(zero_one(3, {{0}, {1}, {2}}), 1.0);
   EXPECT_EQ(r.size, 3);
   EXPECT_TRUE(r.is_perfect());
   EXPECT_EQ(r.match_left[1], 1);
@@ -45,12 +56,13 @@ TEST(HopcroftKarp, PerfectOnIdentity) {
 
 TEST(HopcroftKarp, AugmentingPathNeeded) {
   // Greedy 0->0 would block 1; HK must find the augmenting path.
-  const MatchingResult r = hopcroft_karp(2, 2, {{0, 1}, {0}});
+  const MatchingResult r = threshold_matching(zero_one(2, {{0, 1}, {0}}), 1.0);
   EXPECT_EQ(r.size, 2);
 }
 
 TEST(HopcroftKarp, MatchingIsConsistent) {
-  const MatchingResult r = hopcroft_karp(4, 4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  const MatchingResult r =
+      threshold_matching(zero_one(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}), 1.0);
   EXPECT_EQ(r.size, 4);
   for (int i = 0; i < 4; ++i) {
     ASSERT_NE(r.match_left[i], -1);
@@ -59,7 +71,8 @@ TEST(HopcroftKarp, MatchingIsConsistent) {
 }
 
 TEST(HopcroftKarp, RectangularGraph) {
-  const MatchingResult r = hopcroft_karp(2, 3, {{0, 1, 2}, {2}});
+  // Two rows against three columns, padded square with an empty row.
+  const MatchingResult r = threshold_matching(zero_one(3, {{0, 1, 2}, {2}}), 1.0);
   EXPECT_EQ(r.size, 2);
 }
 
@@ -73,16 +86,9 @@ TEST(HopcroftKarpProperty, MatchesBruteForceOnRandomGraphs) {
         if (rng.uniform() < 0.4) adj[i].push_back(j);
       }
     }
-    EXPECT_EQ(hopcroft_karp(n, n, adj).size, brute_force_max_matching(n, adj))
+    EXPECT_EQ(threshold_matching(zero_one(n, adj), 1.0).size, brute_force_max_matching(n, adj))
         << "trial " << trial;
   }
-}
-
-TEST(ThresholdHelpers, AdjacencyRespectsThreshold) {
-  const Matrix m = Matrix::from_rows({{5, 1}, {2, 8}});
-  const auto adj = threshold_adjacency(m, 2.0);
-  EXPECT_EQ(adj[0], (std::vector<int>{0}));
-  EXPECT_EQ(adj[1], (std::vector<int>{0, 1}));
 }
 
 TEST(ThresholdHelpers, PerfectMatchingAtThreshold) {

@@ -135,10 +135,9 @@ TEST(IncrementalMatcher, PairsSnapshot) {
   const SupportIndex m(Matrix::from_rows({{1, 0}, {0, 1}}));
   IncrementalMatcher matcher(m, 0.5);
   matcher.rematch();
-  const auto pairs = matcher.pairs();
-  ASSERT_EQ(pairs.size(), 2u);
-  EXPECT_EQ(pairs[0], (std::pair<int, int>{0, 0}));
-  EXPECT_EQ(pairs[1], (std::pair<int, int>{1, 1}));
+  ASSERT_EQ(matcher.size(), 2);
+  EXPECT_EQ(matcher.matched_col(0), 0);
+  EXPECT_EQ(matcher.matched_col(1), 1);
 }
 
 TEST(IncrementalMatcherProperty, AgreesWithHopcroftKarpUnderRandomDeletions) {
@@ -169,7 +168,9 @@ TEST(IncrementalMatcherProperty, AgreesWithHopcroftKarpUnderRandomDeletions) {
         EXPECT_EQ(matcher.size(), threshold_matching(m, 0.5).size)
             << "n " << c.n << " trial " << trial << " step " << step;
       }
-      for (const auto& [i, j] : matcher.pairs()) {
+      for (int i = 0; i < c.n; ++i) {
+        const int j = matcher.matched_col(i);
+        if (j == -1) continue;
         EXPECT_GE(m.at(i, j), 0.5) << "n " << c.n << " trial " << trial << " pair " << i << "," << j;
       }
     }
@@ -200,7 +201,9 @@ TEST(IncrementalMatcherProperty, ThresholdWalksAgreeWithHopcroftKarp) {
         matcher.rematch();
         EXPECT_EQ(matcher.size(), threshold_matching(m, matcher.threshold()).size)
             << "n " << n << " trial " << trial << " step " << step;
-        for (const auto& [i, j] : matcher.pairs()) {
+        for (int i = 0; i < n; ++i) {
+          const int j = matcher.matched_col(i);
+          if (j == -1) continue;
           EXPECT_GE(m.at(i, j), matcher.threshold() - kTimeEps)
               << "n " << n << " trial " << trial << " step " << step;
         }

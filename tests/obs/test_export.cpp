@@ -66,7 +66,6 @@ TEST(PrometheusName, SanitizesAndPrefixes) {
 TEST(PrometheusText, EncodesCountersGaugesAndCumulativeBuckets) {
   FreshRegistry fresh;
   metrics().counter("exp.test.events").inc(7.0);
-  metrics().gauge("exp.test.level").set(2.5);
   Histogram& h = metrics().histogram("exp.test.lat", {1.0, 2.0, 4.0});
   h.observe(0.5);
   h.observe(1.5);
@@ -78,8 +77,6 @@ TEST(PrometheusText, EncodesCountersGaugesAndCumulativeBuckets) {
   const std::string text = out.str();
 
   EXPECT_NE(text.find("# TYPE reco_exp_test_events counter\nreco_exp_test_events 7\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE reco_exp_test_level gauge\nreco_exp_test_level 2.5\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE reco_exp_test_lat histogram"), std::string::npos);
   // Cumulative buckets: 1 obs <= 1, 2 <= 2, 3 <= 4, 4 <= +Inf == count.

@@ -56,6 +56,18 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
+/// The ring's lines as an armed trigger dumps them, less the trailing
+/// trigger marker.
+std::vector<std::string> dumped_ring(FlightRecorder& rec, const std::string& path) {
+  rec.arm(path);
+  rec.trigger("test dump");
+  std::vector<std::string> lines = lines_of(slurp(path));
+  std::remove(path.c_str());
+  EXPECT_FALSE(lines.empty());
+  if (!lines.empty()) lines.pop_back();
+  return lines;
+}
+
 TEST(FlightRecorder, RingIsBoundedAndKeepsTheNewestEvents) {
   FlightRecorder rec(4);
   for (int i = 0; i < 10; ++i) {
@@ -63,9 +75,7 @@ TEST(FlightRecorder, RingIsBoundedAndKeepsTheNewestEvents) {
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.total_events(), 10u);
-  std::ostringstream out;
-  rec.write_jsonl(out);
-  const std::vector<std::string> lines = lines_of(out.str());
+  const std::vector<std::string> lines = dumped_ring(rec, "flight_test_out/bounded.jsonl");
   ASSERT_EQ(lines.size(), 4u);
   // Oldest-to-newest: seqs 6..9 survive the wrap.
   for (std::size_t k = 0; k < lines.size(); ++k) {
@@ -81,9 +91,7 @@ TEST(FlightRecorder, JsonlLinesAreStructurallySoundAndEscaped) {
   FlightRecorder rec(8);
   rec.record("admission", 1.5, 42, 3.25, "note with \"quotes\" and \\slashes\\");
   rec.record("plan", 2.0, 7, 12.0);
-  std::ostringstream out;
-  rec.write_jsonl(out);
-  const std::vector<std::string> lines = lines_of(out.str());
+  const std::vector<std::string> lines = dumped_ring(rec, "flight_test_out/escaped.jsonl");
   ASSERT_EQ(lines.size(), 2u);
   for (const std::string& line : lines) {
     EXPECT_EQ(line.front(), '{');

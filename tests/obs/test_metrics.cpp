@@ -26,18 +26,6 @@ TEST(Counter, IncValueReset) {
   EXPECT_EQ(c.value(), 0.0);
 }
 
-TEST(Gauge, SetAndSetMax) {
-  Gauge g;
-  g.set(5.0);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.set(2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 2.0);
-  g.set_max(1.0);  // below current: no-op
-  EXPECT_DOUBLE_EQ(g.value(), 2.0);
-  g.set_max(9.0);
-  EXPECT_DOUBLE_EQ(g.value(), 9.0);
-}
-
 TEST(Histogram, BucketEdgesAreInclusiveUpperBounds) {
   Histogram h({1.0, 2.0, 4.0});
   // Bucket k counts x <= bound[k]: values exactly on an edge stay in that
@@ -91,7 +79,6 @@ TEST(MetricsRegistry, HandlesAreFindOrCreate) {
 TEST(MetricsRegistry, KindConflictThrows) {
   MetricsRegistry reg;
   reg.counter("x");
-  EXPECT_THROW(reg.gauge("x"), std::logic_error);
   EXPECT_THROW(reg.histogram("x", {1.0}), std::logic_error);
 }
 
@@ -112,18 +99,15 @@ TEST(MetricsRegistry, ConcurrentIncrementsAreExact) {
   runtime::set_thread_count(4);
   MetricsRegistry reg;
   Counter& c = reg.counter("hits");
-  Gauge& g = reg.gauge("high_water");
   Histogram& h = reg.histogram("sizes", {1.0, 2.0, 4.0});
 
   constexpr int kN = 20000;
   runtime::parallel_for(kN, [&](int i) {
     c.inc();
-    g.set_max(static_cast<double>(i));
     h.observe(static_cast<double>(i % 8));
   });
 
   EXPECT_DOUBLE_EQ(c.value(), static_cast<double>(kN));
-  EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kN - 1));
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kN));
   // i%8 in 0..7: 0,1 -> bucket 0; 2 -> bucket 1; 3,4 -> bucket 2; 5,6,7 -> overflow.
   EXPECT_EQ(h.bucket_count(0), static_cast<std::uint64_t>(kN / 8 * 2));
@@ -136,14 +120,14 @@ TEST(MetricsRegistry, ConcurrentIncrementsAreExact) {
 TEST(MetricsRegistry, SnapshotAndCsv) {
   MetricsRegistry reg;
   reg.counter("b.count").inc(3.0);
-  reg.gauge("a.level").set(1.5);
+  reg.counter("a.level").inc(1.5);
   reg.histogram("c.hist", {2.0}).observe(1.0);
 
   const std::vector<MetricSample> snap = reg.snapshot();
   ASSERT_FALSE(snap.empty());
   // Sorted by name: a.level, b.count, then the c.hist statistics.
   EXPECT_EQ(snap[0].name, "a.level");
-  EXPECT_EQ(snap[0].kind, "gauge");
+  EXPECT_EQ(snap[0].kind, "counter");
   EXPECT_EQ(snap[1].name, "b.count");
   EXPECT_DOUBLE_EQ(snap[1].value, 3.0);
 

@@ -70,12 +70,16 @@ TEST(HistogramQuantile, TracksExactReferenceWithinBucketWidth) {
   for (int i = 0; i < 900; ++i) xs.push_back(5.0 + 0.05 * (i % 100));
   for (int i = 0; i < 100; ++i) xs.push_back(400.0 + 3.0 * i);
   for (const double x : xs) h.observe(x);
+  std::vector<std::uint64_t> counts(h.bounds().size() + 1);
+  for (std::size_t k = 0; k < h.bounds().size(); ++k) counts[k] = h.bucket_count(k);
+  counts.back() = h.overflow();
   for (const double q : {0.5, 0.9, 0.99}) {
     const double exact = exact_quantile(xs, q);
     // Within one bucket width (10.0) of the exact order statistic.
-    EXPECT_NEAR(h.quantile(q), exact, 10.0) << "q=" << q;
-    EXPECT_GE(h.quantile(q), h.min());
-    EXPECT_LE(h.quantile(q), h.max());
+    const double p = quantile_from_buckets(h.bounds(), counts.data(), q, h.min(), h.max());
+    EXPECT_NEAR(p, exact, 10.0) << "q=" << q;
+    EXPECT_GE(p, h.min());
+    EXPECT_LE(p, h.max());
   }
 }
 
@@ -182,8 +186,8 @@ TEST(SyncTraceDropped, SurfacesTracerDropsAsACounter) {
   const std::uint64_t base = tracer().dropped();
   const std::size_t old_cap = tracer().capacity();
   tracer().set_capacity(0);  // every record from here on drops
-  tracer().instant("drop-me", "test");
-  tracer().instant("drop-me-too", "test");
+  tracer().sim_instant("drop-me", "test", 0.0, 0);
+  tracer().sim_instant("drop-me-too", "test", 0.0, 0);
   tracer().set_capacity(old_cap);
   sync_trace_dropped();
   EXPECT_DOUBLE_EQ(metrics().counter("obs.trace.dropped_events").value(),

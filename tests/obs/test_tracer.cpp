@@ -165,7 +165,7 @@ TEST(Tracer, RoundTripsEventFields) {
   const auto start = Tracer::Clock::now();
   t.complete("bvn.peel", "bvn", start, start + std::chrono::microseconds(250),
              {{"nnz", 42.0}, {"coefficient", 0.5}});
-  t.instant("round", "bvn");
+  t.sim_instant("round", "bvn", 0.003, 0);
   t.sim_span("coflow 3", "sim.coflow", 0.001, 0.005, 3, {{"cct", 0.004}});
   t.sim_instant("circuit.establish", "sim.circuit", 0.002, -1);
   t.name_sim_track(3, "coflow 3");
@@ -190,7 +190,7 @@ TEST(Tracer, RoundTripsEventFields) {
 
 TEST(Tracer, EscapesHostileNames) {
   Tracer t;
-  t.instant(std::string("quote \" backslash \\ newline \n tab \t ctrl \x01"), "esc");
+  t.sim_instant(std::string("quote \" backslash \\ newline \n tab \t ctrl \x01"), "esc", 0.0, 0);
   const std::string json = dump(t);
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\\\""), std::string::npos);
@@ -200,7 +200,7 @@ TEST(Tracer, EscapesHostileNames) {
 TEST(Tracer, DropsBeyondCapacity) {
   Tracer t;
   t.set_capacity(4);
-  for (int k = 0; k < 10; ++k) t.instant("e", "cap");
+  for (int k = 0; k < 10; ++k) t.sim_instant("e", "cap", 0.0, 0);
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped(), 6u);
   // The truncated trace must still serialize cleanly.
@@ -208,7 +208,7 @@ TEST(Tracer, DropsBeyondCapacity) {
   t.clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.dropped(), 0u);
-  t.instant("e", "cap");
+  t.sim_instant("e", "cap", 0.0, 0);
   EXPECT_EQ(t.size(), 1u);
 }
 

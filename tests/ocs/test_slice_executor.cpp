@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/schedule_checks.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -114,7 +115,7 @@ TEST(SliceExecutor, InflateInStartOrderRejectsABadOrder) {
 
 TEST(SliceExecutor, AnalyzeScheduleAggregates) {
   const SliceSchedule s{{0, 2, 0, 0, 0}, {0, 5, 1, 1, 1}, {6, 7, 0, 0, 1}};
-  const MultiExecutionStats stats = analyze_schedule(s, 2);
+  const oracle::MultiExecutionStats stats = oracle::analyze_schedule(s, 2);
   EXPECT_DOUBLE_EQ(stats.cct[0], 2.0);
   EXPECT_DOUBLE_EQ(stats.cct[1], 7.0);
   EXPECT_EQ(stats.reconfigurations, 2);

@@ -9,6 +9,7 @@
 
 #include "matching/bottleneck.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "oracles/schedule_checks.hpp"
 
 namespace reco::dense_reference {
 
@@ -197,21 +198,38 @@ MatchingResult ref_hopcroft_karp(int n, const std::vector<std::vector<int>>& adj
   return r;
 }
 
-/// Shared tail of the two reference overloads: `values` arrives as the
-/// raw row-major nonzero list; adjacency at each probe comes from the
-/// (unchanged, seed-faithful) threshold_adjacency builders.
-template <class Src>
-std::optional<BottleneckMatching> bottleneck_reference_impl(const Src& src,
-                                                            std::vector<double> values) {
+/// Adjacency of the support {(i,j) : m(i,j) >= threshold - eps}, columns
+/// ascending.
+std::vector<std::vector<int>> threshold_adjacency(const Matrix& m, double threshold) {
+  std::vector<std::vector<int>> adj(m.n());
+  for (int i = 0; i < m.n(); ++i) {
+    for (int j = 0; j < m.n(); ++j) {
+      if (m.at(i, j) >= threshold - kTimeEps) adj[i].push_back(j);
+    }
+  }
+  return adj;
+}
+
+}  // namespace
+
+std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const Matrix& m) {
+  std::vector<double> values;
+  values.reserve(static_cast<std::size_t>(m.n()) * m.n());
+  for (int i = 0; i < m.n(); ++i) {
+    for (int j = 0; j < m.n(); ++j) {
+      const double x = m.at(i, j);
+      if (!approx_zero(x)) values.push_back(x);
+    }
+  }
   if (values.empty()) return std::nullopt;
   std::sort(values.begin(), values.end());
   // Exactly-distinct ladder; the tolerance lives in threshold_adjacency's
   // `>= t - kTimeEps` edge test only (the epsilon-dedup fix).
   values.erase(std::unique(values.begin(), values.end()), values.end());
 
-  const int n = src.n();
+  const int n = m.n();
   const auto feasible = [&](double t) {
-    return ref_hopcroft_karp(n, threshold_adjacency(src, t)).size == n;
+    return ref_hopcroft_karp(n, threshold_adjacency(m, t)).size == n;
   };
 
   // A perfect matching must exist at the smallest nonzero threshold.
@@ -231,35 +249,12 @@ std::optional<BottleneckMatching> bottleneck_reference_impl(const Src& src,
   }
 
   const double best = values[lo];
-  const MatchingResult r = ref_hopcroft_karp(n, threshold_adjacency(src, best));
+  const MatchingResult r = ref_hopcroft_karp(n, threshold_adjacency(m, best));
   BottleneckMatching out;
   out.bottleneck = best;
   out.pairs.reserve(n);
   for (int i = 0; i < n; ++i) out.pairs.emplace_back(i, r.match_left[i]);
   return out;
-}
-
-}  // namespace
-
-std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const Matrix& m) {
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(m.n()) * m.n());
-  for (int i = 0; i < m.n(); ++i) {
-    for (int j = 0; j < m.n(); ++j) {
-      const double x = m.at(i, j);
-      if (!approx_zero(x)) values.push_back(x);
-    }
-  }
-  return bottleneck_reference_impl(m, std::move(values));
-}
-
-std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const SupportIndex& idx) {
-  std::vector<double> values;
-  values.reserve(idx.nnz());
-  for (int i = 0; i < idx.n(); ++i) {
-    for (const int j : idx.row_support(i)) values.push_back(idx.at(i, j));
-  }
-  return bottleneck_reference_impl(idx, std::move(values));
 }
 
 CircuitSchedule cover_decompose(Matrix m) {
@@ -281,7 +276,7 @@ CircuitSchedule cover_decompose(Matrix m) {
 }
 
 CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy) {
-  if (!m.is_doubly_stochastic(kTimeEps * std::max(1, m.n()))) {
+  if (!oracle::is_doubly_stochastic(m, kTimeEps * std::max(1, m.n()))) {
     throw std::invalid_argument("dense_reference::bvn_decompose: matrix is not doubly stochastic");
   }
   if (m.n() == 0 || m.nnz() == 0) return {};

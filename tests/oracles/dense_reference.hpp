@@ -23,7 +23,6 @@
 
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
-#include "core/support_index.hpp"
 #include "core/types.hpp"
 
 #include "bvn/bvn.hpp"  // BvnPolicy
@@ -52,9 +51,7 @@ CircuitSchedule solstice(const Matrix& demand, Time delta = 100e-6);
 /// from the seed, whose pairwise-approx `std::unique` collapsed transitive
 /// near-equal chains (see MatchingEngine.EpsilonDedupChainRegression);
 /// everything else, including BFS/DFS visit order and hence the returned
-/// pairs, is the seed algorithm verbatim.  The SupportIndex overload walks the support in the
-/// same row-major order, so both overloads return identical results.
+/// pairs, is the seed algorithm verbatim.
 std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const Matrix& m);
-std::optional<BottleneckMatching> bottleneck_perfect_matching_reference(const SupportIndex& idx);
 
 }  // namespace reco::dense_reference

@@ -50,6 +50,19 @@ inline CircuitSchedule materialized_surviving_plan(const Matrix& residual,
   return pruned;
 }
 
+/// The same plan as the production path hands it out: a SurvivingCursor,
+/// drained.
+inline CircuitSchedule drained_surviving_plan(const Matrix& residual,
+                                              const std::vector<char>& failed_in,
+                                              const std::vector<char>& failed_out, Time delta) {
+  SurvivingCursor cursor(residual, failed_in, failed_out, delta);
+  CircuitSchedule plan;
+  while (std::optional<CircuitAssignment> a = cursor.next()) {
+    plan.assignments.push_back(std::move(*a));
+  }
+  return plan;
+}
+
 /// sim::RecoveringController with a materialized recovery plan, telemetry
 /// left out (it never fed a decision).
 class MaterializingRecoveringController final : public sim::CircuitController {

@@ -199,7 +199,8 @@ TEST(RecoveryEquivalence, SurvivingDrainMatchesMaterializedPlan) {
       std::vector<char> failed_out(static_cast<std::size_t>(n) / 2, 0);  // shorter than n
       for (char& f : failed_in) f = rng.uniform_int(4) == 0;
       for (char& f : failed_out) f = rng.uniform_int(4) == 0;
-      const CircuitSchedule pulled = reco_sin_surviving(residual, failed_in, failed_out, kDelta);
+      const CircuitSchedule pulled =
+          oracle::drained_surviving_plan(residual, failed_in, failed_out, kDelta);
       const CircuitSchedule materialized =
           oracle::materialized_surviving_plan(residual, failed_in, failed_out, kDelta);
       const std::string where = "n=" + std::to_string(n) + " trial=" + std::to_string(trial);

@@ -5,8 +5,9 @@
 
 #include "core/slice.hpp"
 #include "ocs/slice_executor.hpp"
+#include "oracles/fabric_replay.hpp"
+#include "oracles/schedule_checks.hpp"
 #include "sched/multi_baselines.hpp"
-#include "sim/fabric.hpp"
 #include "trace/generator.hpp"
 
 namespace reco {
@@ -51,11 +52,11 @@ TEST(Consistency, TotalWeightedCctMatchesManualSum) {
 TEST(Consistency, DesSliceReplayAgreesWithAnalyticAnalysis) {
   const auto coflows = workload(814);
   const MultiScheduleResult r = reco_mul_pipeline(coflows, 100e-6, 4.0);
-  const sim::SliceReplayReport des =
-      sim::simulate_slice_schedule(r.schedule, 16, static_cast<int>(coflows.size()));
+  const oracle::SliceReplayReport des =
+      oracle::simulate_slice_schedule(r.schedule, 16, static_cast<int>(coflows.size()));
   EXPECT_EQ(des.port_violations, 0);
-  const MultiExecutionStats analytic =
-      analyze_schedule(r.schedule, static_cast<int>(coflows.size()));
+  const oracle::MultiExecutionStats analytic =
+      oracle::analyze_schedule(r.schedule, static_cast<int>(coflows.size()));
   EXPECT_NEAR(des.makespan, analytic.makespan, 1e-9);
   for (std::size_t k = 0; k < coflows.size(); ++k) {
     EXPECT_NEAR(des.cct[k], analytic.cct[k], 1e-9) << "coflow " << k;

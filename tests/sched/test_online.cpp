@@ -220,13 +220,14 @@ TEST(Online, EpochAtTimeZeroDegeneratesToOfflineRecoMul) {
        {OnlinePolicyKind::kEpochRecoMul, OnlinePolicyKind::kDrainReplanRecoMul}) {
     const OnlineScheduleResult online = schedule_online(coflows, kind);
     const MultiScheduleResult offline = reco_mul_pipeline(coflows, 100e-6, 4.0);
+    const std::string policy = "policy " + std::to_string(static_cast<int>(kind));
     ASSERT_EQ(online.cct.size(), offline.cct.size());
     for (std::size_t k = 0; k < coflows.size(); ++k) {
-      EXPECT_DOUBLE_EQ(online.cct[k], offline.cct[k]) << to_string(kind) << " coflow " << k;
+      EXPECT_DOUBLE_EQ(online.cct[k], offline.cct[k]) << policy << " coflow " << k;
     }
-    EXPECT_NEAR(online.total_weighted_cct, offline.total_weighted_cct, 1e-9) << to_string(kind);
-    EXPECT_EQ(online.reconfigurations, offline.reconfigurations) << to_string(kind);
-    EXPECT_EQ(online.epochs, 1) << to_string(kind);
+    EXPECT_NEAR(online.total_weighted_cct, offline.total_weighted_cct, 1e-9) << policy;
+    EXPECT_EQ(online.reconfigurations, offline.reconfigurations) << policy;
+    EXPECT_EQ(online.epochs, 1) << policy;
   }
 }
 

@@ -25,12 +25,6 @@ std::vector<Coflow> small_workload(std::uint64_t seed, int k = 6, int n = 8) {
   return generate_workload(o);
 }
 
-TEST(OnlinePolicyFactory, ToStringCoversEveryKind) {
-  EXPECT_STREQ(to_string(OnlinePolicyKind::kEpochRecoMul), "epoch-reco-mul");
-  EXPECT_STREQ(to_string(OnlinePolicyKind::kFifoRecoSin), "fifo-reco-sin");
-  EXPECT_STREQ(to_string(OnlinePolicyKind::kDrainReplanRecoMul), "drain-replan-reco-mul");
-}
-
 TEST(DecisionLatencyRecorder, CountsMeanAndMax) {
   DecisionLatencyRecorder r;
   EXPECT_EQ(r.count(), 0u);

@@ -6,6 +6,7 @@
 
 #include "core/lower_bound.hpp"
 #include "ocs/all_stop_executor.hpp"
+#include "oracles/schedule_checks.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -42,7 +43,7 @@ TEST(RecoSin, ScheduleSatisfiesDemand) {
     const Matrix d = testing::random_demand(rng, 8, 0.5, 0.4, 10.0);
     const CircuitSchedule s = reco_sin(d, 0.1);
     EXPECT_TRUE(s.is_valid(8)) << "trial " << trial;
-    EXPECT_TRUE(s.satisfies(d)) << "trial " << trial;
+    EXPECT_TRUE(oracle::satisfies(s, d)) << "trial " << trial;
     EXPECT_TRUE(execute_all_stop(s, d, 0.1).satisfied) << "trial " << trial;
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ocs/all_stop_executor.hpp"
+#include "oracles/schedule_checks.hpp"
 #include "sched/reco_sin.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
@@ -29,7 +30,7 @@ TEST(Rotornet, CoversUniformDemandInOneCycle) {
   o.slot_over_delta = 10.0;  // slot = 1.0 >= every entry
   const CircuitSchedule s = rotornet_schedule(d, 0.1, o);
   EXPECT_EQ(s.num_assignments(), 3);  // one rotation per offset
-  EXPECT_TRUE(s.satisfies(d));
+  EXPECT_TRUE(oracle::satisfies(s, d));
 }
 
 TEST(Rotornet, MultipleCyclesForLargeEntries) {
@@ -39,7 +40,7 @@ TEST(Rotornet, MultipleCyclesForLargeEntries) {
   o.slot_over_delta = 10.0;  // slot = 1.0
   const CircuitSchedule s = rotornet_schedule(d, 0.1, o);
   EXPECT_EQ(s.num_assignments(), 3);  // 1 + 1 + 0.5, only offset r=1 kept
-  EXPECT_TRUE(s.satisfies(d));
+  EXPECT_TRUE(oracle::satisfies(s, d));
 }
 
 TEST(Rotornet, SatisfiesRandomDemands) {

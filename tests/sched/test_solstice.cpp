@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ocs/all_stop_executor.hpp"
+#include "oracles/schedule_checks.hpp"
 #include "sched/reco_sin.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
@@ -21,7 +22,7 @@ TEST(Solstice, PowerOfTwoEntriesSliceExactly) {
   d.at(1, 0) = 4.0;
   d.at(1, 1) = 4.0;
   const CircuitSchedule s = solstice(d);
-  EXPECT_TRUE(s.satisfies(d));
+  EXPECT_TRUE(oracle::satisfies(s, d));
   // Stuffing is a no-op (already doubly stochastic at 8); two slices of 4.
   EXPECT_EQ(s.num_assignments(), 2);
   for (const auto& a : s.assignments) EXPECT_DOUBLE_EQ(a.duration, 4.0);
@@ -31,7 +32,7 @@ TEST(Solstice, SlicesAreHalvingThresholds) {
   Rng rng(111);
   const Matrix d = testing::random_demand(rng, 6, 0.6, 0.5, 9.0);
   const CircuitSchedule s = solstice(d);
-  EXPECT_TRUE(s.satisfies(d));
+  EXPECT_TRUE(oracle::satisfies(s, d));
   // Durations never increase along the schedule (threshold only halves),
   // except possibly in the exact-cleanup tail of tolerance-scale slices.
   double prev = std::numeric_limits<double>::infinity();

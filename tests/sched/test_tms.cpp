@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ocs/all_stop_executor.hpp"
+#include "oracles/schedule_checks.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -36,7 +37,7 @@ TEST(Tms, LongDemandNeedsMultipleDays) {
   o.day_over_delta = 10.0;  // day = 1.0
   const CircuitSchedule s = tms_schedule(d, 0.1, o);
   EXPECT_EQ(s.num_assignments(), 3);  // 1.0 + 1.0 + 0.5
-  EXPECT_TRUE(s.satisfies(d));
+  EXPECT_TRUE(oracle::satisfies(s, d));
 }
 
 TEST(Tms, SatisfiesRandomDemands) {

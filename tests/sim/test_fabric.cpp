@@ -4,6 +4,7 @@
 
 #include "ocs/all_stop_executor.hpp"
 #include "ocs/not_all_stop_executor.hpp"
+#include "oracles/fabric_replay.hpp"
 #include "sched/ordering.hpp"
 #include "sched/packet_scheduler.hpp"
 #include "sched/reco_sin.hpp"
@@ -45,7 +46,7 @@ TEST(Fabric, SimultaneousCompletionsKeepCircuitOrder) {
   }
   ReplayController controller(s);
   const SimulationReport all_stop = simulate_single_coflow(controller, demand, 0.5);
-  const SimulationReport not_all_stop = simulate_not_all_stop_replay(s, demand, 0.5);
+  const SimulationReport not_all_stop = oracle::simulate_not_all_stop_replay(s, demand, 0.5);
   for (const SimulationReport* r : {&all_stop, &not_all_stop}) {
     ASSERT_EQ(r->completions.size(), static_cast<std::size_t>(n));
     for (int k = 0; k < n; ++k) {
@@ -68,11 +69,11 @@ TEST(Fabric, EventCountsArePinned) {
   const SimulationReport all_stop = simulate_single_coflow(controller, d, delta);
   EXPECT_EQ(all_stop.events, 37u);
   EXPECT_EQ(all_stop.reconfigurations, 18);
-  const SimulationReport not_all_stop = simulate_not_all_stop_replay(s, d, delta);
+  const SimulationReport not_all_stop = oracle::simulate_not_all_stop_replay(s, d, delta);
   EXPECT_EQ(not_all_stop.events, 87u);
   EXPECT_EQ(not_all_stop.completions.size(), 32u);
   const SliceSchedule slices{{0, 2, 0, 0, 0}, {2, 3, 0, 1, 1}, {1, 4, 1, 0, 1}};
-  EXPECT_EQ(simulate_slice_schedule(slices, 2, 2).events, 6u);
+  EXPECT_EQ(oracle::simulate_slice_schedule(slices, 2, 2).events, 6u);
 }
 
 TEST(Fabric, UtilizationOnPerfectlyPackedSchedule) {
@@ -114,7 +115,7 @@ TEST_P(CrossValidation, NotAllStopAgreesWithAnalyticExecutor) {
   const Matrix d = testing::random_demand(rng, 7, rng.uniform(0.3, 0.8), 0.3, 5.0);
   const Time delta = rng.uniform(0.01, 0.3);
   const CircuitSchedule s = reco_sin(d, delta);
-  const SimulationReport des = simulate_not_all_stop_replay(s, d, delta);
+  const SimulationReport des = oracle::simulate_not_all_stop_replay(s, d, delta);
   const ExecutionResult analytic = execute_not_all_stop(s, d, delta);
   EXPECT_EQ(des.satisfied, analytic.satisfied);
   EXPECT_EQ(des.reconfigurations, analytic.reconfigurations);
@@ -153,13 +154,13 @@ TEST(Fabric, AdaptiveControllersRespectLemmaOneSpirit) {
 TEST(Fabric, SliceReplayDetectsViolations) {
   // Two overlapping slices on the same ingress port.
   const SliceSchedule bad{{0, 2, 0, 0, 0}, {1, 3, 0, 1, 1}};
-  const SliceReplayReport r = simulate_slice_schedule(bad, 2, 2);
+  const oracle::SliceReplayReport r = oracle::simulate_slice_schedule(bad, 2, 2);
   EXPECT_EQ(r.port_violations, 1);
 }
 
 TEST(Fabric, SliceReplayAcceptsHandoffs) {
   const SliceSchedule ok{{0, 2, 0, 0, 0}, {2, 3, 0, 1, 1}};
-  const SliceReplayReport r = simulate_slice_schedule(ok, 2, 2);
+  const oracle::SliceReplayReport r = oracle::simulate_slice_schedule(ok, 2, 2);
   EXPECT_EQ(r.port_violations, 0);
   EXPECT_DOUBLE_EQ(r.cct[0], 2.0);
   EXPECT_DOUBLE_EQ(r.cct[1], 3.0);
@@ -170,7 +171,7 @@ TEST(Fabric, SliceReplayMatchesAnalyticCompletionTimes) {
   Rng rng(304);
   const auto coflows = testing::random_workload(rng, 8, 5, 0.02, 4.0);
   const SliceSchedule packet = packet_schedule(coflows, bssi_order(coflows));
-  const SliceReplayReport r = simulate_slice_schedule(packet, 5, 8);
+  const oracle::SliceReplayReport r = oracle::simulate_slice_schedule(packet, 5, 8);
   EXPECT_EQ(r.port_violations, 0);
   const std::vector<Time> analytic = completion_times(packet, 8);
   for (int k = 0; k < 8; ++k) EXPECT_NEAR(r.cct[k], analytic[k], 1e-9);

@@ -98,23 +98,22 @@ TEST(FaultInjector, ScriptedFaultAndRepairTransitionsInOrder) {
   EXPECT_NEAR(first[0].at, 1.0, 1e-12);
   EXPECT_EQ(first[0].port, 2);
   EXPECT_FALSE(first[0].up);
+  EXPECT_EQ(first[0].side, PortSide::kBoth);
   EXPECT_NEAR(first[1].at, 2.0, 1e-12);
   EXPECT_EQ(first[1].port, 1);
-  EXPECT_FALSE(injector.ingress_up(1));
-  EXPECT_TRUE(injector.egress_up(1));  // ingress-side fault only
-  EXPECT_FALSE(injector.ingress_up(2));
-  EXPECT_FALSE(injector.egress_up(2));
-  EXPECT_FALSE(injector.circuit_ports_up({1, 3}));
-  EXPECT_TRUE(injector.circuit_ports_up({3, 1}));
+  EXPECT_EQ(first[1].side, PortSide::kIngress);  // ingress-side fault only
+  EXPECT_FALSE(first[1].up);
 
   ASSERT_TRUE(injector.next_repair().has_value());
   EXPECT_NEAR(*injector.next_repair(), 5.0, 1e-12);
   const auto second = injector.advance_to(10.0);
   ASSERT_EQ(second.size(), 1u);
+  EXPECT_NEAR(second[0].at, 5.0, 1e-12);
+  EXPECT_EQ(second[0].port, 1);
+  EXPECT_EQ(second[0].side, PortSide::kIngress);
   EXPECT_TRUE(second[0].up);
-  EXPECT_TRUE(injector.ingress_up(1));
   EXPECT_FALSE(injector.next_repair().has_value());  // port 2 is permanent
-  EXPECT_EQ(injector.ports_down(), 1);
+  EXPECT_FALSE(injector.next_transition().has_value());
 }
 
 TEST(FaultInjector, BindRejectsOutOfRangeScriptedPort) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "oracles/fabric_replay.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/reco_sin.hpp"
 #include "sim/fabric.hpp"
@@ -276,26 +277,27 @@ TEST(Faults, NotAllStopReplayAcceptsFaultModel) {
   const Matrix d = demand_under_test(510);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
-  const SimulationReport ideal = simulate_not_all_stop_replay(s, d, delta);
-  const SimulationReport with_default = simulate_not_all_stop_replay(s, d, delta, FaultModel{});
+  const SimulationReport ideal = oracle::simulate_not_all_stop_replay(s, d, delta);
+  const SimulationReport with_default =
+      oracle::simulate_not_all_stop_replay(s, d, delta, FaultModel{});
   EXPECT_DOUBLE_EQ(ideal.cct, with_default.cct);
   EXPECT_EQ(ideal.reconfigurations, with_default.reconfigurations);
 
   FaultModel jitter;
   jitter.jitter_fraction = 0.5;
-  const SimulationReport slowed = simulate_not_all_stop_replay(s, d, delta, jitter);
+  const SimulationReport slowed = oracle::simulate_not_all_stop_replay(s, d, delta, jitter);
   EXPECT_TRUE(slowed.satisfied);
   EXPECT_GE(slowed.cct, ideal.cct - 1e-9);
 
   FaultModel flaky;
   flaky.retry_probability = 0.9;
   flaky.max_attempts = 2;
-  const SimulationReport degraded = simulate_not_all_stop_replay(s, d, delta, flaky);
+  const SimulationReport degraded = oracle::simulate_not_all_stop_replay(s, d, delta, flaky);
   EXPECT_NEAR(degraded.delivered_demand + degraded.stranded_demand, d.total(), 1e-5);
 
   FaultModel invalid;
   invalid.retry_probability = 1.0;
-  EXPECT_THROW(simulate_not_all_stop_replay(s, d, delta, invalid), std::invalid_argument);
+  EXPECT_THROW(oracle::simulate_not_all_stop_replay(s, d, delta, invalid), std::invalid_argument);
 }
 
 std::vector<Coflow> multi_workload() {

@@ -237,8 +237,8 @@ TEST(OnlineDaemon, ZeroSteadyStateAllocationAfterWarmup) {
       return daemon.run(source).stats.alloc_events;
     };
     const std::uint64_t warm = allocs(4);
-    EXPECT_GT(warm, 0u) << to_string(kind);
-    EXPECT_EQ(allocs(8), warm) << to_string(kind);
+    EXPECT_GT(warm, 0u) << "policy " << static_cast<int>(kind);
+    EXPECT_EQ(allocs(8), warm) << "policy " << static_cast<int>(kind);
   }
 }
 

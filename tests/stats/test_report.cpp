@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 namespace reco {
 namespace {
 
@@ -38,39 +36,6 @@ TEST(Report, MismatchedRowThrows) {
   ReportTable t("t");
   t.set_header({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
-}
-
-TEST(Report, SaveCsvRoundTrip) {
-  ReportTable t("csv test");
-  t.set_header({"a", "b"});
-  t.add_row({"1", "2,x"});
-  const std::string path = ::testing::TempDir() + "/reco_report_test.csv";
-  t.save_csv(path);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "# csv test");
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,\"2,x\"");
-}
-
-TEST(Report, SaveCsvCreatesMissingParentDirectories) {
-  ReportTable t("mkdir test");
-  t.set_header({"a"});
-  t.add_row({"1"});
-  const std::string path = ::testing::TempDir() + "/reco_report_mkdir/sub/x.csv";
-  t.save_csv(path);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
-}
-
-TEST(Report, SaveCsvThrowsWhenParentCannotBeCreated) {
-  ReportTable t("err test");
-  const std::string blocker = ::testing::TempDir() + "/reco_report_blocker";
-  { std::ofstream(blocker) << "not a directory\n"; }
-  EXPECT_THROW(t.save_csv(blocker + "/sub/x.csv"), std::runtime_error);
 }
 
 TEST(Report, FormatHelpers) {

@@ -35,26 +35,10 @@ TEST(Summary, PercentileEdgeCases) {
   EXPECT_THROW(percentile_sorted({1.0}, 101), std::invalid_argument);
 }
 
-TEST(Summary, EmpiricalCdf) {
-  const auto cdf = empirical_cdf({3.0, 1.0, 2.0});
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].first, 1.0);
-  EXPECT_NEAR(cdf[0].second, 1.0 / 3, 1e-12);
-  EXPECT_DOUBLE_EQ(cdf[2].first, 3.0);
-  EXPECT_DOUBLE_EQ(cdf[2].second, 1.0);
-}
-
 TEST(Summary, NormalizedRatio) {
   EXPECT_DOUBLE_EQ(normalized_ratio({4.0, 6.0}, {1.0, 1.0}), 5.0);
   EXPECT_DOUBLE_EQ(normalized_ratio({1.0}, {}), 0.0);
   EXPECT_DOUBLE_EQ(normalized_ratio({1.0}, {0.0}), 0.0);
-}
-
-TEST(Summary, ElementwiseRatioSkipsZeroDenominators) {
-  const auto r = elementwise_ratio({4.0, 6.0, 8.0}, {2.0, 0.0, 4.0});
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_DOUBLE_EQ(r[0], 2.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.0);
 }
 
 }  // namespace
