@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       const sim::SimulationReport p = sim::simulate_single_coflow(replay, d, g.delta);
       sim::AdaptiveRecoController adapt(g.delta);
       const sim::SimulationReport a = sim::simulate_single_coflow(adapt, d, g.delta);
-      sim::GreedyMaxWeightController max_weight(g.delta);
+      sim::GreedyMaxWeightController max_weight;
       const sim::SimulationReport m = sim::simulate_single_coflow(max_weight, d, g.delta);
       planned.push_back(p.cct / lb);
       adaptive.push_back(a.cct / lb);

@@ -24,15 +24,21 @@ int main(int argc, char** argv) {
 
   struct Scenario {
     const char* name;
-    sim::FaultModel faults;
+    sim::FaultConfig faults;
+  };
+  const auto timing = [](double jitter, double retry) {
+    sim::FaultConfig faults;
+    faults.jitter_fraction = jitter;
+    faults.retry_probability = retry;
+    return faults;
   };
   const Scenario scenarios[] = {
       {"ideal", {}},
-      {"jitter 25%", {.jitter_fraction = 0.25}},
-      {"jitter 100%", {.jitter_fraction = 1.0}},
-      {"retries 10%", {.retry_probability = 0.10}},
-      {"retries 30%", {.retry_probability = 0.30}},
-      {"jitter 50% + retries 20%", {.jitter_fraction = 0.5, .retry_probability = 0.2}},
+      {"jitter 25%", timing(0.25, 0.0)},
+      {"jitter 100%", timing(1.0, 0.0)},
+      {"retries 10%", timing(0.0, 0.10)},
+      {"retries 30%", timing(0.0, 0.30)},
+      {"jitter 50% + retries 20%", timing(0.5, 0.2)},
   };
 
   ReportTable t("Extension: CCT degradation under reconfiguration faults");

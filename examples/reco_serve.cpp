@@ -8,7 +8,7 @@
 // zero steady-state allocation once warm.
 //
 //   reco_serve [--coflows=N] [--ports=P] [--gap=SEC] [--seed=N]
-//              [--policy=epoch|replan|fifo] [--ordering=bssi|sebf|lp]
+//              [--policy=epoch|replan|fifo] [--ordering=bssi|sebf]
 //              [--delta=SEC] [--c=C] [--threads=N]
 //              [--trace=FILE] [--fb] [--no-schedule] [--csv=FILE]
 //              [--trace-out=FILE] [--metrics-out=FILE]
@@ -79,7 +79,7 @@ extern "C" void handle_stop_signal(int /*sig*/) { g_stop = 1; }
 int usage() {
   std::fprintf(stderr,
                "usage: reco_serve [--coflows=N] [--ports=P] [--gap=SEC] [--seed=N]\n"
-               "                  [--policy=epoch|replan|fifo] [--ordering=bssi|sebf|lp]\n"
+               "                  [--policy=epoch|replan|fifo] [--ordering=bssi|sebf]\n"
                "                  [--delta=SEC] [--c=C] [--threads=N]\n"
                "                  [--trace=FILE] [--fb] [--no-schedule] [--csv=FILE]\n"
                "                  [--trace-out=FILE] [--metrics-out=FILE]\n"
@@ -124,10 +124,9 @@ int main(int argc, char** argv) {
                                     : policy_name == "fifo" ? OnlinePolicyKind::kFifoRecoSin
                                                             : OnlinePolicyKind::kDrainReplanRecoMul;
 
-    const std::string ordering_name = args.get_choice("ordering", "bssi", {"bssi", "sebf", "lp"});
-    const OrderingPolicy ordering = ordering_name == "sebf" ? OrderingPolicy::kSebf
-                                    : ordering_name == "lp" ? OrderingPolicy::kLp
-                                                            : OrderingPolicy::kBssi;
+    const std::string ordering_name = args.get_choice("ordering", "bssi", {"bssi", "sebf"});
+    const OrderingPolicy ordering =
+        ordering_name == "sebf" ? OrderingPolicy::kSebf : OrderingPolicy::kBssi;
 
     const std::string csv_path = args.get("csv", "");
     sim::OnlineDaemonOptions options;

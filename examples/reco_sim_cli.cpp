@@ -117,9 +117,9 @@ int run_single(const cli::Args& args, const std::vector<Coflow>& coflows) {
   ExecutionResult r;
   if (timing_faults || port_faults) {
     sim::FaultConfig config;
-    config.timing.jitter_fraction = args.get_double("jitter", 0.0);
-    config.timing.retry_probability = args.get_double("retries", 0.0);
-    config.timing.max_attempts = args.get_int<int>("setup-attempts", 64);
+    config.jitter_fraction = args.get_double("jitter", 0.0);
+    config.retry_probability = args.get_double("retries", 0.0);
+    config.max_attempts = args.get_int<int>("setup-attempts", 64);
     if (args.has("fault-trace")) {
       config.port_faults = sim::load_fault_trace(args.get("fault-trace", ""));
     }
@@ -128,17 +128,17 @@ int run_single(const cli::Args& args, const std::vector<Coflow>& coflows) {
     config.setup_timeout_probability = args.get_double("setup-timeout", 0.0);
     config.crosspoint_failure_probability = args.get_double("crosspoint-fail", 0.0);
     config.seed = args.get_int<std::uint64_t>("fault-seed", 1);
-    sim::FaultInjector injector(config);
+    sim::validate_fault_config(config);
     std::printf("fault injection: seed %llu, jitter %.0f%%, retry %.0f%%, timeout %.0f%%, "
                 "crosspoint %.0f%%, mtbf %g s, mttr %g s, %zu scripted faults "
                 "(event-driven all-stop fabric; --model ignored)\n",
                 static_cast<unsigned long long>(config.seed),
-                100 * config.timing.jitter_fraction, 100 * config.timing.retry_probability,
+                100 * config.jitter_fraction, 100 * config.retry_probability,
                 100 * config.setup_timeout_probability,
                 100 * config.crosspoint_failure_probability, config.port_mtbf,
                 config.port_mttr, config.port_faults.size());
     sim::RecoveringController controller(schedule, delta);
-    const sim::SimulationReport rep = sim::simulate_single_coflow(controller, d, delta, injector);
+    const sim::SimulationReport rep = sim::simulate_single_coflow(controller, d, delta, config);
     r.cct = rep.cct;
     r.transmission_time = rep.transmission_time;
     r.reconfigurations = rep.reconfigurations;

@@ -51,8 +51,8 @@ struct ExactSums {
   }
 };
 
-/// stuff() on the exact sums of `out`, taken by the caller, so
-/// stuff_granular scans them once.
+/// Stuff `out` so every line sums to max(rho, target), on the exact sums
+/// of `out` taken by the caller, so stuff_granular scans them once.
 SupportIndex stuff_with_sums(SupportIndex out, Time target, const ExactSums& sums) {
   const int n = out.n();
   obs::ScopedSpan span("bvn.stuff", "bvn");
@@ -154,14 +154,12 @@ SupportIndex stuff_with_sums(SupportIndex out, Time target, const ExactSums& sum
 
 }  // namespace
 
-SupportIndex stuff(SupportIndex demand, Time target) {
+SupportIndex stuff(SupportIndex demand) {
   const ExactSums sums(demand);
-  return stuff_with_sums(std::move(demand), target, sums);
+  return stuff_with_sums(std::move(demand), 0.0, sums);
 }
 
-Matrix stuff(const Matrix& demand, Time target) {
-  return stuff(SupportIndex(demand), target).release();
-}
+Matrix stuff(const Matrix& demand) { return stuff(SupportIndex(demand)).release(); }
 
 SupportIndex stuff_granular(SupportIndex demand, Time quantum) {
   if (!(quantum > 0.0) || !std::isfinite(quantum)) {  // NaN fails every comparison

@@ -9,10 +9,10 @@
 
 namespace reco {
 
-/// Pad `demand` so every row and column sums to max(rho(demand), target).
-/// Greedy slack-filling: always succeeds because total row slack equals
-/// total column slack at any common target >= rho.
-Matrix stuff(const Matrix& demand, Time target = 0.0);
+/// Pad `demand` so every row and column sums to rho(demand).  Greedy
+/// slack-filling: always succeeds because total row slack equals total
+/// column slack at any common line sum >= rho.
+Matrix stuff(const Matrix& demand);
 
 /// Sparse path: stuff an indexed demand in place and return the index.
 /// The greedy fill walks only columns with remaining slack (a union-find
@@ -21,7 +21,7 @@ Matrix stuff(const Matrix& demand, Time target = 0.0);
 /// O(N^2).  Produces the same matrix as the dense overload bit-for-bit
 /// (same fill order, same arithmetic; sums taken via the index's ordered
 /// exact re-scans).
-SupportIndex stuff(SupportIndex demand, Time target = 0.0);
+SupportIndex stuff(SupportIndex demand);
 
 /// Stuff to the smallest multiple of `quantum` that is >= rho(demand).
 /// When `demand` is already quantum-granular (post-regularization), every

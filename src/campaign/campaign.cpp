@@ -30,6 +30,9 @@ constexpr std::uint32_t kCampaignVersion = 1;
 // replans only when the old plan has no surviving useful circuit left.
 constexpr Time kWaitForever = 1e30;
 
+/// Flight dumps written per campaign at most.
+constexpr int kMaxFlightDumps = 8;
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -139,7 +142,6 @@ void validate_campaign_config(const CampaignConfig& config) {
       config.crosspoint_failure_probability >= 1.0) {
     fail("crosspoint_failure_probability must be in [0, 1)");
   }
-  if (config.max_flight_dumps < 0) fail("max_flight_dumps must be non-negative");
 }
 
 CampaignRunner::CampaignRunner(CampaignConfig config) : config_(std::move(config)) {
@@ -179,7 +181,6 @@ ReplicationResult CampaignRunner::run_one(std::size_t index) const {
   faults.setup_timeout_probability = config_.setup_timeout_probability;
   faults.crosspoint_failure_probability = config_.crosspoint_failure_probability;
   faults.seed = mix(config_.seed ^ 0xfa017c0defa017ull, mix(grid_index, rep));
-  sim::FaultInjector injector(faults);
 
   Time deadline = 0.0;
   if (policy == RecoveryPolicy::kWaitForRepair) deadline = kWaitForever;
@@ -189,7 +190,7 @@ ReplicationResult CampaignRunner::run_one(std::size_t index) const {
   sim::RecoveringController controller(
       std::make_unique<sim::RecoSinController>(demand, config_.delta), config_.delta, deadline);
   const sim::SimulationReport sim =
-      sim::simulate_single_coflow(controller, demand, config_.delta, injector);
+      sim::simulate_single_coflow(controller, demand, config_.delta, faults);
 
   ReplicationResult r;
   r.cell = static_cast<int>(cell);
@@ -233,7 +234,7 @@ void CampaignRunner::note_completed(const ReplicationResult& result) {
     if (!result.satisfied) obs::metrics().counter("campaign.anomalies").inc();
   }
   if (!result.satisfied && !config_.flight_prefix.empty() &&
-      flight_dumps_ < config_.max_flight_dumps) {
+      flight_dumps_ < kMaxFlightDumps) {
     dump_flight(result);
   }
 }

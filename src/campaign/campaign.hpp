@@ -69,9 +69,8 @@ struct CampaignConfig {
 
   /// Non-empty: replay each anomalous replication (terminated with demand
   /// stranded) with the flight recorder armed and dump the incident ring
-  /// to "<flight_prefix>rep<index>.jsonl" (bounded by max_flight_dumps).
+  /// to "<flight_prefix>rep<index>.jsonl", for the first 8 anomalies.
   std::string flight_prefix;
-  int max_flight_dumps = 8;
 };
 
 /// Throws std::invalid_argument on an unrunnable config (no policies, no

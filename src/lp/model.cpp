@@ -7,6 +7,11 @@
 namespace reco::lp {
 
 namespace {
+/// tau_{t+1} / tau_t.
+constexpr double kGeometricRatio = 2.0;
+/// Largest instance, in x_{k,t} variables, that is built and solved.
+constexpr long kMaxVariables = 6000;
+
 /// Per-port loads of one coflow: ingress p -> row sum, egress p -> col sum.
 /// Ports are numbered 0..n-1 (ingress) and n..2n-1 (egress).
 std::vector<double> port_loads(const Coflow& c) {
@@ -18,8 +23,7 @@ std::vector<double> port_loads(const Coflow& c) {
 }
 }  // namespace
 
-IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows,
-                                           const IntervalLpOptions& options) {
+IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows) {
   IntervalLpResult out;
   const int num_coflows = static_cast<int>(coflows.size());
   if (num_coflows == 0) {
@@ -48,9 +52,8 @@ IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows,
   }
 
   // Geometric grid covering [min_rho, max_port_load].
-  const double r = options.geometric_ratio;
   std::vector<double> tau;  // tau[t] = right end of interval t (0-based)
-  for (double end = min_rho; ; end *= r) {
+  for (double end = min_rho; ; end *= kGeometricRatio) {
     tau.push_back(end);
     if (end >= max_port_load) break;
   }
@@ -59,7 +62,7 @@ IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows,
 
   // Size guard: dense simplex scales to a few thousand variables; beyond
   // that, report failure so the caller can fall back (see lp_order).
-  if (static_cast<long>(num_coflows) * num_t > options.max_variables) {
+  if (static_cast<long>(num_coflows) * num_t > kMaxVariables) {
     out.status = SolveStatus::kIterLimit;
     return out;
   }
@@ -70,7 +73,7 @@ IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows,
   for (int k = 0; k < num_coflows; ++k) {
     for (int t = 0; t < num_t; ++t) {
       if (tau[t] + 1e-12 < rho[k]) continue;
-      const double left_end = t == 0 ? tau[0] / r : tau[t - 1];
+      const double left_end = t == 0 ? tau[0] / kGeometricRatio : tau[t - 1];
       var[k][t] = model.add_var(coflows[k].weight * left_end);
     }
   }
@@ -104,7 +107,7 @@ IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows,
     }
   }
 
-  const Solution sol = solve(model, options.max_iters);
+  const Solution sol = solve(model);
   out.status = sol.status;
   if (sol.status != SolveStatus::kOptimal) return out;
 

@@ -8,7 +8,8 @@
 //        sum_k L_p(k) * sum_{s<=t} x_{k,s} <= tau_t   for every port p, t
 //        x_{k,t} = 0 whenever tau_t < rho_k     (can't beat own bottleneck)
 // The fractional completion estimate C_k = sum_t tau_t x_{k,t} induces the
-// scheduling order.
+// scheduling order.  The grid doubles (tau_{t+1} = 2 tau_t), and instances
+// beyond 6000 variables x_{k,t} are refused rather than solved.
 #pragma once
 
 #include <vector>
@@ -17,15 +18,6 @@
 #include "lp/simplex.hpp"
 
 namespace reco::lp {
-
-struct IntervalLpOptions {
-  double geometric_ratio = 2.0;  ///< tau_{t+1} / tau_t
-  long max_iters = 0;            ///< 0 = size-based default
-  /// Refuse to build instances beyond this many x_{k,t} variables (the
-  /// dense simplex would be impractically slow); the caller is expected to
-  /// fall back to a combinatorial ordering.  Returns kIterLimit status.
-  int max_variables = 6000;
-};
 
 struct IntervalLpResult {
   SolveStatus status = SolveStatus::kIterLimit;
@@ -36,8 +28,10 @@ struct IntervalLpResult {
   std::vector<double> interval_ends;
 };
 
-/// Build and solve the relaxation for the given coflows.
-IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows,
-                                           const IntervalLpOptions& options = {});
+/// Build and solve the relaxation for the given coflows.  An instance with
+/// more than 6000 variables is not built (the dense simplex would be
+/// impractically slow): the status is kIterLimit, and the caller is
+/// expected to fall back to a combinatorial ordering.
+IntervalLpResult solve_interval_indexed_lp(const std::vector<Coflow>& coflows);
 
 }  // namespace reco::lp

@@ -88,7 +88,7 @@ int Model::add_var(double cost) {
   return num_vars++;
 }
 
-Solution solve(const Model& model, long max_iters) {
+Solution solve(const Model& model) {
   const int n = model.num_vars;
   const int m = static_cast<int>(model.constraints.size());
   if (static_cast<int>(model.objective.size()) != n) {
@@ -154,9 +154,7 @@ Solution solve(const Model& model, long max_iters) {
     }
   }
 
-  long iters = max_iters > 0
-                   ? max_iters
-                   : 200L + 20L * static_cast<long>(m + tb.cols);
+  long iters = 200L + 20L * static_cast<long>(m + tb.cols);
 
   Solution sol;
   if (n_art > 0) {

@@ -40,7 +40,8 @@ struct Solution {
   std::vector<double> x;
 };
 
-/// Solve the model; `max_iters <= 0` picks a size-based default.
-Solution solve(const Model& model, long max_iters = 0);
+/// Solve the model.  Both phases together pivot at most 200 + 20 * (rows +
+/// tableau columns) times; a model that needs more reports kIterLimit.
+Solution solve(const Model& model);
 
 }  // namespace reco::lp

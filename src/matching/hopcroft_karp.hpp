@@ -19,11 +19,6 @@ struct MatchingResult {
   /// match_right[j] = matched left vertex of j, or -1.
   std::vector<int> match_right;
   int size = 0;
-
-  bool is_perfect() const {
-    return size == static_cast<int>(match_left.size()) &&
-           size == static_cast<int>(match_right.size());
-  }
 };
 
 /// Maximum matching on the edges {(i,j) : m(i,j) >= threshold - kTimeEps}.

@@ -19,7 +19,7 @@ namespace {
 CircuitSchedule schedule_one(const Matrix& demand, Time delta, SingleCoflowAlgo algo) {
   switch (algo) {
     case SingleCoflowAlgo::kRecoSin: return reco_sin(demand, delta);
-    case SingleCoflowAlgo::kSolstice: return solstice(demand, delta);
+    case SingleCoflowAlgo::kSolstice: return solstice(demand);
     case SingleCoflowAlgo::kBvn: return bvn_baseline(demand);
   }
   throw std::logic_error("schedule_one: unknown algorithm");
@@ -71,9 +71,8 @@ MultiScheduleResult sebf_solstice(const std::vector<Coflow>& coflows, Time delta
                                    SingleCoflowAlgo::kSolstice);
 }
 
-MultiScheduleResult lp_ii_gb(const std::vector<Coflow>& coflows, Time delta,
-                             const lp::IntervalLpOptions& lp_options) {
-  return sequential_multi_schedule(coflows, lp_order(coflows, lp_options), delta,
+MultiScheduleResult lp_ii_gb(const std::vector<Coflow>& coflows, Time delta) {
+  return sequential_multi_schedule(coflows, lp_order(coflows), delta,
                                    SingleCoflowAlgo::kBvn);
 }
 

@@ -15,7 +15,6 @@
 #include "core/coflow.hpp"
 #include "core/slice.hpp"
 #include "core/types.hpp"
-#include "lp/model.hpp"
 #include "sched/ordering.hpp"
 
 namespace reco {
@@ -43,8 +42,7 @@ MultiScheduleResult sequential_multi_schedule(const std::vector<Coflow>& coflows
 MultiScheduleResult sebf_solstice(const std::vector<Coflow>& coflows, Time delta);
 
 /// LP-II-GB baseline (LP ordering + per-coflow BvN).
-MultiScheduleResult lp_ii_gb(const std::vector<Coflow>& coflows, Time delta,
-                             const lp::IntervalLpOptions& lp_options = {});
+MultiScheduleResult lp_ii_gb(const std::vector<Coflow>& coflows, Time delta);
 
 /// Full Reco-Mul pipeline with the chosen ALG_p ordering (default BSSI,
 /// the combinatorial Delta = 4 choice).

@@ -75,7 +75,12 @@ double DecisionLatencyRecorder::quantile_us(double q) const {
 }
 
 OnlineCore::OnlineCore(OnlinePolicyKind kind, const OnlineCoreOptions& options)
-    : kind_(kind), options_(options) {}
+    : kind_(kind), options_(options) {
+  if (options_.ordering == OrderingPolicy::kLp) {
+    throw std::invalid_argument(
+        "OnlineCore: the LP ordering cannot order residuals; use BSSI or SEBF");
+  }
+}
 
 void OnlineCore::reserve(std::size_t expected_coflows) {
   if (options_.record_cct) cct_.reserve(expected_coflows);

@@ -90,7 +90,9 @@ class DecisionLatencyRecorder {
 struct OnlineCoreOptions {
   Time delta = 100e-6;
   double c_threshold = 4.0;
-  OrderingPolicy ordering = OrderingPolicy::kBssi;  ///< ALG_p inside an epoch
+  /// ALG_p inside an epoch: kBssi or kSebf (the constructor throws
+  /// std::invalid_argument on kLp, which cannot order residuals).
+  OrderingPolicy ordering = OrderingPolicy::kBssi;
   /// Keep the emitted SliceSchedule.  The soak/daemon mode turns this off:
   /// an unbounded result vector is the one buffer that *must* grow with
   /// stream length (the digest still covers every emitted slice).
@@ -141,7 +143,6 @@ class OnlineCore {
 
   std::size_t live() const { return live_slots_.size(); }
   bool idle() const { return live_slots_.empty(); }
-  bool has_plan() const { return has_plan_; }
 
   /// Build a plan for every live coflow on a local axis based at `now`.
   /// Returns the full plan's real-time makespan (local).  Batch policies

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "lp/model.hpp"
 #include "runtime/parallel.hpp"
 
 namespace reco {
@@ -98,9 +99,8 @@ std::vector<int> bssi_order(const std::vector<Coflow>& coflows) {
   return order;
 }
 
-std::vector<int> lp_order(const std::vector<Coflow>& coflows,
-                          const lp::IntervalLpOptions& options) {
-  const lp::IntervalLpResult r = lp::solve_interval_indexed_lp(coflows, options);
+std::vector<int> lp_order(const std::vector<Coflow>& coflows) {
+  const lp::IntervalLpResult r = lp::solve_interval_indexed_lp(coflows);
   if (r.status != lp::SolveStatus::kOptimal) return bssi_order(coflows);
   std::vector<int> order(coflows.size());
   std::iota(order.begin(), order.end(), 0);
@@ -155,7 +155,7 @@ void order_residuals_into(const std::vector<const SupportIndex*>& residuals,
     return;
   }
 
-  // kBssi, and kLp's residual fallback.
+  // kBssi.
   scratch.w.assign(weights.begin(), weights.end());
   bssi_from_loads(num_coflows, num_ports, scratch, order);
 }

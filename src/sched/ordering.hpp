@@ -18,7 +18,6 @@
 
 #include "core/coflow.hpp"
 #include "core/support_index.hpp"
-#include "lp/model.hpp"
 
 namespace reco {
 
@@ -26,8 +25,7 @@ enum class OrderingPolicy { kSebf, kBssi, kLp };
 
 std::vector<int> sebf_order(const std::vector<Coflow>& coflows);
 std::vector<int> bssi_order(const std::vector<Coflow>& coflows);
-std::vector<int> lp_order(const std::vector<Coflow>& coflows,
-                          const lp::IntervalLpOptions& options = {});
+std::vector<int> lp_order(const std::vector<Coflow>& coflows);
 
 std::vector<int> order_coflows(const std::vector<Coflow>& coflows, OrderingPolicy policy);
 
@@ -52,9 +50,9 @@ struct OrderingScratch {
 /// `order`, a permutation of indices into `residuals`.  Loads come from
 /// `row_sum_exact` / `col_sums_exact`, which match the dense Matrix scans
 /// bit-for-bit, so on equal matrices this returns exactly what
-/// `order_coflows` returns on the corresponding Coflow vector.  kLp falls
-/// back to BSSI here (the interval LP wants whole Coflow objects; residual
-/// replanning is the regime where its solve cost is least affordable).
+/// `order_coflows` returns on the corresponding Coflow vector.  `policy`
+/// is kSebf or kBssi: the interval LP wants whole Coflow objects, so no
+/// residual set is ordered by kLp (OnlineCore rejects it up front).
 void order_residuals_into(const std::vector<const SupportIndex*>& residuals,
                           const std::vector<double>& weights, OrderingPolicy policy,
                           OrderingScratch& scratch, std::vector<int>& order);

@@ -73,12 +73,6 @@ class PortTimeline {
     return t;
   }
 
-  Time earliest_fit(Time t, Time d) const {
-    std::size_t k = 0;
-    std::size_t scan_start = 0;
-    return earliest_fit(t, d, k, scan_start);
-  }
-
   /// Insert [start, end]; `k` is at or before the first interval ending
   /// after start.
   void insert(Time start, Time end, std::size_t k = 0) {

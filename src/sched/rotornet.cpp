@@ -5,19 +5,25 @@
 
 namespace reco {
 
-CircuitSchedule rotornet_schedule(const Matrix& demand, Time delta,
-                                  const RotorOptions& options) {
-  if (options.slot_over_delta <= 0.0) {
+namespace {
+/// Slot length as a multiple of delta.
+constexpr double kSlotOverDelta = 10.0;
+/// Safety valve on emitted assignments.
+constexpr int kMaxAssignments = 1 << 22;
+}  // namespace
+
+CircuitSchedule rotornet_schedule(const Matrix& demand, Time delta) {
+  const Time slot = kSlotOverDelta * delta;
+  if (!(slot > 0.0)) {
     throw std::invalid_argument("rotornet_schedule: slot length must be positive");
   }
   CircuitSchedule schedule;
   const int n = demand.n();
   if (demand.nnz() == 0) return schedule;
 
-  const Time slot = options.slot_over_delta * delta;
   Matrix residual = demand;
   int emitted = 0;
-  while (residual.nnz() > 0 && emitted < options.max_assignments) {
+  while (residual.nnz() > 0 && emitted < kMaxAssignments) {
     bool progressed = false;
     for (int r = 0; r < n && residual.nnz() > 0; ++r) {
       CircuitAssignment a;

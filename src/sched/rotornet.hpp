@@ -13,20 +13,13 @@
 
 namespace reco {
 
-struct RotorOptions {
-  /// Slot length as a multiple of delta (RotorNet keeps slots >> the
-  /// reconfiguration penalty for duty-cycle reasons).
-  double slot_over_delta = 10.0;
-  /// Safety valve on emitted assignments.
-  int max_assignments = 1 << 22;
-};
-
 /// Build the oblivious rotor schedule that covers `demand`: cycle k uses
-/// permutations j = (i + r) mod N for r = 0..N-1, each held one slot,
-/// repeated until every entry is served.  Rotations with no remaining
-/// demand are dropped (the executor would skip them anyway, but dropping
-/// keeps the schedule finite and tight).
-CircuitSchedule rotornet_schedule(const Matrix& demand, Time delta,
-                                  const RotorOptions& options = {});
+/// permutations j = (i + r) mod N for r = 0..N-1, each held one slot of
+/// 10 * delta (RotorNet keeps slots >> the reconfiguration penalty for
+/// duty-cycle reasons), repeated until every entry is served.  Rotations
+/// with no remaining demand are dropped (the executor would skip them
+/// anyway, but dropping keeps the schedule finite and tight).  Throws
+/// std::invalid_argument unless delta is positive.
+CircuitSchedule rotornet_schedule(const Matrix& demand, Time delta);
 
 }  // namespace reco

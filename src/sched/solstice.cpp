@@ -18,7 +18,7 @@ namespace {
 constexpr double kSliceFloor = 8 * kTimeEps;
 }  // namespace
 
-CircuitSchedule solstice(const Matrix& demand, Time /*delta*/) {
+CircuitSchedule solstice(const Matrix& demand) {
   obs::ScopedSpan span("sched.solstice", "sched");
   SupportIndex indexed(demand);
   if (indexed.nnz() == 0) return {};

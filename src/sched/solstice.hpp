@@ -16,9 +16,8 @@
 
 namespace reco {
 
-/// Build the Solstice circuit scheduling for one coflow.  `delta` is
-/// unused by the algorithm itself (Solstice is reconfiguration-agnostic,
-/// which is its weakness) but kept in the signature for interface symmetry.
-CircuitSchedule solstice(const Matrix& demand, Time delta = 0.0);
+/// Build the Solstice circuit scheduling for one coflow.  It takes no
+/// delta: Solstice is reconfiguration-agnostic, which is its weakness.
+CircuitSchedule solstice(const Matrix& demand);
 
 }  // namespace reco

@@ -7,7 +7,7 @@
 
 namespace reco {
 
-SunflowResult sunflow(const Matrix& demand, Time delta, SunflowOrder order) {
+SunflowResult sunflow(const Matrix& demand, Time delta) {
   SunflowResult result;
   const int n = demand.n();
 
@@ -18,14 +18,12 @@ SunflowResult sunflow(const Matrix& demand, Time delta, SunflowOrder order) {
       if (!approx_zero(demand.at(i, j))) flows.push_back({i, j, demand.at(i, j)});
     }
   }
-  std::sort(flows.begin(), flows.end(), [order](const PacketFlow& a, const PacketFlow& b) {
-    return order == SunflowOrder::kLongestFirst ? a.size > b.size : a.size < b.size;
-  });
+  std::sort(flows.begin(), flows.end(),
+            [](const PacketFlow& a, const PacketFlow& b) { return a.size > b.size; });
 
   // Every circuit occupies its ports for at least delta plus the smallest
-  // flow (one end of the sorted list): the timelines' floor.
-  const Time min_len =
-      flows.empty() ? 0.0 : delta + std::min(flows.front().size, flows.back().size);
+  // flow (the last of the sorted list): the timelines' floor.
+  const Time min_len = flows.empty() ? 0.0 : delta + flows.back().size;
   std::vector<PortTimeline> ingress(n);
   std::vector<PortTimeline> egress(n);
   for (PortTimeline& t : ingress) t.reset(min_len);

@@ -15,12 +15,6 @@
 
 namespace reco {
 
-/// How Sunflow orders the flows of the coflow before list scheduling.
-enum class SunflowOrder {
-  kLongestFirst,   ///< LPT — the default, balances port makespans
-  kShortestFirst,  ///< SPT — ablation
-};
-
 struct SunflowResult {
   /// One slice per flow; starts already include the per-circuit setup
   /// delay, i.e. slice.start is when data begins to move.
@@ -31,8 +25,8 @@ struct SunflowResult {
   int reconfigurations = 0;
 };
 
-/// Schedule one coflow on a not-all-stop OCS, Sunflow style.
-SunflowResult sunflow(const Matrix& demand, Time delta,
-                      SunflowOrder order = SunflowOrder::kLongestFirst);
+/// Schedule one coflow on a not-all-stop OCS, Sunflow style: flows are
+/// list-scheduled longest first (LPT, which balances port makespans).
+SunflowResult sunflow(const Matrix& demand, Time delta);
 
 }  // namespace reco

@@ -7,16 +7,24 @@
 
 namespace reco {
 
-CircuitSchedule tms_schedule(const Matrix& demand, Time delta, const TmsOptions& options) {
-  if (options.day_over_delta <= 0.0) {
+namespace {
+/// Circuit hold per establishment, as a multiple of delta.
+constexpr double kDayOverDelta = 10.0;
+/// Safety valve: stop extending the schedule after this many
+/// establishments (the executor would skip useless ones anyway).
+constexpr int kMaxAssignments = 1 << 20;
+}  // namespace
+
+CircuitSchedule tms_schedule(const Matrix& demand, Time delta) {
+  const Time day = kDayOverDelta * delta;
+  if (!(day > 0.0)) {
     throw std::invalid_argument("tms_schedule: day length must be positive");
   }
   CircuitSchedule schedule;
   if (demand.nnz() == 0) return schedule;
 
-  const Time day = options.day_over_delta * delta;
   Matrix residual = demand;
-  for (int round = 0; round < options.max_assignments && residual.nnz() > 0; ++round) {
+  for (int round = 0; round < kMaxAssignments && residual.nnz() > 0; ++round) {
     const AssignmentResult match = max_weight_assignment(residual);
     CircuitAssignment a;
     Time largest = 0.0;

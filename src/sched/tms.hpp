@@ -12,19 +12,12 @@
 
 namespace reco {
 
-struct TmsOptions {
-  /// Circuit hold time per establishment, as a multiple of delta ("night
-  /// length").  Helios-style systems use day >> night.
-  double day_over_delta = 10.0;
-  /// Safety valve: give up extending the schedule after this many
-  /// establishments (the executor would skip useless ones anyway).
-  int max_assignments = 1 << 20;
-};
-
 /// Build a circuit scheduling for one coflow by repeated max-weight
-/// matchings (Hungarian) over the residual demand.  The schedule always
-/// satisfies the demand: the final matching rounds run as long as their
-/// largest residual.
-CircuitSchedule tms_schedule(const Matrix& demand, Time delta, const TmsOptions& options = {});
+/// matchings (Hungarian) over the residual demand, each held for one day
+/// of 10 * delta ("night length" delta; Helios-style systems use day >>
+/// night) or until its largest matched residual drains.  The schedule
+/// always satisfies the demand.  Throws std::invalid_argument unless delta
+/// is positive.
+CircuitSchedule tms_schedule(const Matrix& demand, Time delta);
 
 }  // namespace reco

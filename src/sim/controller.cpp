@@ -47,9 +47,6 @@ std::optional<CircuitAssignment> RecoSinController::next_assignment(Time /*now*/
   return std::nullopt;
 }
 
-GreedyMaxWeightController::GreedyMaxWeightController(Time delta, double day_over_delta)
-    : delta_(delta), day_over_delta_(day_over_delta) {}
-
 std::optional<CircuitAssignment> GreedyMaxWeightController::next_assignment(
     Time /*now*/, const Matrix& residual) {
   if (residual.max_entry() < kMinServiceQuantum) return std::nullopt;
@@ -80,7 +77,7 @@ std::optional<CircuitAssignment> GreedyMaxWeightController::next_assignment(
     a.circuits.push_back({bi, bj});
     largest = residual.at(bi, bj);
   }
-  a.duration = day_over_delta_ > 0.0 ? std::min(largest, day_over_delta_ * delta_) : largest;
+  a.duration = largest;
   return a;
 }
 

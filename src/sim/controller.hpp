@@ -68,17 +68,10 @@ class RecoSinController final : public CircuitController {
 };
 
 /// Adaptive Helios-style policy: max-weight matching over the residual on
-/// every decision, held until the largest matched residual drains (or a
-/// fixed day, whichever is shorter).
+/// every decision, held until the largest matched residual drains.
 class GreedyMaxWeightController final : public CircuitController {
  public:
-  /// day_over_delta <= 0 disables the day cap (hold until drained).
-  GreedyMaxWeightController(Time delta, double day_over_delta = 0.0);
   std::optional<CircuitAssignment> next_assignment(Time now, const Matrix& residual) override;
-
- private:
-  Time delta_;
-  double day_over_delta_;
 };
 
 /// Adaptive regularization policy: Reco-Sin's max-min extraction applied

@@ -44,13 +44,8 @@ constexpr int kFabricTrack = -1;
 }  // namespace
 
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
-                                        Time delta, const FaultModel& faults) {
+                                        Time delta, const FaultConfig& faults) {
   FaultInjector injector(faults);
-  return simulate_single_coflow(controller, demand, delta, injector);
-}
-
-SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
-                                        Time delta, FaultInjector& injector) {
   obs::ScopedSpan span("sim.single_coflow", "sim");
   if (obs::enabled()) obs::tracer().name_sim_track(kFabricTrack, "fabric");
   SimulationReport report;

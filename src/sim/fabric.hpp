@@ -10,7 +10,10 @@
 // property-test-style (tests/sim/), beside the not-all-stop and slice
 // replays the tests keep as oracles (tests/oracles/fabric_replay.hpp), and
 // adaptive policies — which have no precomputed schedule to replay — run
-// only here.
+// only here.  This is the one fabric that runs under fault injection
+// (sim/faults.hpp): port liveness, failed and partial setups, stranded
+// demand and degraded time are tracked here alone; the multi-coflow fabric
+// (sim/multi_fabric.hpp) is ideal.
 #pragma once
 
 #include <cstdint>
@@ -60,12 +63,11 @@ struct SimulationReport {
 };
 
 /// Run one coflow on an all-stop OCS under `controller` until the
-/// controller stops or the demand drains.  The FaultModel overload is the
-/// legacy timing-only policy; the FaultInjector overload adds port
-/// failures, partial setups, and bounded setup retries (see sim/faults.hpp).
+/// controller stops or the demand drains.  `faults` adds port failures,
+/// partial and slow setups, and bounded setup retries (see sim/faults.hpp);
+/// the default config is the ideal switch.  Throws std::invalid_argument
+/// on an invalid config.
 SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
-                                        Time delta, const FaultModel& faults = {});
-SimulationReport simulate_single_coflow(CircuitController& controller, const Matrix& demand,
-                                        Time delta, FaultInjector& injector);
+                                        Time delta, const FaultConfig& faults = {});
 
 }  // namespace reco::sim

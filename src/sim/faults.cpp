@@ -12,6 +12,10 @@ namespace reco::sim {
 
 namespace {
 
+/// Timed-out attempt k waits delta * min(kBackoffFactor^(k-1), kBackoffCap).
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffCap = 32.0;
+
 bool bad_probability(double p) { return !(p >= 0.0) || !(p <= 1.0); }
 
 /// Exponential with mean `mean` from one uniform draw.
@@ -28,24 +32,20 @@ PortSide parse_side(const std::string& token) {
 
 }  // namespace
 
-void validate_fault_model(const FaultModel& model) {
-  if (!(model.jitter_fraction >= 0.0) || !std::isfinite(model.jitter_fraction)) {
-    throw std::invalid_argument("FaultModel: jitter_fraction must be finite and >= 0, got " +
-                                std::to_string(model.jitter_fraction));
-  }
-  if (!(model.retry_probability >= 0.0) || model.retry_probability >= 1.0) {
-    throw std::invalid_argument(
-        "FaultModel: retry_probability must be in [0, 1) (>= 1 retries forever), got " +
-        std::to_string(model.retry_probability));
-  }
-  if (model.max_attempts < 1) {
-    throw std::invalid_argument("FaultModel: max_attempts must be >= 1, got " +
-                                std::to_string(model.max_attempts));
-  }
-}
-
 void validate_fault_config(const FaultConfig& config) {
-  validate_fault_model(config.timing);
+  if (!(config.jitter_fraction >= 0.0) || !std::isfinite(config.jitter_fraction)) {
+    throw std::invalid_argument("FaultConfig: jitter_fraction must be finite and >= 0, got " +
+                                std::to_string(config.jitter_fraction));
+  }
+  if (!(config.retry_probability >= 0.0) || config.retry_probability >= 1.0) {
+    throw std::invalid_argument(
+        "FaultConfig: retry_probability must be in [0, 1) (>= 1 retries forever), got " +
+        std::to_string(config.retry_probability));
+  }
+  if (config.max_attempts < 1) {
+    throw std::invalid_argument("FaultConfig: max_attempts must be >= 1, got " +
+                                std::to_string(config.max_attempts));
+  }
   if (bad_probability(config.setup_timeout_probability)) {
     throw std::invalid_argument("FaultConfig: setup_timeout_probability must be in [0, 1]");
   }
@@ -57,12 +57,6 @@ void validate_fault_config(const FaultConfig& config) {
   }
   if (!(config.port_mttr >= 0.0) || !std::isfinite(config.port_mttr)) {
     throw std::invalid_argument("FaultConfig: port_mttr must be finite and >= 0");
-  }
-  if (!(config.backoff_factor >= 1.0) || !std::isfinite(config.backoff_factor)) {
-    throw std::invalid_argument("FaultConfig: backoff_factor must be >= 1");
-  }
-  if (!(config.backoff_cap >= 1.0) || !std::isfinite(config.backoff_cap)) {
-    throw std::invalid_argument("FaultConfig: backoff_cap must be >= 1");
   }
   for (const PortFault& f : config.port_faults) {
     if (!std::isfinite(f.at) || f.at < 0.0) {
@@ -86,17 +80,6 @@ FaultInjector::FaultInjector(FaultConfig config)
       port_rng_(config_.seed ^ 0x9e3779b97f4a7c15ull) {
   validate_fault_config(config_);
 }
-
-namespace {
-FaultConfig legacy_config(const FaultModel& legacy) {
-  FaultConfig config;
-  config.timing = legacy;
-  config.seed = legacy.seed;  // the historical FaultModel seed is the stream
-  return config;
-}
-}  // namespace
-
-FaultInjector::FaultInjector(const FaultModel& legacy) : FaultInjector(legacy_config(legacy)) {}
 
 void FaultInjector::push_fault(const PortFault& fault) {
   Pending down;
@@ -181,16 +164,14 @@ std::optional<Time> FaultInjector::next_repair() const {
 
 SetupOutcome FaultInjector::sample_setup(Time delta, const std::vector<Circuit>& requested) {
   SetupOutcome out;
-  const FaultModel& timing = config_.timing;
   out.attempts = 0;
   while (true) {
     ++out.attempts;
-    // Draw order matches the legacy sampler exactly (jitter, then retry)
-    // so timing-only configs replay the historical fault stream bit for
-    // bit; the timeout draw sits between them but costs nothing when off.
+    // Draw order: jitter, timeout, retry.  A draw whose probability is
+    // zero is skipped, so timing-only configs consume jitter then retry.
     double slowdown = 1.0;
-    if (timing.jitter_fraction > 0.0) {
-      slowdown += timing.jitter_fraction * setup_rng_.uniform();
+    if (config_.jitter_fraction > 0.0) {
+      slowdown += config_.jitter_fraction * setup_rng_.uniform();
     }
     out.setup_time += delta * slowdown;
     bool timed_out = false;
@@ -199,19 +180,19 @@ SetupOutcome FaultInjector::sample_setup(Time delta, const std::vector<Circuit>&
       timed_out = true;
     }
     bool retry = false;
-    if (timing.retry_probability > 0.0 && setup_rng_.uniform() < timing.retry_probability) {
+    if (config_.retry_probability > 0.0 &&
+        setup_rng_.uniform() < config_.retry_probability) {
       retry = true;
     }
     if (!timed_out && !retry) break;
-    if (out.attempts >= timing.max_attempts) {
+    if (out.attempts >= config_.max_attempts) {
       out.established = false;  // budget exhausted: failed, not looping
       return out;
     }
     if (timed_out) {
-      // Bounded exponential backoff before the next attempt.  Legacy
-      // geometric retries repeat immediately (historical semantics).
-      const double k = std::min(std::pow(config_.backoff_factor, out.attempts - 1),
-                                config_.backoff_cap);
+      // Bounded exponential backoff before the next attempt.  Failed
+      // attempts (retry draws) repeat immediately.
+      const double k = std::min(std::pow(kBackoffFactor, out.attempts - 1), kBackoffCap);
       out.setup_time += delta * k;
     }
   }

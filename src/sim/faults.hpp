@@ -2,8 +2,7 @@
 // circuit setups, and bounded reconfiguration retries, all behind one
 // deterministic seeded FaultInjector.
 //
-// The legacy timing-only FaultModel (jitter + geometric retry) is one
-// policy among several here: a FaultConfig composes
+// One FaultConfig composes
 //  * scripted *port faults* (a fault trace: port p goes down at time t,
 //    optionally repaired after a delay) and random ones (per-port MTBF /
 //    MTTR exponential processes),
@@ -11,14 +10,15 @@
 //    to latch (the circuit comes up partial) and whole reconfiguration
 //    attempts time out, retried under bounded exponential backoff; when
 //    the attempt budget is exhausted the setup is *failed*, never looped,
-//  * the legacy jitter / geometric-retry timing model, now with a hard
-//    attempt cap and validated parameters.
+//  * *timing faults* — every setup takes delta * (1 + U[0, jitter]), and
+//    an attempt fails outright with a fixed probability and is repeated at
+//    once, under the same attempt budget.
 //
 // Determinism: every random stream derives from FaultConfig::seed alone
 // and is consumed in simulation-event order, so a (config, workload) pair
 // replays the identical fault timeline at any RECO_THREADS setting.  The
-// default FaultConfig (and default FaultModel) draws nothing and
-// reproduces the ideal fixed-delta switch bit for bit.
+// default FaultConfig draws nothing and reproduces the ideal fixed-delta
+// switch bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -33,24 +33,6 @@
 #include "trace/rng.hpp"
 
 namespace reco::sim {
-
-/// Fault model for reconfigurations (MEMS mirrors are not metronomes):
-/// every reconfiguration takes delta * (1 + U[0, jitter_fraction]), and
-/// with probability retry_probability it fails and must be repeated
-/// (geometrically, capped at max_attempts).  The defaults reproduce the
-/// ideal fixed-delta switch.
-struct FaultModel {
-  double jitter_fraction = 0.0;     ///< worst-case slowdown per setup
-  double retry_probability = 0.0;   ///< P(one setup attempt fails)
-  std::uint64_t seed = 1;           ///< deterministic fault stream
-  /// Hard cap on attempts per setup; exhausting it marks the setup failed
-  /// instead of looping (the pre-cap code could spin forever at p >= 1).
-  int max_attempts = 64;
-};
-
-/// Throws std::invalid_argument on out-of-range parameters: negative
-/// jitter, retry_probability outside [0, 1), max_attempts < 1.
-void validate_fault_model(const FaultModel& model);
 
 /// Which side of the fabric a port fault hits.
 enum class PortSide : std::uint8_t { kIngress, kEgress, kBoth };
@@ -67,9 +49,6 @@ struct PortFault {
 /// Full fault-injection configuration.  Everything defaults to "off"; the
 /// default config is the ideal switch.
 struct FaultConfig {
-  /// Legacy timing faults (validated on construction of the injector).
-  FaultModel timing;
-
   /// Scripted port faults (see parse_fault_trace for the text format).
   std::vector<PortFault> port_faults;
 
@@ -81,20 +60,27 @@ struct FaultConfig {
 
   /// P(one reconfiguration attempt times out entirely).  Timed-out
   /// attempts retry after an exponential backoff: attempt k waits
-  /// delta * min(backoff_factor^(k-1), backoff_cap) before retrying.
+  /// delta * min(2^(k-1), 32) before retrying.
   double setup_timeout_probability = 0.0;
-  double backoff_factor = 2.0;
-  double backoff_cap = 32.0;  ///< cap on the backoff multiple of delta
 
   /// P(one crosspoint of an otherwise successful setup fails to latch):
   /// the circuit comes up partial; unlatched circuits carry no traffic.
   double crosspoint_failure_probability = 0.0;
 
+  /// Timing faults: each attempt takes delta * (1 + U[0, jitter_fraction]),
+  /// and with retry_probability it fails and is repeated at once.
+  double jitter_fraction = 0.0;
+  double retry_probability = 0.0;
+  /// Hard cap on attempts per setup (timeouts and retries together);
+  /// exhausting it marks the setup failed instead of looping.
+  int max_attempts = 64;
+
   std::uint64_t seed = 1;
 };
 
-/// Throws std::invalid_argument on out-of-range parameters (probabilities
-/// outside their domain, negative times, backoff_factor < 1, ...).
+/// Throws std::invalid_argument on out-of-range parameters: probabilities
+/// outside their domain (retry_probability must stay below 1), negative or
+/// non-finite jitter and times, max_attempts < 1.
 void validate_fault_config(const FaultConfig& config);
 
 /// One port state change, reported to the fabric in time order.
@@ -118,14 +104,9 @@ struct SetupOutcome {
 /// drives one run; its streams advance with the simulation clock.
 class FaultInjector {
  public:
-  /// Ideal switch: no faults, no random draws.
-  FaultInjector() : FaultInjector(FaultConfig{}) {}
-
   /// Validates `config` (throws std::invalid_argument on bad parameters).
+  /// The default config is the ideal switch: no faults, no random draws.
   explicit FaultInjector(FaultConfig config);
-
-  /// Legacy policy: the timing-only FaultModel, validated.
-  explicit FaultInjector(const FaultModel& legacy);
 
   /// Bind the injector to an n-port fabric: materializes the random port
   /// failure streams and checks scripted faults against the port range.
@@ -143,13 +124,11 @@ class FaultInjector {
 
   /// Sample one establishment of `requested` taking nominal time `delta`.
   /// Consumes: per attempt, one jitter draw (iff jitter_fraction > 0), one
-  /// timeout draw (iff setup_timeout_probability > 0), one legacy retry
-  /// draw (iff retry_probability > 0); on success one draw per requested
+  /// timeout draw (iff setup_timeout_probability > 0), one retry draw (iff
+  /// retry_probability > 0); on success one draw per requested
   /// circuit (iff crosspoint_failure_probability > 0) — so the default
   /// config consumes nothing and returns exactly delta.
   SetupOutcome sample_setup(Time delta, const std::vector<Circuit>& requested);
-
-  const FaultConfig& config() const { return config_; }
 
  private:
   void push_fault(const PortFault& fault);

@@ -15,9 +15,6 @@ std::optional<MultiAssignment> GreedyPriorityController::next_assignment(
   const std::vector<Matrix>& residuals = *view.residuals;
   const int num_coflows = static_cast<int>(residuals.size());
   if (served_.size() != residuals.size()) served_.resize(residuals.size(), 0.0);
-  const auto port_dead = [&](const std::vector<char>* mask, int p) {
-    return mask != nullptr && p < static_cast<int>(mask->size()) && (*mask)[p];
-  };
 
   // Schedulable coflows, by the chosen priority over *live* state.
   std::vector<int> order;
@@ -32,12 +29,6 @@ std::optional<MultiAssignment> GreedyPriorityController::next_assignment(
     switch (priority_) {
       case Priority::kSmallestResidualFirst:
         return residuals[a].rho() < residuals[b].rho();
-      case Priority::kWeightedSmallestFirst: {
-        // Lower residual per unit of weight goes first (weighted SJF).
-        const double wa = std::max(1e-12, (*view.weights)[a]);
-        const double wb = std::max(1e-12, (*view.weights)[b]);
-        return residuals[a].rho() / wa < residuals[b].rho() / wb;
-      }
       case Priority::kLeastServedFirst: return served_[a] < served_[b];
     }
     return a < b;
@@ -59,9 +50,9 @@ std::optional<MultiAssignment> GreedyPriorityController::next_assignment(
     };
     std::vector<Candidate> candidates;
     for (int i = 0; i < n; ++i) {
-      if (in_used[i] || port_dead(view.failed_in, i)) continue;
+      if (in_used[i]) continue;
       for (int j = 0; j < n; ++j) {
-        if (out_used[j] || port_dead(view.failed_out, j)) continue;
+        if (out_used[j]) continue;
         const Time rem = residuals[k].at(i, j);
         if (rem >= kMinServiceQuantum) candidates.push_back({i, j, rem});
       }
@@ -97,13 +88,6 @@ std::optional<MultiAssignment> GreedyPriorityController::next_assignment(
 
 MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
                                         const std::vector<Coflow>& coflows, Time delta) {
-  FaultInjector ideal;  // draws nothing: bit-identical to the pre-fault loop
-  return simulate_multi_coflow(controller, coflows, delta, ideal);
-}
-
-MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
-                                        const std::vector<Coflow>& coflows, Time delta,
-                                        FaultInjector& injector) {
   MultiFabricReport report;
   const int num_coflows = static_cast<int>(coflows.size());
   report.cct.assign(num_coflows, 0.0);
@@ -117,8 +101,6 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
   for (const Coflow& c : coflows) residuals.push_back(c.demand);
   std::vector<char> arrived(num_coflows, 0);
   std::vector<char> finished(num_coflows, 0);
-  std::vector<double> weights(num_coflows, 1.0);
-  for (int k = 0; k < num_coflows; ++k) weights[k] = coflows[k].weight;
 
   // Arrival instants, ascending.
   std::vector<int> by_arrival(num_coflows);
@@ -126,57 +108,6 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
   std::stable_sort(by_arrival.begin(), by_arrival.end(),
                    [&](int x, int y) { return coflows[x].arrival < coflows[y].arrival; });
   std::size_t next_arrival = 0;
-
-  int n = 0;
-  for (const Coflow& c : coflows) n = std::max(n, c.demand.n());
-  injector.bind_ports(n);
-  std::vector<char> failed_in(n, 0);
-  std::vector<char> failed_out(n, 0);
-  std::vector<int> in_down(n, 0);
-  std::vector<int> out_down(n, 0);
-  int down_marks = 0;        // set mask entries across both sides
-  Time degraded_since = 0.0;
-
-  // Pop every injector transition up to `now`, mirroring port state into
-  // the masks the view exposes and integrating degraded time exactly
-  // (interval by interval, not per batch).
-  const auto apply_faults = [&](Time now) {
-    for (const PortTransition& t : injector.advance_to(now)) {
-      const Time at = std::min(std::max(t.at, Time{0.0}), now);
-      const auto touch = [&](std::vector<int>& down, std::vector<char>& mask, int p) {
-        if (p < 0 || p >= n) return;
-        if (t.up) {
-          if (down[p] > 0 && --down[p] == 0) {
-            mask[p] = 0;
-            --down_marks;
-          }
-        } else {
-          if (down[p]++ == 0) {
-            mask[p] = 1;
-            if (down_marks++ == 0) degraded_since = at;
-          }
-        }
-      };
-      const bool was_degraded = down_marks > 0;
-      if (t.side == PortSide::kIngress || t.side == PortSide::kBoth) {
-        touch(in_down, failed_in, t.port);
-      }
-      if (t.side == PortSide::kEgress || t.side == PortSide::kBoth) {
-        touch(out_down, failed_out, t.port);
-      }
-      if (was_degraded && down_marks == 0) {
-        report.degraded_time += std::max(Time{0.0}, at - degraded_since);
-      }
-      if (t.up) {
-        ++report.port_repairs;
-      } else {
-        ++report.port_failures;
-      }
-    }
-  };
-  const auto port_dead = [&](const std::vector<char>& mask, int p) {
-    return p >= 0 && p < static_cast<int>(mask.size()) && mask[p];
-  };
 
   Time clock = 0.0;
   int remaining = num_coflows;
@@ -189,20 +120,15 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
     }
   }
 
-  // Next instant worth waking for when the controller idles or spins:
-  // the next arrival or the next injector transition, whichever is first.
-  const auto next_wake = [&]() -> std::optional<Time> {
-    std::optional<Time> wake;
-    if (next_arrival < by_arrival.size()) wake = coflows[by_arrival[next_arrival]].arrival;
-    if (const auto t = injector.next_transition();
-        t.has_value() && (!wake.has_value() || *t < *wake)) {
-      wake = *t;
-    }
-    return wake;
+  // Idle until the next arrival; with none pending the run is over
+  // (leftover demand stays unserved).
+  const auto idle = [&] {
+    if (next_arrival == by_arrival.size()) return false;
+    clock = std::max(clock, coflows[by_arrival[next_arrival]].arrival);
+    return true;
   };
 
   while (remaining > 0) {
-    apply_faults(clock);
     // Admit everything that has arrived by now.
     while (next_arrival < by_arrival.size() &&
            coflows[by_arrival[next_arrival]].arrival <= clock + kTimeEps) {
@@ -215,95 +141,49 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
     view.residuals = &residuals;
     view.arrived = &arrived;
     view.finished = &finished;
-    view.weights = &weights;
-    view.failed_in = &failed_in;
-    view.failed_out = &failed_out;
     const auto decision = controller.next_assignment(view);
     ++report.events;
 
     if (!decision.has_value()) {
-      // Idle until something changes: the next arrival, or — when demand
-      // is stuck behind dark ports — the next repair.  Neither pending
-      // means the run is over (leftover demand is stranded).
-      std::optional<Time> wake;
-      if (next_arrival < by_arrival.size()) wake = coflows[by_arrival[next_arrival]].arrival;
-      if (down_marks > 0) {
-        if (const auto r = injector.next_repair();
-            r.has_value() && (!wake.has_value() || *r < *wake)) {
-          wake = *r;
-        }
-      }
-      if (!wake.has_value()) break;  // controller done, nothing pending
-      clock = std::max(clock, *wake);
+      if (!idle()) break;
       continue;
     }
 
     // Execute: all-stop reconfiguration, then hold with early stop at the
-    // largest serviced residual.  Circuits touching dark ports are dropped
-    // before the setup is paid for.
-    std::vector<Circuit> requested;
-    std::vector<int> requested_coflow;
+    // largest serviced residual.  Circuits for coflows that are not live
+    // are ignored.
+    const auto live = [&](std::size_t c) {
+      const int k = decision->coflow_of[c];
+      return k >= 0 && k < num_coflows && arrived[k] && !finished[k];
+    };
     Time max_rem = 0.0;
     for (std::size_t c = 0; c < decision->circuits.size(); ++c) {
+      if (!live(c)) continue;
       const Circuit& circuit = decision->circuits[c];
-      const int k = decision->coflow_of[c];
-      if (k < 0 || k >= num_coflows || !arrived[k] || finished[k]) continue;
-      if (port_dead(failed_in, circuit.in) || port_dead(failed_out, circuit.out)) continue;
-      requested.push_back(circuit);
-      requested_coflow.push_back(k);
-      max_rem = std::max(max_rem, residuals[k].at(circuit.in, circuit.out));
+      max_rem = std::max(max_rem, residuals[decision->coflow_of[c]].at(circuit.in, circuit.out));
     }
     if (max_rem < kMinServiceQuantum) {
       // A deterministic controller returning the same dead assignment
       // would spin forever; after a few strikes treat it as "idle".
       if (++useless_streak >= 3) {
-        const auto wake = next_wake();
-        if (!wake.has_value()) break;
-        clock = std::max(clock, *wake);
+        if (!idle()) break;
         useless_streak = 0;
       }
       continue;
     }
     useless_streak = 0;
 
-    const SetupOutcome setup = injector.sample_setup(delta, requested);
-    clock += setup.setup_time;
-    if (!setup.established) {
-      ++report.setup_failures;
-      continue;  // the whole attempt budget burned; residual is untouched
-    }
-    if (!setup.failed_circuits.empty()) ++report.partial_setups;
+    clock += delta;
     ++report.reconfigurations;
-
-    // Map the latched subset back to its coflows (sample_setup preserves
-    // request order) and recompute the drain bound over what actually
-    // came up.
-    std::vector<std::size_t> latched;
-    std::size_t e = 0;
-    for (std::size_t c = 0; c < requested.size() && e < setup.established_circuits.size();
-         ++c) {
-      if (setup.established_circuits[e].in == requested[c].in &&
-          setup.established_circuits[e].out == requested[c].out) {
-        latched.push_back(c);
-        ++e;
-      }
-    }
-    max_rem = 0.0;
-    for (const std::size_t c : latched) {
-      max_rem = std::max(max_rem, residuals[requested_coflow[c]].at(requested[c].in,
-                                                                    requested[c].out));
-    }
-    if (max_rem < kMinServiceQuantum) continue;  // partial setup latched nothing useful
-
     const Time hold = std::min(decision->duration, max_rem);
     std::vector<std::pair<int, Time>> max_sent_of;  // (coflow, latest drain this round)
-    for (const std::size_t c : latched) {
-      const Circuit& circuit = requested[c];
-      const int k = requested_coflow[c];
+    for (std::size_t c = 0; c < decision->circuits.size(); ++c) {
+      if (!live(c)) continue;
+      const Circuit& circuit = decision->circuits[c];
+      const int k = decision->coflow_of[c];
       Matrix& rem = residuals[k];
       const Time sent = std::min(hold, rem.at(circuit.in, circuit.out));
       rem.at(circuit.in, circuit.out) = clamp_zero(rem.at(circuit.in, circuit.out) - sent);
-      report.delivered_demand += sent;
       bool seen = false;
       for (auto& [id, t] : max_sent_of) {
         if (id == k) {
@@ -325,13 +205,9 @@ MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
     report.makespan = std::max(report.makespan, clock);
   }
 
-  if (down_marks > 0) {
-    report.degraded_time += std::max(Time{0.0}, clock - degraded_since);
-  }
   report.all_served = remaining == 0;
   for (int k = 0; k < num_coflows; ++k) {
     report.total_weighted_cct += coflows[k].weight * report.cct[k];
-    report.stranded_demand += residuals[k].total();
   }
   return report;
 }

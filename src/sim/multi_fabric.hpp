@@ -5,7 +5,9 @@
 //
 // This is the dynamic-scheduling counterpart of the paper's offline
 // pipelines and the home of OMCO-style [34] heuristics: no precomputed
-// schedule exists because future arrivals are unknown.
+// schedule exists because future arrivals are unknown.  The fabric is
+// ideal: every setup takes exactly delta and every port stays up (fault
+// injection runs on the single-coflow fabric, sim/fabric.hpp).
 #pragma once
 
 #include <cstdint>
@@ -16,7 +18,6 @@
 #include "core/coflow.hpp"
 #include "core/matrix.hpp"
 #include "core/types.hpp"
-#include "sim/faults.hpp"
 
 namespace reco::sim {
 
@@ -38,13 +39,6 @@ struct FabricView {
   /// arrived[k] && !finished[k] is the schedulable set.
   const std::vector<char>* arrived = nullptr;
   const std::vector<char>* finished = nullptr;
-  /// Coflow weights (latency sensitivity), index-aligned with residuals.
-  const std::vector<double>* weights = nullptr;
-  /// Port liveness under fault injection (null on an ideal fabric):
-  /// failed_in[p] != 0 means ingress p is dark.  Controllers should avoid
-  /// dead ports; the fabric filters them regardless.
-  const std::vector<char>* failed_in = nullptr;
-  const std::vector<char>* failed_out = nullptr;
 };
 
 /// Online multi-coflow decision policy.
@@ -68,7 +62,6 @@ class GreedyPriorityController final : public MultiCoflowController {
   enum class Priority {
     kSmallestResidualFirst,  ///< clairvoyant SEBF on live residuals
     kLeastServedFirst,       ///< non-clairvoyant LAS (Aalo-flavoured)
-    kWeightedSmallestFirst,  ///< rho/weight: weighted-CCT-aware SEBF
   };
 
   GreedyPriorityController(Time delta, Priority priority, bool hold_to_largest = false);
@@ -89,27 +82,11 @@ struct MultiFabricReport {
   Time total_weighted_cct = 0.0;
   bool all_served = false;
   std::uint64_t events = 0;
-
-  // Degraded-operation accounting (all zero on an ideal run); conservation:
-  // delivered_demand + stranded_demand == sum of coflow demand totals.
-  Time delivered_demand = 0.0;
-  Time stranded_demand = 0.0;
-  int setup_failures = 0;
-  int partial_setups = 0;
-  int port_failures = 0;
-  int port_repairs = 0;
-  Time degraded_time = 0.0;
 };
 
 /// Run the all-stop fabric under `controller` until all demand drains (or
 /// the controller stops while work remains — reported via all_served).
-/// The injector overload runs the same loop under fault injection: dead
-/// ports are filtered from every establishment, setups may time out or
-/// come up partial, and undeliverable demand is accounted as stranded.
 MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
                                         const std::vector<Coflow>& coflows, Time delta);
-MultiFabricReport simulate_multi_coflow(MultiCoflowController& controller,
-                                        const std::vector<Coflow>& coflows, Time delta,
-                                        FaultInjector& injector);
 
 }  // namespace reco::sim

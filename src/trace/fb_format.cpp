@@ -9,7 +9,6 @@
 #include <system_error>
 
 #include "trace/line_reader.hpp"
-#include "trace/rng.hpp"
 
 namespace reco {
 namespace {
@@ -23,15 +22,16 @@ bool parse_whole(std::string_view s, T& out) {
   return ec == std::errc() && ptr == last;
 }
 
+/// Circuit bandwidth (paper: 100 Gb/s).
+constexpr double kLinkGbps = 100.0;
+
 }  // namespace
 
-Time megabytes_to_seconds(double megabytes, double link_gbps) {
-  if (link_gbps <= 0.0) throw std::invalid_argument("megabytes_to_seconds: bad bandwidth");
-  return megabytes * 8.0 / (link_gbps * 1000.0);  // MB -> Mbit -> seconds
+Time megabytes_to_seconds(double megabytes) {
+  return megabytes * 8.0 / (kLinkGbps * 1000.0);  // MB -> Mbit -> seconds
 }
 
-std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
-                                  const FbTraceOptions& options) {
+std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports) {
   using trace_detail::next_line;
   using trace_detail::parse_error;
   constexpr const char* kWho = "read_fb_trace";
@@ -44,7 +44,6 @@ std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
     parse_error(kWho, lineno, "bad header (want '<racks> <coflows>')");
   }
   trace_detail::expect_line_end(header, kWho, lineno, "header");
-  Rng rng(options.perturb_seed);
   std::vector<Coflow> coflows;
   coflows.reserve(num_coflows);
 
@@ -82,7 +81,7 @@ std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
     Coflow c;
     c.id = k;  // ids are re-normalized; the raw id is not needed downstream
     c.weight = 1.0;
-    c.arrival = options.zero_arrivals ? 0.0 : arrival_ms / 1000.0;
+    c.arrival = 0.0;  // the paper's coflows are pre-buffered
     c.demand = Matrix(num_ports);
 
     for (int r = 0; r < num_reducers; ++r) {
@@ -110,17 +109,12 @@ std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
       if (mappers.empty() || size_mb == 0.0) continue;
       // The paper's preprocessing: split the reducer's shuffle volume
       // uniformly across the mappers.
-      const Time per_mapper =
-          megabytes_to_seconds(size_mb, options.link_gbps) / mappers.size();
+      const Time per_mapper = megabytes_to_seconds(size_mb) / mappers.size();
       for (int m : mappers) {
-        double jitter = 1.0;
-        if (options.perturbation > 0.0) {
-          jitter = 1.0 + options.perturbation * rng.uniform(-1.0, 1.0);
-        }
         // Mapper and reducer in the same rack: intra-rack traffic never
         // crosses the fabric.
         if (m == rack) continue;
-        c.demand.at(m, rack) += per_mapper * jitter;
+        c.demand.at(m, rack) += per_mapper;
       }
     }
     trace_detail::expect_line_end(rec, kWho, lineno, "reducer list");
@@ -129,11 +123,10 @@ std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
   return coflows;
 }
 
-std::vector<Coflow> load_fb_trace(const std::string& path, int& num_ports,
-                                  const FbTraceOptions& options) {
+std::vector<Coflow> load_fb_trace(const std::string& path, int& num_ports) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_fb_trace: cannot open " + path);
-  return read_fb_trace(in, num_ports, options);
+  return read_fb_trace(in, num_ports);
 }
 
 }  // namespace reco

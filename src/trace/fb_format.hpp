@@ -7,8 +7,9 @@
 // Mapper entries are rack ids; reducer entries are "rack:shuffle_MB".
 // Following the paper's preprocessing (Sec. V-A): each coflow becomes a
 // rack-by-rack demand matrix, the per-reducer shuffle volume is divided
-// uniformly across that coflow's mappers, and megabytes are converted to
-// transmission seconds at the configured link bandwidth.
+// uniformly across that coflow's mappers, megabytes are converted to
+// transmission seconds at the paper's 100 Gb/s circuit bandwidth, and every
+// coflow arrives at t = 0 (the paper's coflows are pre-buffered).
 //
 // The proprietary trace itself is not shipped (DESIGN.md §4 documents the
 // calibrated synthetic substitute); with the real file in hand, this
@@ -24,24 +25,15 @@
 
 namespace reco {
 
-struct FbTraceOptions {
-  double link_gbps = 100.0;       ///< circuit bandwidth (paper: 100 Gb/s)
-  bool zero_arrivals = true;      ///< paper: coflows are pre-buffered
-  double perturbation = 0.0;      ///< optional ±fraction per flow
-  std::uint64_t perturb_seed = 1; ///< only used when perturbation > 0
-};
-
 /// Parse a Coflow-Benchmark stream.  Returns coflows with ids 0..K-1 and
 /// sets `num_ports` to the rack count.  Throws std::runtime_error on
-/// malformed input.
-std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports,
-                                  const FbTraceOptions& options = {});
+/// malformed input, a negative or NaN arrival included.
+std::vector<Coflow> read_fb_trace(std::istream& in, int& num_ports);
 
 /// File wrapper.
-std::vector<Coflow> load_fb_trace(const std::string& path, int& num_ports,
-                                  const FbTraceOptions& options = {});
+std::vector<Coflow> load_fb_trace(const std::string& path, int& num_ports);
 
-/// Convert megabytes to transmission seconds at `link_gbps`.
-Time megabytes_to_seconds(double megabytes, double link_gbps);
+/// Convert megabytes to transmission seconds at 100 Gb/s.
+Time megabytes_to_seconds(double megabytes);
 
 }  // namespace reco

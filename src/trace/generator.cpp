@@ -12,6 +12,20 @@ namespace reco {
 
 namespace {
 
+// Table I/II calibration (see the header).  Transmission-mode
+// probabilities by count (Table II); M2M takes the remainder.
+constexpr double kPS2S = 0.2338;
+constexpr double kPS2M = 0.0989;
+constexpr double kPM2S = 0.4011;
+// Density split *within* M2M coflows, derived from Table I.
+constexpr double kPM2MSparse = 0.486;
+constexpr double kPM2MNormal = 0.193;
+/// +-fraction applied independently per flow (paper: 5 %).
+constexpr double kPerturbation = 0.05;
+/// Per-flow demand scale for M2M coflows, in units of c*delta: flows are
+/// lognormal around kM2MFlowScale*c*delta with a heavy tail.
+constexpr double kM2MFlowScale = 4.0;
+
 /// Heavy-tailed small width in [2, cap]: most fan-outs are narrow, a few
 /// span much of the cluster (matching MapReduce reducer-count skew).
 int sample_width(Rng& rng, int cap) {
@@ -77,7 +91,7 @@ void synthesize_coflow_into(const GeneratorOptions& options, int k, std::vector<
 
   c.id = k;
   c.arrival = 0.0;
-  c.weight = options.unit_weights ? 1.0 : rng.uniform();
+  c.weight = rng.uniform();
   gap_out = 0.0;
   if (options.mean_interarrival > 0.0) {
     // Poisson process: exponential inter-arrival gaps.
@@ -92,19 +106,19 @@ void synthesize_coflow_into(const GeneratorOptions& options, int k, std::vector<
   int num_rows = 1;
   int num_cols = 1;
   bool m2m = false;
-  if (mode_draw < options.p_s2s) {
+  if (mode_draw < kPS2S) {
     // single -> single
-  } else if (mode_draw < options.p_s2s + options.p_s2m) {
+  } else if (mode_draw < kPS2S + kPS2M) {
     num_cols = sample_width(rng, std::min(n, 30));
-  } else if (mode_draw < options.p_s2s + options.p_s2m + options.p_m2s) {
+  } else if (mode_draw < kPS2S + kPS2M + kPM2S) {
     num_rows = sample_width(rng, std::min(n, 30));
   } else {
     m2m = true;
     const double density_draw = rng.uniform();
     DensityClass cls = DensityClass::kDense;
-    if (density_draw < options.p_m2m_sparse) {
+    if (density_draw < kPM2MSparse) {
       cls = DensityClass::kSparse;
-    } else if (density_draw < options.p_m2m_sparse + options.p_m2m_normal) {
+    } else if (density_draw < kPM2MSparse + kPM2MNormal) {
       cls = DensityClass::kNormal;
     }
     sample_m2m_shape(rng, n, cls, num_rows, num_cols);
@@ -117,8 +131,8 @@ void synthesize_coflow_into(const GeneratorOptions& options, int k, std::vector<
 
   // Flow sizes.  M2M: per-reducer shuffle volume split uniformly across
   // mappers (the paper's preprocessing); non-M2M: mice-scale flows just
-  // above the optical threshold.  Both get +-perturbation per flow.
-  const double scale = options.m2m_flow_scale * min_demand;
+  // above the optical threshold.  Both get +-kPerturbation per flow.
+  const double scale = kM2MFlowScale * min_demand;
   for (int jj = 0; jj < num_cols; ++jj) {
     Time per_mapper;
     if (m2m) {
@@ -133,7 +147,7 @@ void synthesize_coflow_into(const GeneratorOptions& options, int k, std::vector<
       per_mapper = min_demand * rng.lognormal(-2.6, 1.3);
     }
     for (int ii = 0; ii < num_rows; ++ii) {
-      const double jitter = 1.0 + options.perturbation * rng.uniform(-1.0, 1.0);
+      const double jitter = 1.0 + kPerturbation * rng.uniform(-1.0, 1.0);
       // Even "mice" are at least a packet's worth of data (~1 us at line
       // rate); below that the flow is indistinguishable from round-off.
       Time d = std::max(per_mapper * jitter, 1e-6);

@@ -10,7 +10,11 @@
 //    split ~48.6 / 19.3 / 32.2 % across sparse/normal/dense to hit it;
 //  * reducer shuffle volume divided uniformly across mappers, then +-5 %
 //    per-flow perturbation;
-//  * every nonzero demand >= c * delta (mice flows go to packet switches).
+//  * every nonzero demand >= c * delta (mice flows go to packet switches);
+//  * weights w_k ~ U[0, 1] (the Fig. 6 setup; Fig. 7's unit weights are
+//    set after generation).
+// These calibration constants live in generator.cpp; only the fabric size,
+// count, seed, delta, c, threshold clipping and arrival gap are options.
 #pragma once
 
 #include <cstdint>
@@ -28,25 +32,6 @@ struct GeneratorOptions {
 
   Time delta = 100e-6;      ///< reconfiguration delay (default 100 us, Sec. V-C)
   double c_threshold = 4.0; ///< minimum demand = c * delta
-
-  // Transmission-mode probabilities (Table II); M2M takes the remainder.
-  double p_s2s = 0.2338;
-  double p_s2m = 0.0989;
-  double p_m2s = 0.4011;
-
-  // Density split *within* M2M coflows (derived from Table I; see header).
-  double p_m2m_sparse = 0.486;
-  double p_m2m_normal = 0.193;
-
-  /// +-fraction applied independently per flow (paper: 5 %).
-  double perturbation = 0.05;
-
-  /// Per-flow demand scale for M2M coflows, in units of c*delta: flows are
-  /// lognormal around scale*c*delta with a heavy tail.
-  double m2m_flow_scale = 4.0;
-
-  /// true: w_k = 1 for all coflows; false: w_k ~ U[0,1] (Fig. 6 setup).
-  bool unit_weights = false;
 
   /// true (paper default): clip every flow up to c*delta — only elephants
   /// enter the OCS.  false: keep sub-threshold mice (for the hybrid

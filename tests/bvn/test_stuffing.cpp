@@ -25,19 +25,6 @@ TEST(Stuffing, OnlyAddsDemand) {
   EXPECT_TRUE(oracle::covers(s, m));
 }
 
-TEST(Stuffing, RespectsExplicitTarget) {
-  const Matrix m = Matrix::from_rows({{1, 0}, {0, 1}});
-  const Matrix s = stuff(m, 10.0);
-  EXPECT_TRUE(oracle::is_doubly_stochastic(s, 1e-9));
-  EXPECT_DOUBLE_EQ(s.row_sum(0), 10.0);
-}
-
-TEST(Stuffing, TargetBelowRhoIgnored) {
-  const Matrix m = Matrix::from_rows({{5, 0}, {0, 5}});
-  const Matrix s = stuff(m, 1.0);
-  EXPECT_DOUBLE_EQ(s.row_sum(0), 5.0);
-}
-
 TEST(Stuffing, AlreadyStochasticUnchanged) {
   const Matrix m = Matrix::from_rows({{1, 2}, {2, 1}});
   EXPECT_EQ(stuff(m), m);

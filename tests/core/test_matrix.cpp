@@ -101,7 +101,7 @@ TEST(Matrix, CoversIsEntrywise) {
   EXPECT_FALSE(oracle::covers(big, Matrix(3)));  // size mismatch
 }
 
-TEST(Matrix, PlusMinus) {
+TEST(Matrix, PlusEqualsAddsEntrywise) {
   Matrix a = Matrix::from_rows({{1, 2}, {3, 4}});
   const Matrix b = Matrix::from_rows({{1, 1}, {1, 1}});
   a += b;

@@ -95,18 +95,23 @@ TEST(IntervalLp, IntervalGridCoversLoads) {
 }
 
 TEST(IntervalLp, SizeGuardRejectsOversizedInstances) {
+  // One tiny coflow starts the doubling grid at 1e-6, so it needs dozens
+  // of intervals to pass the largest port load: 300 coflows then need more
+  // than the 6000 variables the solver accepts.  It must refuse, not grind.
   Rng rng(95);
-  const auto coflows = testing::random_workload(rng, 10, 5, 0.01, 4.0);
-  lp::IntervalLpOptions o;
-  o.max_variables = 3;  // absurdly small: must refuse, not grind
-  const auto r = lp::solve_interval_indexed_lp(coflows, o);
+  auto coflows = testing::random_workload(rng, 300, 4, 0.5, 2.0);
+  coflows[0].demand = Matrix(4);
+  coflows[0].demand.at(0, 1) = 1e-6;
+  const auto r = lp::solve_interval_indexed_lp(coflows);
+  ASSERT_GT(coflows.size() * r.interval_ends.size(), 6000u);
   EXPECT_EQ(r.status, lp::SolveStatus::kIterLimit);
   // And the ordering layer must fall back gracefully (BSSI), still
   // returning a valid permutation.
-  const auto order = lp_order(coflows, o);
+  const std::vector<int> order = lp_order(coflows);
+  EXPECT_EQ(order, bssi_order(coflows));
   std::vector<int> sorted = order;
   std::sort(sorted.begin(), sorted.end());
-  for (int k = 0; k < 10; ++k) EXPECT_EQ(sorted[k], k);
+  for (int k = 0; k < 300; ++k) EXPECT_EQ(sorted[k], k);
 }
 
 TEST(IntervalLp, RandomWorkloadsSolveAndRankSensibly) {

@@ -63,7 +63,7 @@ TEST(PrometheusName, SanitizesAndPrefixes) {
   EXPECT_EQ(prometheus_name("ok_name:sub"), "reco_ok_name:sub");
 }
 
-TEST(PrometheusText, EncodesCountersGaugesAndCumulativeBuckets) {
+TEST(PrometheusText, EncodesCountersAndCumulativeBuckets) {
   FreshRegistry fresh;
   metrics().counter("exp.test.events").inc(7.0);
   Histogram& h = metrics().histogram("exp.test.lat", {1.0, 2.0, 4.0});

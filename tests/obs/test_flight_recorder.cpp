@@ -164,10 +164,8 @@ TEST(FlightRecorder, DumpsOnRecoveryReplanUnderInjectedPortFault) {
   const Time delta = 0.05;
   sim::FaultConfig config;
   config.port_faults.push_back({0.0, 0, sim::PortSide::kIngress, -1.0});
-  sim::FaultInjector injector(config);
   sim::RecoveringController controller(reco_sin(d, delta), delta);
-  const sim::SimulationReport r =
-      sim::simulate_single_coflow(controller, d, delta, injector);
+  const sim::SimulationReport r = sim::simulate_single_coflow(controller, d, delta, config);
   EXPECT_GE(controller.replans(), 1);
   EXPECT_EQ(r.port_failures, 1);
 
@@ -196,9 +194,8 @@ TEST(FlightRecorder, DisabledObsRecordsNothingDuringFaultRun) {
   const Time delta = 0.05;
   sim::FaultConfig config;
   config.port_faults.push_back({0.0, 0, sim::PortSide::kIngress, -1.0});
-  sim::FaultInjector injector(config);
   sim::RecoveringController controller(reco_sin(d, delta), delta);
-  (void)sim::simulate_single_coflow(controller, d, delta, injector);
+  (void)sim::simulate_single_coflow(controller, d, delta, config);
 
   EXPECT_EQ(flight_recorder().total_events(), before);
   EXPECT_EQ(flight_recorder().dumps(), dumps_before);

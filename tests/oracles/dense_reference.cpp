@@ -292,7 +292,10 @@ CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy) {
   throw std::logic_error("dense_reference::bvn_decompose: unknown policy");
 }
 
-Matrix stuff(const Matrix& demand, Time target) {
+namespace {
+
+/// Stuff `demand` so every line sums to max(rho, target).
+Matrix stuff_to(const Matrix& demand, Time target) {
   const int n = demand.n();
   Matrix out = demand;
   const Time goal = std::max(demand.rho(), target);
@@ -336,16 +339,20 @@ Matrix stuff(const Matrix& demand, Time target) {
   return out;
 }
 
+}  // namespace
+
+Matrix stuff(const Matrix& demand) { return stuff_to(demand, 0.0); }
+
 Matrix stuff_granular(const Matrix& demand, Time quantum) {
   if (quantum <= 0.0) {
     throw std::invalid_argument("dense_reference::stuff_granular: quantum must be positive");
   }
   const Time rho = demand.rho();
   const Time goal = std::max(1.0, std::ceil(rho / quantum - kTimeEps)) * quantum;
-  return stuff(demand, goal);
+  return stuff_to(demand, goal);
 }
 
-CircuitSchedule solstice(const Matrix& demand, Time /*delta*/) {
+CircuitSchedule solstice(const Matrix& demand) {
   constexpr double kSliceFloor = 8 * kTimeEps;
   if (demand.nnz() == 0) return {};
   Matrix m = stuff(demand);

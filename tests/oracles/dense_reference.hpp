@@ -38,11 +38,11 @@ CircuitSchedule bvn_decompose(Matrix m, BvnPolicy policy);
 CircuitSchedule cover_decompose(Matrix m);
 
 /// Dense greedy stuffing (O(N^2) slack sweep + repair pass).
-Matrix stuff(const Matrix& demand, Time target = 0.0);
+Matrix stuff(const Matrix& demand);
 Matrix stuff_granular(const Matrix& demand, Time quantum);
 
 /// Dense Solstice: stuffing + power-of-two slicing with the dense matcher.
-CircuitSchedule solstice(const Matrix& demand, Time delta = 100e-6);
+CircuitSchedule solstice(const Matrix& demand);
 
 /// Seed bottleneck max-min matching, retained as the reference oracle for
 /// bottleneck_perfect_matching (src/matching/bottleneck.*): sorted distinct

@@ -28,7 +28,7 @@ double utilization(const std::vector<Time>& busy_in, const std::vector<Time>& bu
 
 sim::SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
                                                    const Matrix& demand, Time delta,
-                                                   const sim::FaultModel& faults) {
+                                                   const sim::FaultConfig& faults) {
   sim::FaultInjector injector(faults);  // validates; default = ideal switch
   sim::SimulationReport report;
   const int n = demand.n();

@@ -17,13 +17,14 @@
 namespace reco::oracle {
 
 /// Replay of a precomputed schedule on a not-all-stop OCS (per-port
-/// reconfiguration; unchanged circuits keep transmitting).  Takes the same
-/// timing fault model as the all-stop fabric; the default is the ideal
-/// switch.  The report's `cct` is the last circuit's drain and `events`
-/// counts one drain per served circuit.
+/// reconfiguration; unchanged circuits keep transmitting).  Samples each
+/// setup from the same fault config as the all-stop fabric (its setup
+/// timing faults; ports stay up); the default is the ideal switch.  The
+/// report's `cct` is the last circuit's drain and `events` counts one
+/// drain per served circuit.
 sim::SimulationReport simulate_not_all_stop_replay(const CircuitSchedule& schedule,
                                                    const Matrix& demand, Time delta,
-                                                   const sim::FaultModel& faults = {});
+                                                   const sim::FaultConfig& faults = {});
 
 /// Multi-coflow slice replay with runtime port-constraint enforcement.
 struct SliceReplayReport {

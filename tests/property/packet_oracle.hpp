@@ -118,8 +118,9 @@ inline SliceSchedule packet_schedule(const std::vector<const SupportIndex*>& res
   return out;
 }
 
-/// Twin of reco::sunflow: every circuit occupies its ports for delta + size.
-inline SunflowResult sunflow(const Matrix& demand, Time delta, SunflowOrder order) {
+/// Twin of reco::sunflow: flows longest first, every circuit occupying its
+/// ports for delta + size.
+inline SunflowResult sunflow(const Matrix& demand, Time delta) {
   SunflowResult result;
   const int n = demand.n();
   std::vector<Flow> flows;
@@ -128,9 +129,8 @@ inline SunflowResult sunflow(const Matrix& demand, Time delta, SunflowOrder orde
       if (!approx_zero(demand.at(i, j))) flows.push_back({i, j, demand.at(i, j)});
     }
   }
-  std::sort(flows.begin(), flows.end(), [order](const Flow& a, const Flow& b) {
-    return order == SunflowOrder::kLongestFirst ? a.size > b.size : a.size < b.size;
-  });
+  std::sort(flows.begin(), flows.end(),
+            [](const Flow& a, const Flow& b) { return a.size > b.size; });
   Ports ports(n);
   for (const Flow& f : flows) {
     const Time occupancy = delta + f.size;

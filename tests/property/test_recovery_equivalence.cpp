@@ -47,9 +47,8 @@ struct Replication {
 template <class Controller>
 Replication simulate(Controller& controller, const Matrix& demand,
                      const sim::FaultConfig& faults) {
-  sim::FaultInjector injector(faults);
   Replication r;
-  r.report = sim::simulate_single_coflow(controller, demand, kDelta, injector);
+  r.report = sim::simulate_single_coflow(controller, demand, kDelta, faults);
   r.replans = controller.replans();
   return r;
 }

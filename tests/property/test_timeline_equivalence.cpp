@@ -244,22 +244,19 @@ TEST(TimelineEquivalence, ResidualOverloadMatchesOracle) {
   }
 }
 
-TEST(TimelineEquivalence, SunflowBothOrdersMatchOracle) {
+TEST(TimelineEquivalence, SunflowMatchesOracle) {
   for (int seed = 0; seed < kWorkloads; ++seed) {
     const Workload w = make_workload(seed);
     for (std::size_t k = 0; k < w.coflows.size(); ++k) {
       const Matrix& demand = w.coflows[k].demand;
       for (const Time delta : {0.0, 0.25}) {
-        for (const SunflowOrder order : {SunflowOrder::kLongestFirst, SunflowOrder::kShortestFirst}) {
-          const std::string context = "workload " + std::to_string(seed) + " coflow " +
-                                      std::to_string(k) + " delta " + std::to_string(delta) +
-                                      (order == SunflowOrder::kLongestFirst ? " LPT" : " SPT");
-          const SunflowResult got = sunflow(demand, delta, order);
-          const SunflowResult want = oracle::sunflow(demand, delta, order);
-          expect_identical(got.schedule, want.schedule, context);
-          EXPECT_TRUE(same_bits(got.cct, want.cct)) << context;
-          EXPECT_EQ(got.reconfigurations, want.reconfigurations) << context;
-        }
+        const std::string context = "workload " + std::to_string(seed) + " coflow " +
+                                    std::to_string(k) + " delta " + std::to_string(delta);
+        const SunflowResult got = sunflow(demand, delta);
+        const SunflowResult want = oracle::sunflow(demand, delta);
+        expect_identical(got.schedule, want.schedule, context);
+        EXPECT_TRUE(same_bits(got.cct, want.cct)) << context;
+        EXPECT_EQ(got.reconfigurations, want.reconfigurations) << context;
       }
     }
   }
@@ -307,17 +304,14 @@ TEST(TimelineEquivalence, FloorFamilySunflowMatchesOracle) {
     for (std::size_t k = 0; k < w.coflows.size(); ++k) {
       const Matrix& demand = w.coflows[k].demand;
       for (const Time delta : {0.0, 0.25}) {
-        for (const SunflowOrder order : {SunflowOrder::kLongestFirst, SunflowOrder::kShortestFirst}) {
-          const std::string context = "floor workload " + std::to_string(seed) + " coflow " +
-                                      std::to_string(k) + " delta " + std::to_string(delta) +
-                                      (order == SunflowOrder::kLongestFirst ? " LPT" : " SPT");
-          const SunflowResult got = sunflow(demand, delta, order);
-          const SunflowResult want = oracle::sunflow(demand, delta, order);
-          expect_identical(got.schedule, want.schedule, context);
-          EXPECT_TRUE(same_bits(got.cct, want.cct)) << context;
-          // With no setup delay the slices are the busy intervals.
-          if (delta == 0.0) filling += floor_gaps(want.schedule, smallest_flow(demand)).dead > 0;
-        }
+        const std::string context = "floor workload " + std::to_string(seed) + " coflow " +
+                                    std::to_string(k) + " delta " + std::to_string(delta);
+        const SunflowResult got = sunflow(demand, delta);
+        const SunflowResult want = oracle::sunflow(demand, delta);
+        expect_identical(got.schedule, want.schedule, context);
+        EXPECT_TRUE(same_bits(got.cct, want.cct)) << context;
+        // With no setup delay the slices are the busy intervals.
+        if (delta == 0.0) filling += floor_gaps(want.schedule, smallest_flow(demand)).dead > 0;
       }
     }
   }

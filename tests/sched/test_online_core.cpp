@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/coflow.hpp"
@@ -158,6 +160,25 @@ TEST(OnlineCore, PlanRejectsProtocolViolations) {
   batch.plan(0.0);
   EXPECT_THROW(batch.plan(0.0), std::logic_error);  // plan outstanding
   batch.commit(kInf);
+}
+
+TEST(OnlineCore, RejectsTheLpOrdering) {
+  // The interval LP orders whole coflows, not residual sets: a core asked
+  // for it refuses up front instead of running BSSI under the LP's name.
+  OnlineCoreOptions options;
+  options.ordering = OrderingPolicy::kLp;
+  for (const OnlinePolicyKind kind :
+       {OnlinePolicyKind::kEpochRecoMul, OnlinePolicyKind::kFifoRecoSin,
+        OnlinePolicyKind::kDrainReplanRecoMul}) {
+    try {
+      OnlineCore core(kind, options);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("LP ordering"), std::string::npos) << e.what();
+    }
+  }
+  options.ordering = OrderingPolicy::kSebf;
+  EXPECT_NO_THROW(OnlineCore(OnlinePolicyKind::kEpochRecoMul, options));
 }
 
 }  // namespace

@@ -15,6 +15,14 @@
 namespace reco {
 namespace {
 
+/// PortTimeline::earliest_fit with fresh cursors: the scan starts at the
+/// first stored interval.
+Time fit(const PortTimeline& t, Time at, Time d) {
+  std::size_t k = 0;
+  std::size_t scan_start = 0;
+  return t.earliest_fit(at, d, k, scan_start);
+}
+
 Coflow make_coflow(int id, const Matrix& demand) {
   Coflow c;
   c.id = id;
@@ -154,8 +162,8 @@ TEST(PortTimeline, CoalescesTouchingAndOverlappingIntervals) {
   EXPECT_EQ(t.size(), 2u);
   t.insert(3.0, 4.0);  // closes the gap between the two
   EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.earliest_fit(0.0, 1.0), 5.0);
-  EXPECT_EQ(t.earliest_fit(6.0, 1.0), 6.0);
+  EXPECT_EQ(fit(t, 0.0, 1.0), 5.0);
+  EXPECT_EQ(fit(t, 6.0, 1.0), 6.0);
 }
 
 TEST(PortTimeline, KeepsGapsShorterThanEps) {
@@ -167,8 +175,8 @@ TEST(PortTimeline, KeepsGapsShorterThanEps) {
     t.insert(1.0 + 0.5 * kTimeEps, 2.0);
     if (!left_first) t.insert(0.0, 1.0);
     EXPECT_EQ(t.size(), 2u) << "left_first=" << left_first;
-    EXPECT_EQ(t.earliest_fit(0.5, 1.2 * kTimeEps), 1.0) << "left_first=" << left_first;
-    EXPECT_EQ(t.earliest_fit(0.5, 2.0 * kTimeEps), 2.0) << "left_first=" << left_first;
+    EXPECT_EQ(fit(t, 0.5, 1.2 * kTimeEps), 1.0) << "left_first=" << left_first;
+    EXPECT_EQ(fit(t, 0.5, 2.0 * kTimeEps), 2.0) << "left_first=" << left_first;
   }
 }
 
@@ -181,8 +189,8 @@ TEST(PortTimeline, SizeEpsSkipsTouchPoints) {
   PortTimeline t;
   t.insert(0.0, 1.0);
   t.insert(1.0, 2.0);
-  EXPECT_EQ(t.earliest_fit(0.5, kTimeEps), 2.0);
-  EXPECT_EQ(t.earliest_fit(0.0, kTimeEps), 0.0);
+  EXPECT_EQ(fit(t, 0.5, kTimeEps), 2.0);
+  EXPECT_EQ(fit(t, 0.0, kTimeEps), 0.0);
 }
 
 TEST(PortTimeline, KeepsAGapEqualToFloorLessEps) {
@@ -196,7 +204,7 @@ TEST(PortTimeline, KeepsAGapEqualToFloorLessEps) {
   t.insert(0.0, g);
   t.insert(2 * g, 3 * g);
   EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.earliest_fit(0.0, min_len), g);
+  EXPECT_EQ(fit(t, 0.0, min_len), g);
 }
 
 TEST(PortTimeline, FillsAGapJustBelowFloorLessEps) {
@@ -215,8 +223,8 @@ TEST(PortTimeline, FillsAGapJustBelowFloorLessEps) {
     EXPECT_EQ(t.size(), 1u) << "left_first=" << left_first;
     // A query landing inside the filled gap leaves at the merged end, as
     // the scan over the unfilled intervals would.
-    EXPECT_EQ(t.earliest_fit(1.5 * g, min_len), 3 * g) << "left_first=" << left_first;
-    EXPECT_EQ(t.earliest_fit(0.0, 2.0), 3 * g) << "left_first=" << left_first;
+    EXPECT_EQ(fit(t, 1.5 * g, min_len), 3 * g) << "left_first=" << left_first;
+    EXPECT_EQ(fit(t, 0.0, 2.0), 3 * g) << "left_first=" << left_first;
   }
 }
 
@@ -224,9 +232,9 @@ TEST(PortTimeline, QueryBelowFloorThrows) {
   PortTimeline t;
   t.reset(0.5);
   t.insert(0.0, 1.0);
-  EXPECT_EQ(t.earliest_fit(0.0, 0.5), 1.0);
+  EXPECT_EQ(fit(t, 0.0, 0.5), 1.0);
   try {
-    t.earliest_fit(0.0, 0.25);
+    fit(t, 0.0, 0.25);
     FAIL() << "expected std::logic_error";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
@@ -278,7 +286,7 @@ PortTimeline random_timeline(Rng& rng, Time min_len, int flows) {
   t.reset(min_len);
   for (int f = 0; f < flows; ++f) {
     const Time d = min_len * rng.uniform(1.0, 4.0);
-    const Time s = t.earliest_fit(rng.uniform(0.0, 3.0 * min_len * flows), d);
+    const Time s = fit(t, rng.uniform(0.0, 3.0 * min_len * flows), d);
     t.insert(s, s + d);
   }
   return t;
@@ -354,9 +362,9 @@ TEST(PortTimeline, PlaceCommonInsertsIntoBothPorts) {
   EXPECT_EQ(place_common(a, b, 1.0), 2.0);
   EXPECT_EQ(a.size(), 2u);  // [0, 1] and [2, 3]
   EXPECT_EQ(b.size(), 1u);  // [1.5, 3]
-  EXPECT_EQ(a.earliest_fit(0.0, 1.0), 1.0);
-  EXPECT_EQ(b.earliest_fit(0.0, 1.0), 0.0);
-  EXPECT_EQ(b.earliest_fit(1.0, 1.0), 3.0);
+  EXPECT_EQ(fit(a, 0.0, 1.0), 1.0);
+  EXPECT_EQ(fit(b, 0.0, 1.0), 0.0);
+  EXPECT_EQ(fit(b, 1.0, 1.0), 3.0);
 }
 
 TEST(PacketSchedulerProperty, FeasibleAndExact) {

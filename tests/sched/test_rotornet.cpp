@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ocs/all_stop_executor.hpp"
 #include "oracles/schedule_checks.hpp"
 #include "sched/reco_sin.hpp"
@@ -16,9 +18,10 @@ TEST(Rotornet, EmptyDemand) {
 }
 
 TEST(Rotornet, RejectsBadSlot) {
-  RotorOptions o;
-  o.slot_over_delta = 0.0;
-  EXPECT_THROW(rotornet_schedule(Matrix(2), 0.1, o), std::invalid_argument);
+  // The slot is 10 * delta: a zero, negative or NaN delta leaves no slot.
+  EXPECT_THROW(rotornet_schedule(Matrix(2), 0.0), std::invalid_argument);
+  EXPECT_THROW(rotornet_schedule(Matrix(2), -0.1), std::invalid_argument);
+  EXPECT_THROW(rotornet_schedule(Matrix(2), std::nan("")), std::invalid_argument);
 }
 
 TEST(Rotornet, CoversUniformDemandInOneCycle) {
@@ -26,9 +29,7 @@ TEST(Rotornet, CoversUniformDemandInOneCycle) {
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) d.at(i, j) = 0.5;
   }
-  RotorOptions o;
-  o.slot_over_delta = 10.0;  // slot = 1.0 >= every entry
-  const CircuitSchedule s = rotornet_schedule(d, 0.1, o);
+  const CircuitSchedule s = rotornet_schedule(d, 0.1);  // slot = 10 * delta = 1.0 >= every entry
   EXPECT_EQ(s.num_assignments(), 3);  // one rotation per offset
   EXPECT_TRUE(oracle::satisfies(s, d));
 }
@@ -36,9 +37,7 @@ TEST(Rotornet, CoversUniformDemandInOneCycle) {
 TEST(Rotornet, MultipleCyclesForLargeEntries) {
   Matrix d(2);
   d.at(0, 1) = 2.5;
-  RotorOptions o;
-  o.slot_over_delta = 10.0;  // slot = 1.0
-  const CircuitSchedule s = rotornet_schedule(d, 0.1, o);
+  const CircuitSchedule s = rotornet_schedule(d, 0.1);  // slot = 1.0
   EXPECT_EQ(s.num_assignments(), 3);  // 1 + 1 + 0.5, only offset r=1 kept
   EXPECT_TRUE(oracle::satisfies(s, d));
 }
@@ -77,9 +76,7 @@ TEST(Rotornet, NearRecoSinOnUniformDemand) {
     for (int j = 0; j < 6; ++j) d.at(i, j) = 1.0;
   }
   const Time delta = 0.1;
-  RotorOptions o;
-  o.slot_over_delta = 10.0;
-  const ExecutionResult rotor = execute_all_stop(rotornet_schedule(d, delta, o), d, delta);
+  const ExecutionResult rotor = execute_all_stop(rotornet_schedule(d, delta), d, delta);
   const ExecutionResult reco = execute_all_stop(reco_sin(d, delta), d, delta);
   ASSERT_TRUE(rotor.satisfied && reco.satisfied);
   EXPECT_LE(rotor.cct, 1.2 * reco.cct);

@@ -69,16 +69,5 @@ TEST(Solstice, NeedsMoreReconfigurationsThanRecoSinOnRaggedDemands) {
   EXPECT_GE(solstice_wins, 8);  // overwhelmingly more reconfigs for Solstice
 }
 
-TEST(Solstice, DeltaParameterIsIgnored) {
-  Rng rng(114);
-  const Matrix d = testing::random_demand(rng, 5, 0.5, 1.0, 7.0);
-  const CircuitSchedule a = solstice(d, 0.0);
-  const CircuitSchedule b = solstice(d, 123.0);
-  ASSERT_EQ(a.num_assignments(), b.num_assignments());
-  for (int u = 0; u < a.num_assignments(); ++u) {
-    EXPECT_DOUBLE_EQ(a.assignments[u].duration, b.assignments[u].duration);
-  }
-}
-
 }  // namespace
 }  // namespace reco

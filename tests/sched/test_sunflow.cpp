@@ -82,15 +82,5 @@ TEST(Sunflow, WithinTwiceLowerBoundPlusOneCircuit) {
   }
 }
 
-TEST(Sunflow, OrderAblationBothFeasible) {
-  Rng rng(214);
-  const Matrix d = testing::random_demand(rng, 6, 0.6, 0.5, 5.0);
-  const SunflowResult lpt = sunflow(d, 0.1, SunflowOrder::kLongestFirst);
-  const SunflowResult spt = sunflow(d, 0.1, SunflowOrder::kShortestFirst);
-  EXPECT_TRUE(is_port_feasible(lpt.schedule));
-  EXPECT_TRUE(is_port_feasible(spt.schedule));
-  EXPECT_EQ(lpt.reconfigurations, spt.reconfigurations);
-}
-
 }  // namespace
 }  // namespace reco

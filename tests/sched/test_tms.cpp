@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ocs/all_stop_executor.hpp"
 #include "oracles/schedule_checks.hpp"
 #include "testing_util.hpp"
@@ -15,17 +17,16 @@ TEST(Tms, EmptyDemand) {
 }
 
 TEST(Tms, RejectsNonPositiveDay) {
-  TmsOptions o;
-  o.day_over_delta = 0.0;
-  EXPECT_THROW(tms_schedule(Matrix(2), 0.1, o), std::invalid_argument);
+  // The day is 10 * delta: a zero, negative or NaN delta leaves no day.
+  EXPECT_THROW(tms_schedule(Matrix(2), 0.0), std::invalid_argument);
+  EXPECT_THROW(tms_schedule(Matrix(2), -0.1), std::invalid_argument);
+  EXPECT_THROW(tms_schedule(Matrix(2), std::nan("")), std::invalid_argument);
 }
 
 TEST(Tms, SingleEntrySingleAssignmentWhenDayCovers) {
   Matrix d(2);
   d.at(0, 1) = 0.5;
-  TmsOptions o;
-  o.day_over_delta = 10.0;  // day = 1.0 >= 0.5
-  const CircuitSchedule s = tms_schedule(d, 0.1, o);
+  const CircuitSchedule s = tms_schedule(d, 0.1);  // day = 10 * delta = 1.0 >= 0.5
   ASSERT_EQ(s.num_assignments(), 1);
   EXPECT_DOUBLE_EQ(s.assignments[0].duration, 0.5);
 }
@@ -33,9 +34,7 @@ TEST(Tms, SingleEntrySingleAssignmentWhenDayCovers) {
 TEST(Tms, LongDemandNeedsMultipleDays) {
   Matrix d(2);
   d.at(0, 1) = 2.5;
-  TmsOptions o;
-  o.day_over_delta = 10.0;  // day = 1.0
-  const CircuitSchedule s = tms_schedule(d, 0.1, o);
+  const CircuitSchedule s = tms_schedule(d, 0.1);  // day = 1.0
   EXPECT_EQ(s.num_assignments(), 3);  // 1.0 + 1.0 + 0.5
   EXPECT_TRUE(oracle::satisfies(s, d));
 }
@@ -53,12 +52,8 @@ TEST(Tms, SatisfiesRandomDemands) {
 TEST(Tms, LongerDaysMeanFewerAssignments) {
   Rng rng(222);
   const Matrix d = testing::random_demand(rng, 8, 0.7, 0.5, 8.0);
-  TmsOptions short_day;
-  short_day.day_over_delta = 2.0;
-  TmsOptions long_day;
-  long_day.day_over_delta = 50.0;
-  EXPECT_GT(tms_schedule(d, 0.1, short_day).num_assignments(),
-            tms_schedule(d, 0.1, long_day).num_assignments());
+  // The day is 10 * delta: 0.2 against 5.0.
+  EXPECT_GT(tms_schedule(d, 0.02).num_assignments(), tms_schedule(d, 0.5).num_assignments());
 }
 
 TEST(Tms, MatchingsGrabHeavyEntriesFirst) {
@@ -66,9 +61,7 @@ TEST(Tms, MatchingsGrabHeavyEntriesFirst) {
   d.at(0, 0) = 10.0;
   d.at(1, 1) = 10.0;
   d.at(0, 1) = 1.0;
-  TmsOptions o;
-  o.day_over_delta = 1000.0;  // one day covers everything
-  const CircuitSchedule s = tms_schedule(d, 0.1, o);
+  const CircuitSchedule s = tms_schedule(d, 10.0);  // one 100 s day covers everything
   ASSERT_GE(s.num_assignments(), 1);
   // First establishment is the max-weight matching: the heavy diagonal.
   EXPECT_EQ(s.assignments[0].circuits.size(), 2u);

@@ -10,22 +10,6 @@
 namespace reco::sim {
 namespace {
 
-TEST(Controllers, GreedyMaxWeightDayCapLimitsHolds) {
-  Matrix d(2);
-  d.at(0, 0) = 5.0;
-  const Time delta = 0.1;
-  // Uncapped: one establishment drains the flow.
-  GreedyMaxWeightController uncapped(delta);
-  const SimulationReport a = simulate_single_coflow(uncapped, d, delta);
-  EXPECT_EQ(a.reconfigurations, 1);
-  // Day = 10*delta = 1.0: five establishments of 1.0 each.
-  GreedyMaxWeightController capped(delta, /*day_over_delta=*/10.0);
-  const SimulationReport b = simulate_single_coflow(capped, d, delta);
-  EXPECT_TRUE(b.satisfied);
-  EXPECT_EQ(b.reconfigurations, 5);
-  EXPECT_GT(b.cct, a.cct);  // extra setups cost time
-}
-
 TEST(Controllers, ReplayControllerSkipsDrainedEstablishments) {
   Matrix d(2);
   d.at(0, 0) = 1.0;
@@ -67,9 +51,8 @@ Matrix hybrid_demand() {
 SimulationReport run_with_deadline(const Matrix& d, const FaultConfig& faults, Time deadline,
                                    int* replans_out = nullptr) {
   const Time delta = 0.05;
-  FaultInjector injector(faults);
   RecoveringController controller(reco_sin(d, delta), delta, deadline);
-  const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+  const SimulationReport r = simulate_single_coflow(controller, d, delta, faults);
   if (replans_out != nullptr) *replans_out = controller.replans();
   return r;
 }
@@ -81,9 +64,8 @@ TEST(Controllers, HybridDeadlineZeroIsImmediateReplanBitForBit) {
   FaultConfig faults;
   faults.port_faults.push_back({0.5, 1, PortSide::kBoth, 0.4});
   const Time delta = 0.05;
-  FaultInjector ia(faults);
   RecoveringController historical(reco_sin(d, delta), delta);
-  const SimulationReport a = simulate_single_coflow(historical, d, delta, ia);
+  const SimulationReport a = simulate_single_coflow(historical, d, delta, faults);
   int replans = 0;
   const SimulationReport b = run_with_deadline(d, faults, 0.0, &replans);
   EXPECT_DOUBLE_EQ(a.cct, b.cct);
@@ -154,9 +136,8 @@ TEST(Controllers, HybridReplansEarlyWhenTheOldPlanIsFullyBlocked) {
   FaultConfig faults;
   faults.port_faults.push_back({0.0, 0, PortSide::kIngress, -1.0});
   const Time delta = 0.05;
-  FaultInjector injector(faults);
   RecoveringController controller(plan, delta, /*replan_deadline=*/10.0);
-  const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+  const SimulationReport r = simulate_single_coflow(controller, d, delta, faults);
   EXPECT_GE(controller.replans(), 1);
   EXPECT_FALSE(r.satisfied);
   EXPECT_NEAR(r.delivered_demand, 1.0, 1e-6);  // d(1,1) via the recovery plan

@@ -125,7 +125,7 @@ TEST_P(CrossValidation, NotAllStopAgreesWithAnalyticExecutor) {
 TEST(Fabric, GreedyControllerDrainsDemand) {
   Rng rng(301);
   const Matrix d = testing::random_demand(rng, 6, 0.6, 0.5, 4.0);
-  GreedyMaxWeightController controller(0.1);
+  GreedyMaxWeightController controller;
   const SimulationReport r = simulate_single_coflow(controller, d, 0.1);
   EXPECT_TRUE(r.satisfied);
   EXPECT_GT(r.reconfigurations, 0);

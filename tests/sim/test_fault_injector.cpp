@@ -12,27 +12,27 @@ namespace {
 TEST(FaultValidation, RejectsRetryProbabilityOfOne) {
   // retry_probability >= 1 made the pre-cap retry loop spin forever; it is
   // now rejected outright.
-  FaultModel m;
-  m.retry_probability = 1.0;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
-  m.retry_probability = 1.5;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
-  m.retry_probability = 0.999;
-  EXPECT_NO_THROW(validate_fault_model(m));
+  FaultConfig c;
+  c.retry_probability = 1.0;
+  EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
+  c.retry_probability = 1.5;
+  EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
+  c.retry_probability = 0.999;
+  EXPECT_NO_THROW(validate_fault_config(c));
 }
 
 TEST(FaultValidation, RejectsNegativeOrNonFiniteJitter) {
-  FaultModel m;
-  m.jitter_fraction = -0.1;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
-  m.jitter_fraction = std::nan("");
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
+  FaultConfig c;
+  c.jitter_fraction = -0.1;
+  EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
+  c.jitter_fraction = std::nan("");
+  EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
 }
 
 TEST(FaultValidation, RejectsNonPositiveAttemptBudget) {
-  FaultModel m;
-  m.max_attempts = 0;
-  EXPECT_THROW(validate_fault_model(m), std::invalid_argument);
+  FaultConfig c;
+  c.max_attempts = 0;
+  EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
 }
 
 TEST(FaultValidation, RejectsBadConfig) {
@@ -53,22 +53,17 @@ TEST(FaultValidation, RejectsBadConfig) {
   }
   {
     FaultConfig c;
-    c.backoff_factor = 0.5;
-    EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
-  }
-  {
-    FaultConfig c;
     c.port_faults.push_back({-1.0, 0, PortSide::kBoth, -1.0});
     EXPECT_THROW(validate_fault_config(c), std::invalid_argument);
   }
   // The injector constructor validates too.
-  FaultModel bad;
+  FaultConfig bad;
   bad.retry_probability = 2.0;
   EXPECT_THROW(FaultInjector{bad}, std::invalid_argument);
 }
 
 TEST(FaultInjector, DefaultConfigIsIdeal) {
-  FaultInjector injector;
+  FaultInjector injector(FaultConfig{});
   injector.bind_ports(8);
   EXPECT_TRUE(injector.advance_to(1e9).empty());
   EXPECT_FALSE(injector.next_transition().has_value());
@@ -126,7 +121,7 @@ TEST(FaultInjector, BindRejectsOutOfRangeScriptedPort) {
 TEST(FaultInjector, AttemptBudgetExhaustionFailsTheSetup) {
   FaultConfig config;
   config.setup_timeout_probability = 0.999999;  // essentially every attempt
-  config.timing.max_attempts = 3;
+  config.max_attempts = 3;
   FaultInjector injector(config);
   injector.bind_ports(4);
   const SetupOutcome o = injector.sample_setup(0.01, {{0, 1}});
@@ -141,16 +136,15 @@ TEST(FaultInjector, AttemptBudgetExhaustionFailsTheSetup) {
 TEST(FaultInjector, BackoffIsCapped) {
   FaultConfig config;
   config.setup_timeout_probability = 0.999999;
-  config.timing.max_attempts = 40;
-  config.backoff_factor = 4.0;
-  config.backoff_cap = 8.0;
+  config.max_attempts = 40;
   FaultInjector injector(config);
   injector.bind_ports(2);
   const SetupOutcome o = injector.sample_setup(0.01, {{0, 1}});
   EXPECT_FALSE(o.established);
   EXPECT_EQ(o.attempts, 40);
-  // 40 attempts + 39 backoffs each capped at 8 * delta.
-  EXPECT_LE(o.setup_time, 0.01 * (40 + 39 * 8.0) + 1e-9);
+  // 40 attempts + 39 backoffs of 1, 2, 4, 8, 16 and then 32 * delta each
+  // (uncapped, the last would be 2^38 * delta).
+  EXPECT_NEAR(o.setup_time, 0.01 * (40 + 31 + 34 * 32.0), 1e-9);
 }
 
 TEST(FaultInjector, CrosspointFailuresYieldPartialSetups) {

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "ocs/all_stop_executor.hpp"
 #include "oracles/fabric_replay.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/reco_sin.hpp"
 #include "sim/fabric.hpp"
-#include "sim/multi_fabric.hpp"
 #include "testing_util.hpp"
 #include "trace/rng.hpp"
 
@@ -23,7 +23,7 @@ TEST(Faults, DefaultModelMatchesIdealSwitch) {
   ReplayController a(s);
   ReplayController b(s);
   const SimulationReport ideal = simulate_single_coflow(a, d, delta);
-  const SimulationReport with_model = simulate_single_coflow(b, d, delta, FaultModel{});
+  const SimulationReport with_model = simulate_single_coflow(b, d, delta, FaultConfig{});
   EXPECT_DOUBLE_EQ(ideal.cct, with_model.cct);
   EXPECT_EQ(ideal.reconfigurations, with_model.reconfigurations);
 }
@@ -34,7 +34,7 @@ TEST(Faults, JitterOnlySlowsDown) {
   const CircuitSchedule s = reco_sin(d, delta);
   ReplayController a(s);
   const SimulationReport ideal = simulate_single_coflow(a, d, delta);
-  FaultModel faults;
+  FaultConfig faults;
   faults.jitter_fraction = 0.5;
   ReplayController b(s);
   const SimulationReport jittered = simulate_single_coflow(b, d, delta, faults);
@@ -50,7 +50,7 @@ TEST(Faults, RetriesInflateReconfigurationTime) {
   const Matrix d = demand_under_test(503);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
-  FaultModel faults;
+  FaultConfig faults;
   faults.retry_probability = 0.4;
   ReplayController a(s);
   const SimulationReport faulty = simulate_single_coflow(a, d, delta, faults);
@@ -64,7 +64,7 @@ TEST(Faults, DeterministicPerSeed) {
   const Matrix d = demand_under_test(504);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
-  FaultModel faults;
+  FaultConfig faults;
   faults.jitter_fraction = 0.3;
   faults.retry_probability = 0.2;
   ReplayController a(s);
@@ -81,7 +81,7 @@ TEST(Faults, DeterministicPerSeed) {
 TEST(Faults, DemandStillFullyServedUnderHeavyFaults) {
   const Matrix d = demand_under_test(505);
   const Time delta = 0.05;
-  FaultModel faults;
+  FaultConfig faults;
   faults.jitter_fraction = 1.0;
   faults.retry_probability = 0.5;
   ReplayController a(reco_sin(d, delta));
@@ -89,15 +89,15 @@ TEST(Faults, DemandStillFullyServedUnderHeavyFaults) {
   EXPECT_TRUE(r.satisfied);  // faults cost time, never correctness
 }
 
-TEST(Faults, LegacyModelValidatedAtSimulationEntry) {
+TEST(Faults, TimingFaultsValidatedAtSimulationEntry) {
   // Regression: retry_probability >= 1 used to spin the retry loop forever
   // and negative jitter was silently accepted; both now throw up front.
   const Matrix d = demand_under_test(506);
-  FaultModel forever;
+  FaultConfig forever;
   forever.retry_probability = 1.0;
   ReplayController a(reco_sin(d, 0.1));
   EXPECT_THROW(simulate_single_coflow(a, d, 0.1, forever), std::invalid_argument);
-  FaultModel negative;
+  FaultConfig negative;
   negative.jitter_fraction = -0.5;
   ReplayController b(reco_sin(d, 0.1));
   EXPECT_THROW(simulate_single_coflow(b, d, 0.1, negative), std::invalid_argument);
@@ -109,7 +109,7 @@ TEST(Faults, ExhaustedAttemptBudgetTerminatesWithAccounting) {
   // either delivered or reported stranded.
   const Matrix d = demand_under_test(507);
   const Time delta = 0.05;
-  FaultModel faults;
+  FaultConfig faults;
   faults.retry_probability = 0.99;
   faults.max_attempts = 2;
   ReplayController a(reco_sin(d, delta));
@@ -120,15 +120,14 @@ TEST(Faults, ExhaustedAttemptBudgetTerminatesWithAccounting) {
 }
 
 TEST(Faults, IdealInjectorMatchesLegacyIdealRun) {
+  // The default config's run matches the analytic all-stop executor.
   const Matrix d = demand_under_test(508);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
-  ReplayController a(s);
-  ReplayController b(s);
-  const SimulationReport legacy = simulate_single_coflow(a, d, delta);
-  FaultInjector injector;
-  const SimulationReport injected = simulate_single_coflow(b, d, delta, injector);
-  EXPECT_DOUBLE_EQ(legacy.cct, injected.cct);
+  const ExecutionResult legacy = execute_all_stop(s, d, delta);
+  ReplayController controller(s);
+  const SimulationReport injected = simulate_single_coflow(controller, d, delta, FaultConfig{});
+  EXPECT_NEAR(legacy.cct, injected.cct, 1e-9);
   EXPECT_EQ(legacy.reconfigurations, injected.reconfigurations);
   EXPECT_DOUBLE_EQ(injected.stranded_demand, 0.0);
   EXPECT_NEAR(injected.delivered_demand, d.total(), 1e-6);
@@ -155,9 +154,8 @@ TEST(Faults, RecoveringControllerDeliversAllDeliverableDemand) {
   const Time delta = 0.05;
   FaultConfig config;
   config.port_faults.push_back({0.0, 0, PortSide::kIngress, -1.0});
-  FaultInjector injector(config);
   RecoveringController controller(reco_sin(d, delta), delta);
-  const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+  const SimulationReport r = simulate_single_coflow(controller, d, delta, config);
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.port_failures, 1);
   EXPECT_EQ(r.port_repairs, 0);
@@ -173,9 +171,8 @@ TEST(Faults, TransientPortFailureFullyRecovers) {
   const Time delta = 0.05;
   FaultConfig config;
   config.port_faults.push_back({0.5, 1, PortSide::kBoth, 0.4});
-  FaultInjector injector(config);
   RecoveringController controller(reco_sin(d, delta), delta);
-  const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+  const SimulationReport r = simulate_single_coflow(controller, d, delta, config);
   EXPECT_TRUE(r.satisfied);  // the port came back: nothing is stranded
   EXPECT_EQ(r.port_failures, 1);
   EXPECT_EQ(r.port_repairs, 1);
@@ -187,23 +184,22 @@ TEST(Faults, TransientPortFailureFullyRecovers) {
 
 TEST(Faults, ConservationHoldsUnderFaultSoup) {
   // Property: delivered + stranded == total demand under any mix of port
-  // failures, timeouts, partial setups, and legacy timing faults — and the
+  // failures, timeouts, partial setups, and timing faults — and the
   // run always terminates.
   const Time delta = 0.05;
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     const Matrix d = demand_under_test(600 + seed);
     FaultConfig config;
-    config.timing.jitter_fraction = 0.3;
-    config.timing.retry_probability = 0.2;
-    config.timing.max_attempts = 8;
+    config.jitter_fraction = 0.3;
+    config.retry_probability = 0.2;
+    config.max_attempts = 8;
     config.port_mtbf = 2.0;
     config.port_mttr = 0.5;
     config.setup_timeout_probability = 0.2;
     config.crosspoint_failure_probability = 0.1;
     config.seed = seed;
-    FaultInjector injector(config);
     RecoveringController controller(reco_sin(d, delta), delta);
-    const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+    const SimulationReport r = simulate_single_coflow(controller, d, delta, config);
     EXPECT_NEAR(r.delivered_demand + r.stranded_demand, d.total(), 1e-5)
         << "seed " << seed;
     EXPECT_EQ(r.satisfied, r.stranded_demand < kMinServiceQuantum) << "seed " << seed;
@@ -218,17 +214,16 @@ TEST(Faults, FaultSoupRunIsPinned) {
   const Time delta = 0.05;
   const Matrix d = demand_under_test(611);
   FaultConfig config;
-  config.timing.jitter_fraction = 0.3;
-  config.timing.retry_probability = 0.5;
-  config.timing.max_attempts = 2;
+  config.jitter_fraction = 0.3;
+  config.retry_probability = 0.5;
+  config.max_attempts = 2;
   config.port_mtbf = 2.0;
   config.port_mttr = 0.5;
   config.setup_timeout_probability = 0.2;
   config.crosspoint_failure_probability = 0.1;
   config.seed = 11;
-  FaultInjector injector(config);
   RecoveringController controller(reco_sin(d, delta), delta);
-  const SimulationReport r = simulate_single_coflow(controller, d, delta, injector);
+  const SimulationReport r = simulate_single_coflow(controller, d, delta, config);
   EXPECT_EQ(r.events, 50u);
   EXPECT_EQ(r.reconfigurations, 28);
   EXPECT_EQ(r.setup_failures, 10);
@@ -248,7 +243,7 @@ TEST(Faults, FaultStreamIdenticalAcrossThreadCounts) {
   const Matrix d = demand_under_test(509);
   const Time delta = 0.05;
   FaultConfig config;
-  config.timing.jitter_fraction = 0.25;
+  config.jitter_fraction = 0.25;
   config.port_mtbf = 1.5;
   config.port_mttr = 0.3;
   config.setup_timeout_probability = 0.15;
@@ -258,9 +253,8 @@ TEST(Faults, FaultStreamIdenticalAcrossThreadCounts) {
   const int thread_counts[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
     runtime::set_thread_count(thread_counts[i]);
-    FaultInjector injector(config);
     RecoveringController controller(reco_sin(d, delta), delta);
-    reports[i] = simulate_single_coflow(controller, d, delta, injector);
+    reports[i] = simulate_single_coflow(controller, d, delta, config);
   }
   runtime::set_thread_count(0);  // restore the env/hardware default
   EXPECT_DOUBLE_EQ(reports[0].cct, reports[1].cct);
@@ -273,97 +267,31 @@ TEST(Faults, FaultStreamIdenticalAcrossThreadCounts) {
   EXPECT_EQ(reports[0].reconfigurations, reports[1].reconfigurations);
 }
 
-TEST(Faults, NotAllStopReplayAcceptsFaultModel) {
+TEST(Faults, NotAllStopReplayAcceptsFaultConfig) {
   const Matrix d = demand_under_test(510);
   const Time delta = 0.1;
   const CircuitSchedule s = reco_sin(d, delta);
   const SimulationReport ideal = oracle::simulate_not_all_stop_replay(s, d, delta);
   const SimulationReport with_default =
-      oracle::simulate_not_all_stop_replay(s, d, delta, FaultModel{});
+      oracle::simulate_not_all_stop_replay(s, d, delta, FaultConfig{});
   EXPECT_DOUBLE_EQ(ideal.cct, with_default.cct);
   EXPECT_EQ(ideal.reconfigurations, with_default.reconfigurations);
 
-  FaultModel jitter;
+  FaultConfig jitter;
   jitter.jitter_fraction = 0.5;
   const SimulationReport slowed = oracle::simulate_not_all_stop_replay(s, d, delta, jitter);
   EXPECT_TRUE(slowed.satisfied);
   EXPECT_GE(slowed.cct, ideal.cct - 1e-9);
 
-  FaultModel flaky;
+  FaultConfig flaky;
   flaky.retry_probability = 0.9;
   flaky.max_attempts = 2;
   const SimulationReport degraded = oracle::simulate_not_all_stop_replay(s, d, delta, flaky);
   EXPECT_NEAR(degraded.delivered_demand + degraded.stranded_demand, d.total(), 1e-5);
 
-  FaultModel invalid;
+  FaultConfig invalid;
   invalid.retry_probability = 1.0;
   EXPECT_THROW(oracle::simulate_not_all_stop_replay(s, d, delta, invalid), std::invalid_argument);
-}
-
-std::vector<Coflow> multi_workload() {
-  std::vector<Coflow> coflows(2);
-  coflows[0].id = 0;
-  coflows[0].demand = recovery_demand();
-  coflows[1].id = 1;
-  coflows[1].arrival = 0.2;
-  coflows[1].demand = Matrix(4);
-  coflows[1].demand.at(1, 3) = 1.0;
-  coflows[1].demand.at(3, 2) = 2.0;
-  return coflows;
-}
-
-TEST(Faults, MultiCoflowIdealInjectorMatchesLegacyRun) {
-  const auto coflows = multi_workload();
-  const Time delta = 0.05;
-  GreedyPriorityController a(delta, GreedyPriorityController::Priority::kSmallestResidualFirst);
-  GreedyPriorityController b(delta, GreedyPriorityController::Priority::kSmallestResidualFirst);
-  const MultiFabricReport legacy = simulate_multi_coflow(a, coflows, delta);
-  FaultInjector injector;
-  const MultiFabricReport injected = simulate_multi_coflow(b, coflows, delta, injector);
-  ASSERT_EQ(legacy.cct.size(), injected.cct.size());
-  for (std::size_t k = 0; k < legacy.cct.size(); ++k) {
-    EXPECT_DOUBLE_EQ(legacy.cct[k], injected.cct[k]) << "coflow " << k;
-  }
-  EXPECT_EQ(legacy.reconfigurations, injected.reconfigurations);
-  EXPECT_DOUBLE_EQ(legacy.makespan, injected.makespan);
-  EXPECT_TRUE(injected.all_served);
-  EXPECT_DOUBLE_EQ(injected.stranded_demand, 0.0);
-}
-
-TEST(Faults, MultiCoflowPermanentFailureStrandsOnlyDeadDemand) {
-  const auto coflows = multi_workload();
-  const Time delta = 0.05;
-  Time total = 0.0;
-  for (const Coflow& c : coflows) total += c.demand.total();
-  FaultConfig config;
-  config.port_faults.push_back({0.0, 0, PortSide::kIngress, -1.0});
-  FaultInjector injector(config);
-  GreedyPriorityController controller(
-      delta, GreedyPriorityController::Priority::kSmallestResidualFirst);
-  const MultiFabricReport r = simulate_multi_coflow(controller, coflows, delta, injector);
-  EXPECT_FALSE(r.all_served);
-  EXPECT_EQ(r.port_failures, 1);
-  EXPECT_NEAR(r.stranded_demand, 3.0, 1e-6);  // coflow 0's ingress-0 rows
-  EXPECT_NEAR(r.delivered_demand, total - 3.0, 1e-6);
-  EXPECT_GT(r.degraded_time, 0.0);
-}
-
-TEST(Faults, MultiCoflowTransientFailureServesEverything) {
-  const auto coflows = multi_workload();
-  const Time delta = 0.05;
-  Time total = 0.0;
-  for (const Coflow& c : coflows) total += c.demand.total();
-  FaultConfig config;
-  config.port_faults.push_back({0.3, 2, PortSide::kBoth, 0.5});
-  FaultInjector injector(config);
-  GreedyPriorityController controller(
-      delta, GreedyPriorityController::Priority::kSmallestResidualFirst);
-  const MultiFabricReport r = simulate_multi_coflow(controller, coflows, delta, injector);
-  EXPECT_TRUE(r.all_served);
-  EXPECT_EQ(r.port_failures, 1);
-  EXPECT_EQ(r.port_repairs, 1);
-  EXPECT_NEAR(r.delivered_demand, total, 1e-5);
-  EXPECT_LT(r.stranded_demand, 1e-6);
 }
 
 }  // namespace

@@ -11,10 +11,9 @@ namespace {
 
 constexpr Time kDelta = 0.02;
 
-Coflow make_coflow(int id, const Matrix& d, Time arrival = 0.0, double w = 1.0) {
+Coflow make_coflow(int id, const Matrix& d, Time arrival = 0.0) {
   Coflow c;
   c.id = id;
-  c.weight = w;
   c.arrival = arrival;
   c.demand = d;
   return c;
@@ -111,31 +110,6 @@ TEST(MultiFabric, HoldToLargestNeedsFewerEstablishments) {
   EXPECT_TRUE(a.all_served);
   EXPECT_TRUE(b.all_served);
   EXPECT_LE(b.reconfigurations, a.reconfigurations);
-}
-
-TEST(MultiFabric, WeightedPriorityPrefersHeavyCoflows) {
-  // Same demands, wildly different weights sharing one port: the heavy
-  // coflow should complete first under the weighted priority.
-  Matrix d(2);
-  d.at(0, 0) = 1.0;
-  GreedyPriorityController ctrl(kDelta,
-                                GreedyPriorityController::Priority::kWeightedSmallestFirst);
-  const MultiFabricReport r = simulate_multi_coflow(
-      ctrl, {make_coflow(0, d, 0.0, /*w=*/0.01), make_coflow(1, d, 0.0, /*w=*/10.0)}, kDelta);
-  EXPECT_TRUE(r.all_served);
-  EXPECT_LT(r.cct[1], r.cct[0]);
-}
-
-TEST(MultiFabric, WeightedPriorityServesGeneratedWorkload) {
-  GeneratorOptions g;
-  g.num_ports = 10;
-  g.num_coflows = 12;
-  g.seed = 603;
-  const auto coflows = generate_workload(g);
-  GreedyPriorityController ctrl(g.delta,
-                                GreedyPriorityController::Priority::kWeightedSmallestFirst);
-  const MultiFabricReport r = simulate_multi_coflow(ctrl, coflows, g.delta);
-  EXPECT_TRUE(r.all_served);
 }
 
 TEST(MultiFabric, StoppingControllerReportsUnserved) {

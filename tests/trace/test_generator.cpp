@@ -63,12 +63,6 @@ TEST(Generator, WeightsInUnitIntervalByDefault) {
   }
 }
 
-TEST(Generator, UnitWeightsFlag) {
-  GeneratorOptions o = small_options();
-  o.unit_weights = true;
-  for (const Coflow& c : generate_workload(o)) EXPECT_DOUBLE_EQ(c.weight, 1.0);
-}
-
 TEST(Generator, ModeMixApproximatesTableII) {
   GeneratorOptions o;
   o.num_ports = 150;
